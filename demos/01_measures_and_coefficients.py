@@ -7,8 +7,8 @@ infinite-product formula.
 
 import numpy as np
 
-from menshov import (MeasureSpec, build_measure, coefficient,
-                     coefficients_batch, interval_mass, normalize)
+from menshov import (MeasureSpec, build_measure, interval_mass, normalize,
+                     spectrum)
 
 
 def main():
@@ -26,7 +26,7 @@ def main():
 
     nrm = normalize(cantor, (0.0, 1.0))
     freqs = np.array([1, 2, 3, 9, 27])
-    vals, errs = coefficients_batch(nrm, freqs)
+    vals, errs = spectrum(nrm, freqs.max()).coefficients(freqs)
     k = np.arange(1, 41)
     print("\nCantor coefficients vs the product formula "
           "e^{-pi i j} prod cos(2 pi j / 3^k)")
@@ -36,7 +36,7 @@ def main():
               f"product {prod.real:+.6f}{prod.imag:+.6f}i   "
               f"certified error {e:.2e}")
 
-    val, err = coefficient(nrm, 1, refinement=1 << 20)
+    _, (err,) = spectrum(nrm, 1, refinement=1 << 20).coefficients([1])
     print(f"\nhigher refinement shrinks the certificate: j=1 error {err:.2e}")
 
 

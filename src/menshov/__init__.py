@@ -8,10 +8,9 @@ from .assembly import (ClaimResult, DemoResult, claim_run,
                        theorem_demo)
 from .corrector import (CorrectorLayout, CorrectorParams, build_psi, choose_r,
                         kernel_sup, layout, running_integral_sup)
-from .errors import (AtomicMeasureError, CertificationError, DomainError,
-                     MeasureSpecError, QuadratureError)
-from .fourier import (CoefficientTable, IndexSet, build_lambda, coefficient,
-                      coefficients_batch, lambda_jk, wiener_average)
+from .errors import (AtomicMeasureError, DomainError, MeasureSpecError,
+                     QuadratureError)
+from .fourier import IndexSet, Spectrum, build_lambda, spectrum, wiener_average
 from .measures import (Measure, MeasureSpec, atomic_part, build_measure,
                        cantor_cdf, interval_mass, load_spec, normalize)
 from .msets import (ArcSpec, ConvergenceScan, MSetSpec, mset_intervals,

@@ -20,10 +20,10 @@ import numpy as np
 
 from .corrector import (CorrectorLayout, CorrectorParams, build_psi, choose_r,
                         layout, running_integral_sup)
-from .errors import AtomicMeasureError, CertificationError
+from .errors import AtomicMeasureError
 from .fourier import build_lambda
 from .measures import Measure, atomic_part, normalize
-from .msets import MSetSpec, mset_intervals, mset_mass
+from .msets import MSetSpec, mset_mass
 from .piecewise import PiecewiseLinearFn, StepFunction, fourier_partial_sums
 
 __all__ = [

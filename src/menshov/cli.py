@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import assembly, corrector, fourier, msets
-from .errors import (AtomicMeasureError, CertificationError, DomainError,
-                     MeasureSpecError, QuadratureError)
+from .errors import (AtomicMeasureError, DomainError, MeasureSpecError,
+                     QuadratureError)
 from .measures import MeasureSpec, build_measure
 from .piecewise import StepFunction
 
@@ -123,8 +123,8 @@ def _cmd_wiener_scan(cfg, out: Path, plot: bool):
     k = int(cfg.get("k", 1))
     N = int(cfg.get("N", 1000))
     refinement = int(cfg.get("refinement", 512))
-    vals, errs = fourier.coefficients_batch(nrm, abs(k) * np.arange(N + 1),
-                                            refinement)
+    freqs = abs(k) * np.arange(N + 1)
+    vals, errs = fourier.spectrum(nrm, abs(k) * N, refinement).coefficients(freqs)
     absv = np.abs(vals)
     running = np.cumsum(absv**2) / np.arange(1, N + 2)
     rows = [(n, k, absv[n], errs[n], running[n]) for n in range(N + 1)]
@@ -277,8 +277,6 @@ def main(argv=None) -> int:
                         help="override a config field (JSON-parsed value)")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--plot", action="store_true", help="emit SVG plots")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker hint for parallelizable scans (advisory)")
     args = parser.parse_args(argv)
 
     try:
@@ -298,9 +296,6 @@ def main(argv=None) -> int:
             ValueError) as exc:
         print(f"precondition violation: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except CertificationError as exc:
-        print(f"certification failure: {exc}", file=sys.stderr)
-        return EXIT_UNCERTIFIED
     except QuadratureError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

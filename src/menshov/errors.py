@@ -15,7 +15,3 @@ class AtomicMeasureError(RuntimeError):
 
 class QuadratureError(RuntimeError):
     """A quadrature could not certify the requested accuracy."""
-
-
-class CertificationError(RuntimeError):
-    """A search exhausted its limits without certifying the target bound."""

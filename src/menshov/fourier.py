@@ -6,9 +6,10 @@ Coefficients of a probability measure nu on [0,1] are
 
 Atoms are summed exactly; the continuous CDF part is integrated by a
 midpoint Riemann-Stieltjes rule whose certified error bound is the phase
-variation per cell times the continuous mass per cell, summed.  For scans
-over many frequencies the cell masses are taken on one shared power-of-two
-grid and all coefficients come out of a single real FFT.
+variation per cell times the continuous mass per cell, summed.  `spectrum`
+evaluates the CDF once on the power-of-two grid the highest frequency
+needs; each batch of frequencies then reads its cell masses from that one
+pass and gets all its coefficients from a single real FFT.
 """
 
 from __future__ import annotations
@@ -21,17 +22,16 @@ from .errors import AtomicMeasureError, QuadratureError
 from .measures import Measure, atomic_part
 
 __all__ = [
-    "CoefficientTable",
     "IndexSet",
-    "coefficient",
-    "coefficients_batch",
+    "Spectrum",
+    "spectrum",
     "wiener_average",
-    "lambda_jk",
     "build_lambda",
 ]
 
 DEFAULT_REFINEMENT = 512
 CERTIFY_LIMIT = 0.5  # an error bound above this makes a coefficient unusable
+MAX_GRID_CELLS = 1 << 24  # larger grids' CDF and FFT temporaries need GBs
 
 
 def _check_probability(nu: Measure):
@@ -49,57 +49,63 @@ def _atom_sum(nu: Measure, freqs):
     return phase @ nu.atom_masses
 
 
-def coefficient(nu: Measure, j: int, refinement: int = DEFAULT_REFINEMENT):
-    """Single Fourier-Stieltjes coefficient with a certified error bound.
+def _grid_cells(f: int, refinement: int) -> int:
+    """Power-of-2 cell count with at least refinement * max(1, f) cells."""
+    return 1 << int(np.ceil(np.log2(max(refinement * max(1, f), 1024))))
 
-    Returns (value, error_bound).  The continuous part is integrated on a
-    uniform partition of at least refinement * max(1, |j|) cells.
+
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """Continuous CDF of a probability measure on the grid its f_max needs.
+
+    Every power-of-2 grid an f <= f_max needs has edges at every stride-th
+    fine edge; dyadic linspace edges are exact and every CDF is evaluated
+    point by point, so a coarser grid read from `cdf` has bitwise the cell
+    masses of a fresh pass on that grid.
+    """
+
+    measure: Measure
+    f_max: int
+    refinement: int
+    cdf: np.ndarray
+
+    def coefficients(self, freqs):
+        """(values, error_bounds) at nonnegative integer frequencies <= f_max.
+
+        Uses the grid max(freqs) needs, so the certified bound at each
+        frequency f is 2*pi*f/grid * (continuous mass).
+        """
+        freqs = np.asarray(freqs, dtype=np.int64)
+        top = int(freqs.max()) if freqs.size else 0
+        if np.any(freqs < 0) or top > self.f_max:
+            raise ValueError(f"frequencies must lie in [0, {self.f_max}]; "
+                             "use conjugate symmetry for negative ones")
+        grid = _grid_cells(top, self.refinement)
+        stride = (self.cdf.size - 1) // grid
+        rfft = np.fft.rfft(np.diff(self.cdf[::stride]))
+        vals = rfft[freqs] * np.exp(-1j * np.pi * freqs / grid)
+        vals = vals + _atom_sum(self.measure, freqs)
+        errs = 2.0 * np.pi * freqs / grid * self.measure.cont_total
+        return vals, errs
+
+
+def spectrum(nu: Measure, f_max: int,
+             refinement: int = DEFAULT_REFINEMENT) -> Spectrum:
+    """Evaluate the continuous CDF of nu once, for frequencies 0..f_max.
+
+    Raises QuadratureError, before evaluating anything, when the grid
+    would exceed MAX_GRID_CELLS cells.
     """
     _check_probability(nu)
-    j = int(j)
-    n_cells = refinement * max(1, abs(j))
-    edges = np.linspace(0.0, 1.0, n_cells + 1)
-    masses = np.diff(nu.cont(edges))
-    mids = (edges[:-1] + edges[1:]) / 2.0
-    val = np.sum(masses * np.exp(-2j * np.pi * j * mids)) + np.sum(
-        np.atleast_1d(_atom_sum(nu, [j])))
-    err = 2.0 * np.pi * abs(j) / n_cells * nu.cont_total
-    if err > CERTIFY_LIMIT:
+    f_max = int(f_max)
+    grid = _grid_cells(f_max, refinement)
+    if grid > MAX_GRID_CELLS:
         raise QuadratureError(
-            f"refinement {refinement} cannot certify coefficient at j={j}")
-    return complex(val), float(err)
-
-
-def _grid_rfft(nu: Measure, grid: int):
-    """rfft of the continuous cell-mass vector on a `grid`-cell partition."""
-    cache = nu._grid_cache
-    if grid not in cache:
-        edges = np.linspace(0.0, 1.0, grid + 1)
-        masses = np.diff(nu.cont(edges))
-        cache.clear()  # keep only the finest grid seen so far
-        cache[grid] = np.fft.rfft(masses)
-    return cache[grid]
-
-
-def coefficients_batch(nu: Measure, freqs, refinement: int = DEFAULT_REFINEMENT):
-    """Coefficients at many nonnegative integer frequencies via one FFT.
-
-    The shared grid has at least refinement * max(1, f) cells for every
-    requested frequency f, so each per-frequency certified bound is at most
-    2*pi*f/grid * (continuous mass).  Returns (values, error_bounds).
-    """
-    _check_probability(nu)
-    freqs = np.asarray(freqs, dtype=np.int64)
-    if np.any(freqs < 0):
-        raise ValueError("batch frequencies must be nonnegative; "
-                         "use conjugate symmetry for negative ones")
-    fmax = int(freqs.max()) if freqs.size else 0
-    grid = 1 << int(np.ceil(np.log2(max(refinement * max(1, fmax), 1024))))
-    spectrum = _grid_rfft(nu, grid)
-    vals = spectrum[freqs] * np.exp(-1j * np.pi * freqs / grid)
-    vals = vals + _atom_sum(nu, freqs)
-    errs = 2.0 * np.pi * freqs / grid * nu.cont_total
-    return vals, errs
+            f"f_max={f_max} at refinement {refinement} needs a {grid}-cell "
+            f"grid, above the {MAX_GRID_CELLS}-cell limit")
+    cdf = nu.cont(np.linspace(0.0, 1.0, grid + 1))
+    cdf.setflags(write=False)
+    return Spectrum(nu, f_max, refinement, cdf)
 
 
 def wiener_average(nu: Measure, k: int, N: int,
@@ -107,7 +113,8 @@ def wiener_average(nu: Measure, k: int, N: int,
     """Cesaro average of |nu_hat(n*k)|^2 over n = 0..N."""
     if k == 0:
         raise ValueError("k must be nonzero")
-    vals, errs = coefficients_batch(nu, abs(k) * np.arange(N + 1), refinement)
+    freqs = abs(k) * np.arange(N + 1)
+    vals, errs = spectrum(nu, abs(k) * N, refinement).coefficients(freqs)
     if errs.max() > CERTIFY_LIMIT:
         raise QuadratureError("coefficient error bound exceeds certification limit")
     return float(np.mean(np.abs(vals) ** 2))
@@ -137,23 +144,6 @@ class IndexSet:
         return iter(self.members.tolist())
 
 
-def lambda_jk(nu: Measure, j: int, k: int, N_max: int,
-              refinement: int = DEFAULT_REFINEMENT) -> IndexSet:
-    """The set of n <= N_max with certified |nu_hat(n k)| <= 1/j.
-
-    Membership is conservative: |value| + error_bound <= 1/j.
-    """
-    if j < 1:
-        raise ValueError("j must be a positive integer")
-    if k == 0:
-        raise ValueError("k must be nonzero")
-    vals, errs = coefficients_batch(nu, abs(k) * np.arange(N_max + 1), refinement)
-    ok = np.abs(vals) + errs <= 1.0 / j
-    members = np.flatnonzero(ok)
-    density = members.size / (N_max + 1)
-    return IndexSet(members, N_max, density, {"j": j, "k": k})
-
-
 def build_lambda(nu: Measure, K: int, J: int, N_max: int, m: int = 1,
                  refinement: int = DEFAULT_REFINEMENT,
                  density_floor: float = 0.5,
@@ -177,9 +167,10 @@ def build_lambda(nu: Measure, K: int, J: int, N_max: int, m: int = 1,
     ns = np.arange(N_max + 1)
     keep = (ns % m == 0)
     provenance = {}
+    spec = spectrum(nu, K * N_max, refinement)
     # |nu_hat(-f)| = |nu_hat(f)|: negative k give the same sets as positive k
     for k in range(1, K + 1):
-        vals, errs = coefficients_batch(nu, k * ns, refinement)
+        vals, errs = spec.coefficients(k * ns)
         absv = np.abs(vals) + errs
         for j in range(1, J + 1):
             ok = absv <= 1.0 / j
@@ -192,30 +183,3 @@ def build_lambda(nu: Measure, K: int, J: int, N_max: int, m: int = 1,
         warnings = (f"density {density:.4f} below floor {density_floor}/m",)
     return IndexSet(members, N_max, density, provenance, warnings)
 
-
-@dataclass
-class CoefficientTable:
-    """Cache of coefficients of one measure: frequency -> (value, error)."""
-
-    measure: Measure
-    refinement: int = DEFAULT_REFINEMENT
-    entries: dict = field(default_factory=dict)
-
-    def get(self, j: int):
-        j = int(j)
-        if j not in self.entries:
-            val, err = coefficient(self.measure, j, self.refinement)
-            self.entries[j] = (val, err)
-        return self.entries[j]
-
-    def fill(self, freqs):
-        freqs = np.asarray(freqs, dtype=np.int64)
-        vals, errs = coefficients_batch(self.measure, np.abs(freqs),
-                                        self.refinement)
-        for f, v, e in zip(freqs.tolist(), vals, errs):
-            self.entries[f] = (complex(v.conjugate() if f < 0 else v), float(e))
-        return self
-
-    def rows(self):
-        """Sorted (frequency, value, error) triples."""
-        return [(f, *self.entries[f]) for f in sorted(self.entries)]

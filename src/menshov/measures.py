@@ -9,7 +9,7 @@ sitting on interval endpoints are always included.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -220,8 +220,6 @@ class Measure:
         self.total_mass = self.cont_total + float(self._atom_cum[-1])
         if not (self.total_mass > 0):
             raise MeasureSpecError("total mass must be strictly positive")
-        # caches for grid-based quadrature (keyed by grid size)
-        self._grid_cache: dict = {}
 
     # -- CDF evaluation -----------------------------------------------
 

@@ -7,13 +7,13 @@ each occupying the width fraction tau at offset sigma inside its block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .fourier import IndexSet
-from .measures import Measure, normalize
+from .measures import Measure
 
 __all__ = [
     "MSetSpec",

@@ -4,8 +4,8 @@ import sys
 
 import pytest
 
-from menshov.cli import (EXIT_CONFIG, EXIT_OK, EXIT_PRECONDITION,
-                         EXIT_UNCERTIFIED, main)
+from menshov.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK,
+                         EXIT_PRECONDITION, EXIT_UNCERTIFIED, main)
 
 LEBESGUE = {"kind": "lebesgue", "domain": [0.0, 6.283185307179586]}
 CANTOR = {"kind": "cantor", "levels": 40, "total": 1.0,
@@ -53,6 +53,15 @@ def test_mset_limit_outputs_and_plot(tmp_path):
     assert summary["config"]["sigma"] == 0.2
     svg = (out / "mset_limit.svg").read_text()
     assert svg.startswith("<svg") and "polyline" in svg
+
+
+def test_mset_limit_oversized_grid_is_numeric_failure(tmp_path):
+    # K * N_max = 300000 needs a 2^28-cell grid; refused before allocation
+    cfg = {"measure": CANTOR, "sigma": 0.2, "tau": 0.3}
+    code, out = run_cli(tmp_path, "mset-limit", cfg,
+                        extra=("--set", "N_max=100000"))
+    assert code == EXIT_NUMERIC
+    assert not (out / "mset_limit.csv").exists()
 
 
 def test_corrector_reports(tmp_path):

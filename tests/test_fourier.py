@@ -1,58 +1,109 @@
 import numpy as np
 import pytest
 
-from menshov import (AtomicMeasureError, MeasureSpec, build_lambda,
-                     build_measure, coefficient, coefficients_batch,
-                     lambda_jk, normalize, wiener_average)
-from menshov.fourier import CoefficientTable
-from conftest import cantor_coefficient_oracle
+from menshov import (AtomicMeasureError, Measure, MeasureSpec,
+                     QuadratureError, build_lambda, build_measure, normalize,
+                     spectrum, wiener_average)
+from menshov.fourier import MAX_GRID_CELLS
+from conftest import TWO_PI, cantor_coefficient_oracle
 
 
 def delta_measure(x0=0.25):
     return normalize(build_measure(MeasureSpec.atomic([(x0, 1.0)])), (0.0, 1.0))
 
 
+def coeff(nu, j, refinement=512):
+    """(value, error_bound) at one nonnegative frequency."""
+    vals, errs = spectrum(nu, j, refinement).coefficients([j])
+    return vals[0], errs[0]
+
+
+def lambda_jk(nu, j, k, N_max, refinement=512):
+    """Lambda_{j,k}: the n <= N_max with certified |nu_hat(n k)| <= 1/j."""
+    freqs = k * np.arange(N_max + 1)
+    vals, errs = spectrum(nu, k * N_max, refinement).coefficients(freqs)
+    return np.flatnonzero(np.abs(vals) + errs <= 1.0 / j)
+
+
 def test_lebesgue_orthogonality(lebesgue_unit_norm):
-    for j in (1, 3, -5):
-        val, err = coefficient(lebesgue_unit_norm, j)
+    for j in (1, 3, 5):
+        val, err = coeff(lebesgue_unit_norm, j)
         assert abs(val) < 1e-12
-    val0, _ = coefficient(lebesgue_unit_norm, 0)
+    val0, _ = coeff(lebesgue_unit_norm, 0)
     assert val0 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_dirac_unimodular():
     nu = delta_measure(0.3)
-    for j in (1, 2, 7, -4):
-        val, err = coefficient(nu, j)
+    for j in (1, 2, 4, 7):
+        val, err = coeff(nu, j)
         assert abs(val) == pytest.approx(1.0, abs=1e-12)
         assert err == 0.0
 
 
 def test_cantor_coefficient_matches_product_formula(cantor40_norm):
-    val, err = coefficient(cantor40_norm, 1, refinement=1 << 23)
+    val, err = coeff(cantor40_norm, 1, refinement=1 << 23)
     oracle = cantor_coefficient_oracle(1)[0]
     assert abs(val - oracle) < 1e-6
     assert err < 1e-6
 
 
 def test_coefficient_invariants(cantor40_norm):
-    for j in (1, 2, 5):
-        vp, ep = coefficient(cantor40_norm, j)
-        vm, em = coefficient(cantor40_norm, -j)
-        assert abs(vp) <= 1.0 + ep
-        assert abs(vm - np.conj(vp)) <= 2.0 * (ep + em) + 1e-12
-    v0, e0 = coefficient(cantor40_norm, 0)
-    assert abs(v0 - 1.0) <= e0 + 1e-12
+    spec = spectrum(cantor40_norm, 5)
+    vals, errs = spec.coefficients([0, 1, 2, 5])
+    assert np.all(np.abs(vals) <= 1.0 + errs)
+    assert abs(vals[0] - 1.0) <= errs[0] + 1e-12
+    for bad in ([-1], [6]):  # negative or above f_max
+        with pytest.raises(ValueError):
+            spec.coefficients(bad)
 
 
 def test_batch_agrees_with_direct(cantor40_norm):
     freqs = np.array([0, 1, 2, 3, 10, 50])
-    vals, errs = coefficients_batch(cantor40_norm, freqs)
+    vals, errs = spectrum(cantor40_norm, 50).coefficients(freqs)
     for f, v in zip(freqs, vals):
-        direct, _ = coefficient(cantor40_norm, int(f), refinement=4096)
+        direct, _ = coeff(cantor40_norm, int(f), refinement=4096)
         assert abs(v - direct) < 1e-3
     oracle = cantor_coefficient_oracle(freqs)
     assert np.max(np.abs(vals - oracle)) < np.max(errs) + 1e-9
+
+
+@pytest.mark.parametrize("spec", [
+    MeasureSpec.lebesgue((0.0, TWO_PI)),
+    MeasureSpec.atomic([(1.0, 0.3), (2.5, 0.7)], (0.0, TWO_PI)),
+    MeasureSpec.cantor(40, 1.0, (0.0, TWO_PI)),
+    MeasureSpec.cdf_table([(0.0, 0.0), (1.0, 0.2), (1.0, 0.5), (3.0, 1.0)]),
+    MeasureSpec.mixture([(0.5, MeasureSpec.cantor(40)),
+                         (0.5, MeasureSpec.lebesgue((0.0, 1.0)))]),
+], ids=lambda s: s.kind)
+def test_spectrum_coarse_reads_match_fresh_pass(spec):
+    # build_lambda reads every k from one pass at K*N; its members rest on
+    # each read being bitwise the coefficients of a pass at k*N
+    mu = build_measure(spec)
+    nu = normalize(mu, mu.domain)
+    K, N = 3, 700
+    ns = np.arange(N + 1)
+    fine = spectrum(nu, K * N, refinement=64)
+    for k in range(1, K + 1):
+        got = fine.coefficients(k * ns)
+        fresh = spectrum(nu, k * N, refinement=64).coefficients(k * ns)
+        assert np.array_equal(got[0], fresh[0])
+        assert np.array_equal(got[1], fresh[1])
+
+
+def test_spectrum_grid_guard_fires_before_evaluation():
+    def cont(x):
+        raise AssertionError("CDF evaluated")
+
+    nu = Measure((0.0, 1.0), cont, 1.0)
+    f_max = MAX_GRID_CELLS // 512 + 1  # the smallest f_max over the limit
+    with pytest.raises(QuadratureError,
+                       match=f"f_max={f_max} .* {2 * MAX_GRID_CELLS}-cell"):
+        spectrum(nu, f_max)
+    with pytest.raises(QuadratureError):
+        wiener_average(nu, 1, f_max)
+    with pytest.raises(AssertionError, match="CDF evaluated"):
+        spectrum(nu, 1)  # a small grid does reach the CDF
 
 
 def test_wiener_average_dirac():
@@ -84,24 +135,21 @@ def test_wiener_atomic_lower_bound():
 
 
 def test_lambda_jk_lebesgue(lebesgue_unit_norm):
-    lam = lambda_jk(lebesgue_unit_norm, j=4, k=2, N_max=100)
-    assert list(lam.members) == list(range(1, 101))  # n=0 excluded, nu_hat(0)=1
-
-
-def test_lambda_jk_dirac_empty():
-    lam = lambda_jk(delta_measure(), j=2, k=1, N_max=50)
-    assert len(lam) == 0
-    assert lam.density == 0.0
+    members = lambda_jk(lebesgue_unit_norm, j=4, k=2, N_max=100)
+    assert list(members) == list(range(1, 101))  # n=0 excluded, nu_hat(0)=1
+    lam = build_lambda(lebesgue_unit_norm, K=2, J=4, N_max=100)
+    assert list(lam.members) == list(members)
 
 
 def test_lambda_jk_cantor_density(cantor40_norm):
-    lam = lambda_jk(cantor40_norm, j=3, k=1, N_max=2000)
-    assert lam.density >= 0.9
+    members = lambda_jk(cantor40_norm, j=3, k=1, N_max=2000)
+    assert members.size / 2001 >= 0.9
 
 
 def test_lambda_jk_certification_monotone_in_refinement(cantor40_norm):
-    coarse = set(lambda_jk(cantor40_norm, 3, 1, 500, refinement=64).members.tolist())
-    fine = set(lambda_jk(cantor40_norm, 3, 1, 500, refinement=1024).members.tolist())
+    # with K = 1 the index set is Lambda_{J,1}
+    coarse = set(build_lambda(cantor40_norm, 1, 3, 500, refinement=64))
+    fine = set(build_lambda(cantor40_norm, 1, 3, 500, refinement=1024))
     assert coarse <= fine  # higher refinement never removes a certified member
 
 
@@ -119,17 +167,6 @@ def test_build_lambda_cantor_density(cantor40_norm):
     lam = build_lambda(cantor40_norm, K=3, J=3, N_max=2000, m=1)
     assert lam.density >= 0.8
     assert lam.provenance[(3, 1)] >= 0.9
-    # members are a subset of every constituent lambda_{j,k}
-    sub = set(lambda_jk(cantor40_norm, 3, 2, 2000).members.tolist())
+    # members are a subset of every constituent Lambda_{j,k}
+    sub = set(lambda_jk(cantor40_norm, 3, 2, 2000).tolist())
     assert set(lam.members.tolist()) <= sub
-
-
-def test_coefficient_table_cache(cantor40_norm):
-    table = CoefficientTable(cantor40_norm, refinement=256)
-    table.fill([-2, 0, 1, 3])
-    rows = table.rows()
-    assert [r[0] for r in rows] == [-2, 0, 1, 3]
-    vneg = table.get(-2)[0]
-    vpos = table.get(2)[0]
-    err = table.get(2)[1] + table.get(-2)[1]
-    assert vneg == pytest.approx(np.conj(vpos), abs=err + 1e-12)
