@@ -6,8 +6,9 @@ piecewise-linear corrector, and the certified large-set assembly."""
 from .assembly import (ClaimResult, DemoResult, claim_run,
                        partial_sum_diagnostics, resample_equal, subdivide,
                        theorem_demo)
-from .corrector import (CorrectorLayout, CorrectorParams, build_psi, choose_r,
-                        kernel_sup, layout, running_integral_sup)
+from .corrector import (CorrectorLayout, CorrectorParams, build_psi,
+                        check_corrector, choose_r, kernel_sup, layout,
+                        running_integral_sup)
 from .errors import (AtomicMeasureError, DomainError, MeasureSpecError,
                      QuadratureError)
 from .fourier import IndexSet, Spectrum, build_lambda, spectrum, wiener_average

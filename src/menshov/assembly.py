@@ -18,8 +18,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .corrector import (CorrectorLayout, CorrectorParams, build_psi, choose_r,
-                        layout, running_integral_sup)
+from .corrector import (CorrectorLayout, CorrectorParams, build_psi,
+                        check_corrector, choose_r, layout)
 from .errors import AtomicMeasureError
 from .fourier import build_lambda
 from .measures import Measure, atomic_part, normalize
@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
+LAMBDA_J, LAMBDA_K = 3, 3  # levels of the index set walked to choose kappa
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +100,7 @@ class CellResult:
     mass_inner: float          # mu([a', b'])
     mass_e: float              # mu(E_k)
     cell_certified: bool       # mass_e >= (1 - 2/nu) mass_inner
-    checks: dict = field(default_factory=dict)
+    checks: dict[str, bool]    # corrector.check_corrector
 
 
 @dataclass
@@ -160,33 +161,10 @@ def _default_eps_seq(gammas, widths, nu, eps0=0.1, r_budget=64):
     return eps
 
 
-def _check_cell(cell: CellResult, nu: int) -> dict:
-    """Numerical verification of the per-cell corrector properties."""
-    lay, psi, g = cell.layout, cell.psi, cell.gamma
-    sup_psi = float(np.max(np.abs(psi.ys)))
-    # sampled points of E (kept intervals only; the last piece is a point)
-    pts = []
-    for a, b in lay.e_intervals:
-        pts.extend([a, (a + b) / 2.0, b])
-    pts = np.array(pts)
-    on_e = bool(np.all(psi(pts) == g))
-    run_sup = running_integral_sup(psi)
-    leb_e = lay.lebesgue_e()
-    d_minus_c = lay.d - lay.c
-    return {
-        "sup_bound": sup_psi <= 2 * nu * abs(g) + 1e-12,
-        "equals_gamma_on_E": on_e,
-        "running_integral": run_sup < cell.eps,
-        "removed_count": int(lay.removed.shape[0]) == (nu - 4) * lay.r,
-        "lebesgue_E": bool(leb_e >= d_minus_c * (1 - 5.0 / nu) - 1e-12),
-    }
-
-
 def claim_run(phi: StepFunction, mu: Measure, nu: int,
               eps_seq: Optional[Sequence[float]] = None, *,
               kappa_cap: int = 512, r_cap: int = 512,
-              J: int = 3, K: int = 3, refinement: int = 512,
-              verify_cells: bool = True) -> ClaimResult:
+              refinement: int = 512) -> ClaimResult:
     """One full round of the correction construction over [0, 2 pi].
 
     Chooses kappa by walking the certified index set of the normalized
@@ -219,8 +197,9 @@ def claim_run(phi: StepFunction, mu: Measure, nu: int,
     horizon = max(rho * 16, 64)
     seen = 0
     while True:
-        lam = build_lambda(nrm, K=K, J=J, N_max=min(horizon, rho * kappa_cap),
-                           m=rho, refinement=refinement)
+        lam = build_lambda(nrm, K=LAMBDA_K, J=LAMBDA_J,
+                           N_max=min(horizon, rho * kappa_cap), m=rho,
+                           refinement=refinement)
         candidates = [int(n) for n in lam.members if n >= rho][seen:]
         for n in candidates:
             kap = n // rho
@@ -247,8 +226,6 @@ def claim_run(phi: StepFunction, mu: Measure, nu: int,
     widths = cells_lr[:, 1] - cells_lr[:, 0]
     if eps_seq is None:
         eps_seq = _default_eps_seq(gammas, widths, nu)
-    elif callable(eps_seq):
-        eps_seq = [float(eps_seq(k)) for k in range(len(gammas))]
     else:
         eps_seq = [float(e) for e in eps_seq]
         if len(eps_seq) < len(gammas):
@@ -280,11 +257,9 @@ def claim_run(phi: StepFunction, mu: Measure, nu: int,
         params = CorrectorParams(ck, dk, gk, epsk, nu, r_pick)
         lay = layout(params)
         psi = build_psi(lay, gk, nu)
-        cell = CellResult((float(ck), float(dk)), float(gk), epsk, r_pick,
-                          lay, psi, inner_mass, float(mass_e), ok)
-        if verify_cells:
-            cell.checks = _check_cell(cell, nu)
-        cells.append(cell)
+        cells.append(CellResult((float(ck), float(dk)), float(gk), epsk,
+                                r_pick, lay, psi, inner_mass, float(mass_e),
+                                ok, check_corrector(lay, psi, gk, epsk)))
 
     mu_e = float(sum(c.mass_e for c in cells))
     certified = (stage1_certified and all(c.cell_certified for c in cells)
@@ -380,8 +355,8 @@ def _continuous_from_plateaus(claim: ClaimResult) -> PiecewiseLinearFn:
     return PiecewiseLinearFn(xs, ys)
 
 
-def theorem_demo(f: Callable, mu: Measure, eps: float,
-                 uniform_gap: float, **claim_kwargs) -> DemoResult:
+def theorem_demo(f: Callable, mu: Measure, eps: float, uniform_gap: float,
+                 kappa_cap: int = 512, r_cap: int = 512) -> DemoResult:
     """One verified correction round for a continuous f on [0, 2 pi].
 
     Picks the smallest nu > 8 with 7 mu_total / nu < eps, approximates f by
@@ -398,15 +373,13 @@ def theorem_demo(f: Callable, mu: Measure, eps: float,
     while 7.0 * mu_total / nu >= eps:
         nu += 1
     phi = _step_approximation(f, (lo, hi), uniform_gap)
-    claim = claim_run(phi, mu, nu, **claim_kwargs)
+    claim = claim_run(phi, mu, nu, kappa_cap=kappa_cap, r_cap=r_cap)
     g = _continuous_from_plateaus(claim)
     exceptional = mu_total - claim.mu_e
     # |f - g| on E is at most the step gap; measure it on sampled E points
-    sup_gap = 0.0
-    for c in claim.cells:
-        for a, b in c.layout.e_intervals:
-            for x in (a, (a + b) / 2.0, b):
-                sup_gap = max(sup_gap, abs(float(f(x)) - float(g(x))))
+    pts = np.concatenate([c.layout.e_samples() for c in claim.cells])
+    fx = np.fromiter((f(x) for x in pts), float, count=pts.size)
+    sup_gap = np.max(np.abs(fx - g(pts)))
     return DemoResult(g, phi, claim, nu, float(eps), float(exceptional),
                       bool(exceptional < eps), float(sup_gap),
                       float(uniform_gap))

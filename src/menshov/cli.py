@@ -17,7 +17,7 @@ import numpy as np
 from . import assembly, corrector, fourier, msets
 from .errors import (AtomicMeasureError, DomainError, MeasureSpecError,
                      QuadratureError)
-from .measures import MeasureSpec, build_measure
+from .measures import MeasureSpec, build_measure, load_spec
 from .piecewise import StepFunction
 
 EXIT_OK = 0
@@ -25,6 +25,10 @@ EXIT_CONFIG = 2
 EXIT_PRECONDITION = 3
 EXIT_UNCERTIFIED = 4
 EXIT_NUMERIC = 5
+
+
+class _ConfigError(Exception):
+    """A config value naming something that cannot be read."""
 
 
 def _fmt(x) -> str:
@@ -103,13 +107,15 @@ def _load_config(args) -> dict:
 
 
 def _measure_from_config(cfg: dict):
-    if "measure" in cfg and isinstance(cfg["measure"], dict):
-        spec = MeasureSpec.from_dict(cfg["measure"])
-    elif "measure" in cfg:
-        with open(cfg["measure"]) as fh:
-            spec = MeasureSpec.from_dict(json.load(fh))
-    else:
+    src = cfg.get("measure")
+    if src is None:
         raise KeyError("config needs a 'measure' entry (path or inline spec)")
+    if isinstance(src, dict):
+        return build_measure(MeasureSpec.from_dict(src))
+    try:
+        spec = load_spec(src)
+    except OSError as exc:
+        raise _ConfigError(f"cannot read measure file {src!r}: {exc.strerror}")
     return build_measure(spec)
 
 
@@ -121,6 +127,8 @@ def _cmd_wiener_scan(cfg, out: Path, plot: bool):
     from .measures import normalize
     nrm = normalize(mu, mu.domain)
     k = int(cfg.get("k", 1))
+    if k == 0:
+        raise ValueError("k must be nonzero")
     N = int(cfg.get("N", 1000))
     refinement = int(cfg.get("refinement", 512))
     freqs = abs(k) * np.arange(N + 1)
@@ -171,16 +179,9 @@ def _cmd_corrector(cfg, out: Path, plot: bool):
     params = corrector.CorrectorParams(c, d, gamma, eps, nu, r)
     lay = corrector.layout(params)
     psi = corrector.build_psi(lay, gamma, nu)
-    run_sup = corrector.running_integral_sup(psi)
-    checks = {
-        "sup_bound": bool(np.max(np.abs(psi.ys)) <= 2 * nu * abs(gamma)),
-        "running_integral_lt_eps": bool(run_sup < eps),
-        "running_integral_sup": run_sup,
-        "removed_count_ok": int(lay.removed.shape[0]) == (nu - 4) * r,
-        "lebesgue_E": lay.lebesgue_e(),
-        "lebesgue_E_bound_ok":
-            bool(lay.lebesgue_e() >= (d - c) * (1 - 5.0 / nu) - 1e-12),
-    }
+    checks = corrector.check_corrector(lay, psi, gamma, eps)
+    checks["running_integral_sup"] = corrector.running_integral_sup(psi)
+    checks["lebesgue_E_measure"] = lay.lebesgue_e()
     if cfg.get("kernel", False):
         j_max = int(cfg.get("j_max", 16))
         x_grid = int(cfg.get("x_grid", 64))
@@ -289,7 +290,7 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         return _COMMANDS[args.subcommand](cfg, out, args.plot)
-    except (KeyError, json.JSONDecodeError) as exc:
+    except (KeyError, json.JSONDecodeError, _ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (MeasureSpecError, DomainError, AtomicMeasureError,

@@ -23,6 +23,7 @@ __all__ = [
     "layout",
     "build_psi",
     "running_integral_sup",
+    "check_corrector",
     "kernel_sup",
 ]
 
@@ -90,6 +91,11 @@ class CorrectorLayout:
     def lebesgue_e(self) -> float:
         return float(np.sum(self.e_intervals[:, 1] - self.e_intervals[:, 0]))
 
+    def e_samples(self) -> np.ndarray:
+        """Left end, midpoint and right end of every piece of E, row by row."""
+        a, b = self.e_intervals[:, 0], self.e_intervals[:, 1]
+        return np.column_stack([a, (a + b) / 2.0, b]).ravel()
+
 
 def layout(params: CorrectorParams) -> CorrectorLayout:
     """Build the node grid, removed intervals, and kept set E."""
@@ -140,6 +146,21 @@ def running_integral_sup(psi: PiecewiseLinearFn) -> float:
     """
     _, vals = psi.running_integral_extrema()
     return float(np.max(np.abs(vals)))
+
+
+def check_corrector(lay: CorrectorLayout, psi: PiecewiseLinearFn,
+                    gamma: float, eps: float) -> dict[str, bool]:
+    """Numerical checks of the corrector properties, with nu = lay.nu."""
+    nu = lay.nu
+    checks = {
+        "sup_bound": np.max(np.abs(psi.ys)) <= 2 * nu * abs(gamma) + 1e-12,
+        "equals_gamma_on_E": np.all(psi(lay.e_samples()) == gamma),
+        "running_integral": running_integral_sup(psi) < eps,
+        "removed_count": lay.removed.shape[0] == (nu - 4) * lay.r,
+        "lebesgue_E":
+            lay.lebesgue_e() >= (lay.d - lay.c) * (1 - 5.0 / nu) - 1e-12,
+    }
+    return {k: bool(v) for k, v in checks.items()}
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(4)

@@ -123,7 +123,7 @@ def wiener_average(nu: Measure, k: int, N: int,
 # ---------------------------------------------------------------------------
 # Index sets
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == on the members array is ambiguous
 class IndexSet:
     """A certified subset of {0..horizon} with density diagnostics."""
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,19 @@ def test_theorem_demo_step_function_exactness():
     demo = theorem_demo(f, small_cantor, eps=0.5, uniform_gap=1e-9)
     assert demo.sup_gap_on_e <= 1e-9
     assert demo.below_eps
+
+
+def test_theorem_demo_sup_gap_matches_pointwise_oracle():
+    # math.sin rejects arrays, so f is callable on scalars only
+    f = lambda x: math.sin(x) + 0.3 * math.cos(2.0 * x)
+    demo = theorem_demo(f, lebesgue_full(), eps=0.5, uniform_gap=0.2)
+    oracle = 0.0
+    for c in demo.claim.cells:
+        for a, b in c.layout.e_intervals:
+            for x in (a, (a + b) / 2.0, b):
+                oracle = max(oracle, abs(float(f(x)) - float(demo.g(x))))
+    assert oracle > 0.0
+    assert demo.sup_gap_on_e == oracle
 
 
 def test_theorem_demo_input_validation():

@@ -72,8 +72,11 @@ def test_corrector_reports(tmp_path):
     assert lay["q"] == 50
     assert lay["delta"] == pytest.approx(1.0 / 500.0)
     checks = json.loads((out / "corrector_checks.json").read_text())
-    assert checks["sup_bound"] and checks["running_integral_lt_eps"]
-    assert checks["removed_count_ok"] and checks["lebesgue_E_bound_ok"]
+    for key in ("sup_bound", "equals_gamma_on_E", "running_integral",
+                "removed_count", "lebesgue_E"):
+        assert checks[key] is True
+    assert 0.0 < checks["running_integral_sup"] < cfg["eps"]
+    assert checks["lebesgue_E_measure"] >= 1.0 - 5.0 / 10
     psi_lines = (out / "corrector_psi.csv").read_text().splitlines()
     assert psi_lines[1] == "breakpoint,value"
     assert len(psi_lines) > 10
@@ -130,6 +133,23 @@ def test_set_overrides_config(tmp_path):
 def test_missing_measure_is_config_error(tmp_path):
     code, _ = run_cli(tmp_path, "wiener-scan", {"k": 1})
     assert code == EXIT_CONFIG
+
+
+def test_unreadable_measure_file_is_config_error(tmp_path, capsys):
+    missing = tmp_path / "nosuchfile.json"
+    code, out = run_cli(tmp_path, "wiener-scan",
+                        {"measure": str(missing), "k": 1, "N": 3})
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(missing) in err
+    assert not (out / "wiener_scan.csv").exists()
+
+
+def test_wiener_scan_k_zero_is_precondition_violation(tmp_path):
+    code, out = run_cli(tmp_path, "wiener-scan",
+                        {"measure": LEBESGUE, "k": 0, "N": 3})
+    assert code == EXIT_PRECONDITION
+    assert not (out / "wiener_scan.csv").exists()
 
 
 def test_bad_set_syntax_is_config_error(tmp_path):

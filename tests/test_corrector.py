@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from menshov import (CorrectorParams, MSetSpec, build_psi, choose_r,
-                     kernel_sup, layout, mset_intervals, running_integral_sup)
+from menshov import (CorrectorParams, MSetSpec, PiecewiseLinearFn, build_psi,
+                     check_corrector, choose_r, kernel_sup, layout,
+                     mset_intervals, running_integral_sup)
 
 TWO_PI = 2.0 * np.pi
 
@@ -104,6 +107,52 @@ def test_psi_equals_gamma_on_e_and_sup_bound():
         sup = np.max(np.abs(psi.ys))
         assert sup <= 2.0 * nu * abs(gamma)
         assert sup == pytest.approx((2 * nu - 1) * abs(gamma), abs=1e-12)
+
+
+def test_e_samples_are_ends_and_midpoints_in_row_order():
+    lay, _ = make_psi(c=0.3, d=2.1, nu=12, r=2)
+    expect = [x for a, b in lay.e_intervals for x in (a, (a + b) / 2.0, b)]
+    assert lay.e_samples().tolist() == expect
+
+
+def test_check_corrector_passes_the_construction():
+    for nu, r, gamma in [(10, 2, 1.0), (16, 1, -2.5), (33, 3, 0.4)]:
+        lay, psi = make_psi(c=0.3, d=2.1, nu=nu, r=r, gamma=gamma)
+        eps = 8.0 * abs(gamma) * (2.1 - 0.3) / (r * nu)
+        checks = check_corrector(lay, psi, gamma, eps)
+        assert set(checks) == {"sup_bound", "equals_gamma_on_E",
+                               "running_integral", "removed_count",
+                               "lebesgue_E"}
+        assert all(v is True for v in checks.values())
+
+
+def failing_keys(lay, psi, gamma, eps):
+    return {k for k, ok in check_corrector(lay, psi, gamma, eps).items()
+            if not ok}
+
+
+def test_check_corrector_flags_psi_off_gamma_on_e():
+    gamma = 1.0
+    lay, psi = make_psi(nu=10, r=2, gamma=gamma)
+    # psi's second breakpoint is a', the left end of the first piece of E
+    assert psi.xs[1] == lay.e_intervals[0, 0]
+    ys = psi.ys.copy()
+    ys[1] = gamma / 2.0
+    off = PiecewiseLinearFn(psi.xs, ys)
+    assert failing_keys(lay, off, gamma, 0.4) == {"equals_gamma_on_E"}
+
+
+def test_check_corrector_flags_eps_at_or_below_running_sup():
+    lay, psi = make_psi(nu=10, r=2, gamma=1.0)
+    run_sup = running_integral_sup(psi)
+    for eps in (run_sup, run_sup / 2.0):
+        assert failing_keys(lay, psi, 1.0, eps) == {"running_integral"}
+
+
+def test_check_corrector_flags_missing_removed_row():
+    lay, psi = make_psi(nu=10, r=2, gamma=1.0)
+    short = dataclasses.replace(lay, removed=lay.removed[1:])
+    assert failing_keys(short, psi, 1.0, 0.4) == {"removed_count"}
 
 
 def test_per_period_integral_cancellation():

@@ -1,0 +1,29 @@
+"""Smoke tests: the demo scripts run to completion.
+
+Demos 02 and 03 are left out because each takes about 12 s.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("script", [
+    "01_measures_and_coefficients.py",
+    "04_corrector.py",
+    "05_correction_round.py",
+])
+def test_demo_runs(script):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / script)],
+                          capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from menshov import (AtomicMeasureError, Measure, MeasureSpec,
+from menshov import (AtomicMeasureError, IndexSet, Measure, MeasureSpec,
                      QuadratureError, build_lambda, build_measure, normalize,
                      spectrum, wiener_average)
 from menshov.fourier import MAX_GRID_CELLS
@@ -170,3 +170,10 @@ def test_build_lambda_cantor_density(cantor40_norm):
     # members are a subset of every constituent Lambda_{j,k}
     sub = set(lambda_jk(cantor40_norm, 3, 2, 2000).tolist())
     assert set(lam.members.tolist()) <= sub
+
+
+def test_index_set_compares_by_identity():
+    a = IndexSet([1, 2], 5, 0.3)
+    b = IndexSet([1, 2], 5, 0.3)
+    assert a == a and a != b
+    assert a in [a] and b not in [a]
