@@ -7,8 +7,7 @@ infinite-product formula.
 
 import numpy as np
 
-from menshov import (MeasureSpec, build_measure, interval_mass, normalize,
-                     spectrum)
+from menshov import MeasureSpec, build_measure, normalize, spectrum
 
 
 def main():
@@ -18,11 +17,11 @@ def main():
     cantor = build_measure(MeasureSpec.cantor(40))
 
     print("interval masses")
-    print(f"  Lebesgue [0, pi]          = {interval_mass(lebesgue, 0, np.pi):.6f}")
-    print(f"  atomic   [0.5, 1.5]       = {interval_mass(atomic, 0.5, 1.5):.6f}")
-    print(f"  Cantor   [0, 1/3]         = {interval_mass(cantor, 0, 1/3):.6f}")
+    print(f"  Lebesgue [0, pi]          = {lebesgue.interval_mass(0, np.pi):.6f}")
+    print(f"  atomic   [0.5, 1.5]       = {atomic.interval_mass(0.5, 1.5):.6f}")
+    print(f"  Cantor   [0, 1/3]         = {cantor.interval_mass(0, 1/3):.6f}")
     print(f"  Cantor   (1/3, 2/3) open  = "
-          f"{interval_mass(cantor, 1/3 + 1e-9, 2/3 - 1e-9):.6f}")
+          f"{cantor.interval_mass(1/3 + 1e-9, 2/3 - 1e-9):.6f}")
 
     nrm = normalize(cantor, (0.0, 1.0))
     freqs = np.array([1, 2, 3, 9, 27])

@@ -13,9 +13,9 @@ from .errors import (AtomicMeasureError, DomainError, MeasureSpecError,
                      QuadratureError)
 from .fourier import IndexSet, Spectrum, build_lambda, spectrum, wiener_average
 from .measures import (Measure, MeasureSpec, atomic_part, build_measure,
-                       cantor_cdf, interval_mass, load_spec, normalize)
+                       cantor_cdf, load_spec, normalize)
 from .msets import (ArcSpec, ConvergenceScan, MSetSpec, mset_intervals,
-                    mset_mass, proposition_scan, pushforward_arc_mass)
+                    mset_masses, proposition_scan, pushforward_arc_mass)
 from .piecewise import PiecewiseLinearFn, StepFunction, fourier_partial_sums
 
 __version__ = "0.1.0"

@@ -23,7 +23,7 @@ from .corrector import (CorrectorLayout, CorrectorParams, build_psi,
 from .errors import AtomicMeasureError
 from .fourier import build_lambda
 from .measures import Measure, atomic_part, normalize
-from .msets import MSetSpec, mset_mass
+from .msets import MSetSpec, mset_masses
 from .piecewise import PiecewiseLinearFn, StepFunction, fourier_partial_sums
 
 __all__ = [
@@ -39,6 +39,8 @@ __all__ = [
 
 TWO_PI = 2.0 * np.pi
 LAMBDA_J, LAMBDA_K = 3, 3  # levels of the index set walked to choose kappa
+EPS0, R_BUDGET = 0.1, 64  # default eps_k = EPS0 * 2^-k; r_min <= R_BUDGET
+STEP_MAX_CELLS = 2048  # finest step approximation theorem_demo builds
 
 
 # ---------------------------------------------------------------------------
@@ -150,14 +152,14 @@ class ClaimResult:
         }
 
 
-def _default_eps_seq(gammas, widths, nu, eps0=0.1, r_budget=64):
-    """Geometric eps_k = eps0 * 2^-k, floored so the minimal admissible r
-    stays within r_budget (a pure geometric default would push r past any
+def _default_eps_seq(gammas, widths, nu):
+    """Geometric eps_k = EPS0 * 2^-k, floored so the minimal admissible r
+    stays within R_BUDGET (a pure geometric default would push r past any
     practical search cap once the cell count grows)."""
     eps = []
     for k, (g, w) in enumerate(zip(gammas, widths)):
-        floor = 8.0 * abs(g) * w / (r_budget * nu) if g != 0 else 0.0
-        eps.append(max(eps0 * 0.5**k, floor, 1e-300))
+        floor = 8.0 * abs(g) * w / (R_BUDGET * nu) if g != 0 else 0.0
+        eps.append(max(EPS0 * 0.5**k, floor, 1e-300))
     return eps
 
 
@@ -190,35 +192,24 @@ def claim_run(phi: StepFunction, mu: Measure, nu: int,
     nrm = normalize(mu, (lo, hi))
 
     # stage 1: kappa from the union-level M-set, walking the index set
-    kappa = None
-    union_mass = -1.0
-    best = (1, -1.0)
     tried = []
-    horizon = max(rho * 16, 64)
-    seen = 0
+    N_max, prev = min(max(rho * 16, 64), rho * kappa_cap), 0
     while True:
-        lam = build_lambda(nrm, K=LAMBDA_K, J=LAMBDA_J,
-                           N_max=min(horizon, rho * kappa_cap), m=rho,
+        lam = build_lambda(nrm, K=LAMBDA_K, J=LAMBDA_J, N_max=N_max, m=rho,
                            refinement=refinement)
-        candidates = [int(n) for n in lam.members if n >= rho][seen:]
-        for n in candidates:
-            kap = n // rho
-            if kap > kappa_cap:
-                break
-            mass = mset_mass(mu, MSetSpec((lo, hi), n, sigma_u, tau_u))
-            tried.append((kap, mass))
-            if mass > best[1]:
-                best = (kap, mass)
-            if mass >= target_union:
-                kappa, union_mass = kap, mass
-                break
-        if kappa is not None or horizon >= rho * kappa_cap:
+        ns = lam.members[lam.members >= max(rho, prev + 1)]
+        masses = mset_masses(
+            mu, [MSetSpec((lo, hi), int(n), sigma_u, tau_u) for n in ns])
+        hit = np.flatnonzero(masses >= target_union)
+        stop = hit[0] + 1 if hit.size else ns.size
+        tried += zip((ns[:stop] // rho).tolist(), masses[:stop].tolist())
+        if hit.size or N_max >= rho * kappa_cap:
             break
-        seen = len(lam.members[lam.members >= rho])
-        horizon *= 2
-    stage1_certified = kappa is not None
-    if kappa is None:
-        kappa, union_mass = best
+        N_max, prev = min(2 * N_max, rho * kappa_cap), N_max
+    stage1_certified = bool(hit.size)
+    # first maximum when no mass reaches the target
+    kappa, union_mass = tried[-1] if stage1_certified else max(
+        tried, key=lambda t: t[1], default=(1, -1.0))
 
     part = subdivide(phi, kappa)
     cells_lr = np.column_stack([part.breakpoints[:-1], part.breakpoints[1:]])
@@ -241,19 +232,16 @@ def claim_run(phi: StepFunction, mu: Measure, nu: int,
         b_in = dk - 2.0 * (dk - ck) / nu
         inner_mass = float(mu.interval_mass(a_in, b_in))
         target_cell = (1.0 - 2.0 / nu) * inner_mass
-        r_pick, mass_e, ok = None, None, False
-        best_r, best_me = r_min, -1.0
+        ok, r_tried = False, []
         for r in _r_schedule(r_min, r_cap):
-            removed = mset_mass(
-                mu, MSetSpec((a_in, b_in), (nu - 4) * r, sigma_c, tau_c))
-            me = inner_mass - removed
-            if me > best_me:
-                best_r, best_me = r, me
-            if me >= target_cell - 1e-15 * mu_total:
-                r_pick, mass_e, ok = r, me, True
+            removed, = mset_masses(
+                mu, [MSetSpec((a_in, b_in), (nu - 4) * r, sigma_c, tau_c)])
+            r_tried.append((r, inner_mass - removed))
+            ok = bool(r_tried[-1][1] >= target_cell - 1e-15 * mu_total)
+            if ok:
                 break
-        if not ok:
-            r_pick, mass_e = best_r, best_me
+        r_pick, mass_e = r_tried[-1] if ok else max(
+            r_tried, key=lambda t: t[1], default=(r_min, -1.0))
         params = CorrectorParams(ck, dk, gk, epsk, nu, r_pick)
         lay = layout(params)
         psi = build_psi(lay, gk, nu)
@@ -317,14 +305,14 @@ class DemoResult:
         }
 
 
-def _step_approximation(f: Callable, domain, uniform_gap: float,
-                        max_cells: int = 2048) -> StepFunction:
+def _step_approximation(f: Callable, domain,
+                        uniform_gap: float) -> StepFunction:
     """Equal-cell step approximation with sup |f - phi| <= uniform_gap."""
     lo, hi = domain
-    grid = np.linspace(lo, hi, 16 * max_cells + 1)
+    grid = np.linspace(lo, hi, 16 * STEP_MAX_CELLS + 1)
     fx = np.asarray([float(f(x)) for x in grid])
     rho = 1
-    while rho <= max_cells:
+    while rho <= STEP_MAX_CELLS:
         cells = np.array_split(np.arange(grid.size - 1), rho)
         # half-open cells [x_i, x_{i+1}): the shared right endpoint belongs
         # to the next cell, so a jump aligned with a boundary resolves
@@ -332,7 +320,7 @@ def _step_approximation(f: Callable, domain, uniform_gap: float,
         if osc <= uniform_gap:  # midpoint value stays within the oscillation
             break
         rho *= 2
-    rho = min(rho, max_cells)
+    rho = min(rho, STEP_MAX_CELLS)
     xs = np.linspace(lo, hi, rho + 1)
     mids = (xs[:-1] + xs[1:]) / 2.0
     return StepFunction(xs, [float(f(x)) for x in mids])

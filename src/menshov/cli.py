@@ -17,7 +17,7 @@ import numpy as np
 from . import assembly, corrector, fourier, msets
 from .errors import (AtomicMeasureError, DomainError, MeasureSpecError,
                      QuadratureError)
-from .measures import MeasureSpec, build_measure, load_spec
+from .measures import MeasureSpec, build_measure, load_spec, normalize
 from .piecewise import StepFunction
 
 EXIT_OK = 0
@@ -112,6 +112,9 @@ def _measure_from_config(cfg: dict):
         raise KeyError("config needs a 'measure' entry (path or inline spec)")
     if isinstance(src, dict):
         return build_measure(MeasureSpec.from_dict(src))
+    if not isinstance(src, str):  # open() would take an int as a descriptor
+        raise _ConfigError("'measure' must be a file path or an inline spec, "
+                           f"not {type(src).__name__}")
     try:
         spec = load_spec(src)
     except OSError as exc:
@@ -124,7 +127,6 @@ def _measure_from_config(cfg: dict):
 
 def _cmd_wiener_scan(cfg, out: Path, plot: bool):
     mu = _measure_from_config(cfg)
-    from .measures import normalize
     nrm = normalize(mu, mu.domain)
     k = int(cfg.get("k", 1))
     if k == 0:
@@ -146,7 +148,6 @@ def _cmd_wiener_scan(cfg, out: Path, plot: bool):
 
 def _cmd_mset_limit(cfg, out: Path, plot: bool):
     mu = _measure_from_config(cfg)
-    from .measures import normalize
     interval = tuple(cfg.get("I", list(mu.domain)))
     sigma, tau = float(cfg["sigma"]), float(cfg["tau"])
     J, K = int(cfg.get("J", 3)), int(cfg.get("K", 3))

@@ -72,7 +72,7 @@ class CorrectorParams:
         return int(self.r * self.nu)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == on the array fields is ambiguous
 class CorrectorLayout:
     """Node grid and interval families of the corrector construction."""
 

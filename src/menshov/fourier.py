@@ -32,6 +32,7 @@ __all__ = [
 DEFAULT_REFINEMENT = 512
 CERTIFY_LIMIT = 0.5  # an error bound above this makes a coefficient unusable
 MAX_GRID_CELLS = 1 << 24  # larger grids' CDF and FFT temporaries need GBs
+DENSITY_FLOOR = 0.5  # build_lambda warns below DENSITY_FLOOR / m
 
 
 def _check_probability(nu: Measure):
@@ -145,9 +146,7 @@ class IndexSet:
 
 
 def build_lambda(nu: Measure, K: int, J: int, N_max: int, m: int = 1,
-                 refinement: int = DEFAULT_REFINEMENT,
-                 density_floor: float = 0.5,
-                 atom_tol: float | None = None) -> IndexSet:
+                 refinement: int = DEFAULT_REFINEMENT) -> IndexSet:
     """Certified subset of the intersection of all Lambda_{j,k}, j<=J, |k|<=K,
     restricted to multiples of m.
 
@@ -158,7 +157,7 @@ def build_lambda(nu: Measure, K: int, J: int, N_max: int, m: int = 1,
     _check_probability(nu)
     if min(K, J, m) < 1:
         raise ValueError("K, J, m must be positive integers")
-    atoms = atomic_part(nu, atom_tol)
+    atoms = atomic_part(nu)
     if atoms:
         raise AtomicMeasureError(
             f"measure has {len(atoms)} atom(s) above tolerance; "
@@ -179,7 +178,7 @@ def build_lambda(nu: Measure, K: int, J: int, N_max: int, m: int = 1,
     members = np.flatnonzero(keep)
     density = members.size / (N_max + 1)
     warnings = ()
-    if density < density_floor / m:
-        warnings = (f"density {density:.4f} below floor {density_floor}/m",)
+    if density < DENSITY_FLOOR / m:
+        warnings = (f"density {density:.4f} below floor {DENSITY_FLOOR}/m",)
     return IndexSet(members, N_max, density, provenance, warnings)
 

@@ -20,7 +20,6 @@ __all__ = [
     "MeasureSpec",
     "Measure",
     "build_measure",
-    "interval_mass",
     "normalize",
     "atomic_part",
     "cantor_cdf",
@@ -324,12 +323,7 @@ def build_measure(spec: MeasureSpec) -> Measure:
 
 
 # ---------------------------------------------------------------------------
-# Module-level operation wrappers
-
-def interval_mass(m: Measure, a, b):
-    """Mass of the closed interval [a, b] under m."""
-    return m.interval_mass(a, b)
-
+# Module-level operations
 
 def normalize(m: Measure, interval) -> Measure:
     """Probability measure on [0,1]: mass of E is m(affine(E) ∩ I) / m(I)."""

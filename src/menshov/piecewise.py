@@ -111,7 +111,7 @@ def fourier_partial_sums(coeffs, x, period: float = 2.0 * np.pi):
     return np.real(coeffs[0]) + sums
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == on the array fields is ambiguous
 class StepFunction:
     """Step function on an interval: constant value per cell."""
 

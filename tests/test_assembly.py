@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from menshov import (AtomicMeasureError, MeasureSpec, StepFunction,
-                     build_measure, claim_run, partial_sum_diagnostics,
-                     resample_equal, subdivide, theorem_demo)
+                     build_lambda, build_measure, claim_run,
+                     partial_sum_diagnostics, resample_equal, subdivide,
+                     theorem_demo)
 
 TWO_PI = 2.0 * np.pi
 
@@ -113,6 +114,41 @@ def test_claim_uncertified_on_tiny_caps():
     if not res.certified:
         assert not res.diagnostics["stage1_certified"] or \
             not all(c.cell_certified for c in res.cells)
+
+
+# kappa_search of the Cantor, nu = 400, four-cell claim below, frozen from
+# the earlier one-mass-per-n search
+STAGE1_SEARCH = [
+    [1, 0.943359375], [2, 0.96484375], [3, 0.943359375], [4, 0.9775390625],
+    [5, 0.9609375], [6, 0.96484375], [7, 0.958984375], [8, 0.984375],
+    [9, 0.943359375], [10, 0.9443359375], [11, 0.9873046875],
+    [12, 0.9775390625], [13, 0.97265625], [14, 0.9754638671875],
+    [15, 0.9609375], [16, 0.9814338684082031], [17, 0.9898319244384766],
+]
+
+
+def test_claim_stage1_walks_horizons(monkeypatch):
+    import menshov.assembly as assembly
+    horizons = []
+
+    def spy(nu, **kw):
+        horizons.append(kw["N_max"])
+        return build_lambda(nu, **kw)
+
+    monkeypatch.setattr(assembly, "build_lambda", spy)
+    phi = StepFunction.equal_cells((0.0, TWO_PI), [1.0] * 4)
+    res = claim_run(phi, cantor_full(), 400, [10.0] * 100)
+    # union target 1 - 5/400 is first reached at n = 68, past horizon 64
+    assert horizons == [64, 128]
+    assert res.diagnostics["stage1_certified"] and res.kappa == 17
+    assert res.diagnostics["kappa_search"] == STAGE1_SEARCH
+    assert res.union_inner_mass == STAGE1_SEARCH[-1][1]
+    # with kappa capped at 8 no mass reaches the target: the first
+    # maximum of the tried prefix is kept, uncertified
+    capped = claim_run(phi, cantor_full(), 400, [10.0] * 100, kappa_cap=8)
+    assert not capped.diagnostics["stage1_certified"]
+    assert capped.diagnostics["kappa_search"] == STAGE1_SEARCH[:8]
+    assert (capped.kappa, capped.union_inner_mass) == (8, 0.984375)
 
 
 def test_claim_json_dict_is_serializable():

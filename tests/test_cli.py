@@ -145,6 +145,18 @@ def test_unreadable_measure_file_is_config_error(tmp_path, capsys):
     assert not (out / "wiener_scan.csv").exists()
 
 
+@pytest.mark.parametrize("value", ["0", "1.5"])
+def test_non_string_measure_is_config_error(tmp_path, value):
+    # 0 would be stdin's file descriptor, where a valid spec is waiting
+    proc = subprocess.run(
+        [sys.executable, "-m", "menshov.cli", "wiener-scan",
+         "--set", f"measure={value}", "--set", "N=3", "--out", str(tmp_path)],
+        input=json.dumps(LEBESGUE), capture_output=True, text=True)
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert proc.stderr.startswith("config error:")
+    assert not (tmp_path / "wiener_scan.csv").exists()
+
+
 def test_wiener_scan_k_zero_is_precondition_violation(tmp_path):
     code, out = run_cli(tmp_path, "wiener-scan",
                         {"measure": LEBESGUE, "k": 0, "N": 3})

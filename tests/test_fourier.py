@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from menshov import (AtomicMeasureError, IndexSet, Measure, MeasureSpec,
-                     QuadratureError, build_lambda, build_measure, normalize,
-                     spectrum, wiener_average)
+from menshov import (AtomicMeasureError, ConvergenceScan, CorrectorParams,
+                     IndexSet, Measure, MeasureSpec, QuadratureError,
+                     StepFunction, build_lambda, build_measure, layout,
+                     normalize, spectrum, wiener_average)
 from menshov.fourier import MAX_GRID_CELLS
 from conftest import TWO_PI, cantor_coefficient_oracle
 
@@ -173,7 +174,16 @@ def test_build_lambda_cantor_density(cantor40_norm):
 
 
 def test_index_set_compares_by_identity():
-    a = IndexSet([1, 2], 5, 0.3)
-    b = IndexSet([1, 2], 5, 0.3)
-    assert a == a and a != b
-    assert a in [a] and b not in [a]
+    # every frozen result type with an array field compares by identity
+    params = CorrectorParams(0.0, 1.0, 1.0, 0.1, 10, 5)
+    ns = np.array([1, 2])
+    makers = [
+        lambda: IndexSet([1, 2], 5, 0.3),
+        lambda: layout(params),
+        lambda: StepFunction([0.0, 0.5, 1.0], [1.0, -1.0]),
+        lambda: ConvergenceScan(ns, ns * 0.3, ns * 0.0, 0.3, 0.0, 2),
+    ]
+    for make in makers:
+        a, b = make(), make()
+        assert a == a and a != b
+        assert a in [a] and b not in [a]

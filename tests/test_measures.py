@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from menshov import (MeasureSpec, MeasureSpecError, atomic_part,
-                     build_measure, cantor_cdf, interval_mass, normalize)
+                     build_measure, cantor_cdf, normalize)
 from conftest import brute_force_atoms
 
 TWO_PI = 2.0 * np.pi
@@ -11,25 +11,25 @@ TWO_PI = 2.0 * np.pi
 def test_lebesgue_total_mass():
     m = build_measure(MeasureSpec.lebesgue((0.0, TWO_PI)))
     assert m.total_mass == pytest.approx(TWO_PI, abs=1e-12)
-    assert interval_mass(m, 0.0, np.pi) == pytest.approx(np.pi, abs=1e-12)
+    assert m.interval_mass(0.0, np.pi) == pytest.approx(np.pi, abs=1e-12)
 
 
 def test_atomic_cdf_jump():
     m = build_measure(MeasureSpec.atomic([(1.0, 0.3)], (0.0, 2.0)))
     assert m.cdf_left(1.0) == 0.0
     assert m.cdf(1.0) == 0.3
-    assert interval_mass(m, 0.5, 1.5) == pytest.approx(0.3)
+    assert m.interval_mass(0.5, 1.5) == pytest.approx(0.3)
     # endpoint atoms are included in closed intervals
-    assert interval_mass(m, 1.0, 1.5) == pytest.approx(0.3)
-    assert interval_mass(m, 0.0, 1.0) == pytest.approx(0.3)
+    assert m.interval_mass(1.0, 1.5) == pytest.approx(0.3)
+    assert m.interval_mass(0.0, 1.0) == pytest.approx(0.3)
 
 
 def test_cantor_symmetry_and_self_similarity(cantor40):
     assert cantor40.cdf(0.5) == pytest.approx(0.5, abs=1e-12)
-    assert interval_mass(cantor40, 0.0, 1.0 / 3.0) == pytest.approx(0.5, abs=1e-12)
+    assert cantor40.interval_mass(0.0, 1.0 / 3.0) == pytest.approx(0.5, abs=1e-12)
     # removed middle-third intervals carry zero mass at every level <= 40
-    assert interval_mass(cantor40, 1.0 / 3.0 + 1e-9, 2.0 / 3.0 - 1e-9) == 0.0
-    assert interval_mass(cantor40, 1.0 / 9.0 + 1e-9, 2.0 / 9.0 - 1e-9) == 0.0
+    assert cantor40.interval_mass(1.0 / 3.0 + 1e-9, 2.0 / 3.0 - 1e-9) == 0.0
+    assert cantor40.interval_mass(1.0 / 9.0 + 1e-9, 2.0 / 9.0 - 1e-9) == 0.0
 
 
 def test_cantor_cdf_plateau_exactness():
@@ -54,8 +54,8 @@ def test_additivity_on_adjacent_intervals():
         m = build_measure(spec)
         for _ in range(50):
             a, b, c = np.sort(rng.uniform(0.0, 1.0, size=3))
-            lhs = interval_mass(m, a, c)
-            rhs = interval_mass(m, a, b) + interval_mass(m, b, c) - m.jump(b)
+            lhs = m.interval_mass(a, c)
+            rhs = m.interval_mass(a, b) + m.interval_mass(b, c) - m.jump(b)
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -112,7 +112,7 @@ def test_cdf_table_with_jump_rows():
     m = build_measure(spec)
     assert m.total_mass == pytest.approx(1.0)
     assert m.jump(0.5) == pytest.approx(0.5)
-    assert interval_mass(m, 0.0, 0.25) == pytest.approx(0.125)
+    assert m.interval_mass(0.0, 0.25) == pytest.approx(0.125)
     assert atomic_part(m) == [(0.5, 0.5)]
 
 

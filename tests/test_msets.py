@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from menshov import (ArcSpec, MeasureSpec, MSetSpec, build_lambda,
-                     build_measure, mset_intervals, mset_mass, normalize,
-                     proposition_scan, pushforward_arc_mass)
+from menshov import (ArcSpec, DomainError, MeasureSpec, MSetSpec, build_lambda,
+                     build_measure, msets, mset_intervals, mset_masses,
+                     normalize, proposition_scan, pushforward_arc_mass)
 
 TWO_PI = 2.0 * np.pi
 
@@ -33,25 +33,84 @@ def test_mset_intervals_disjoint_and_total_length():
 
 def test_mset_mass_lebesgue_exact(lebesgue_2pi):
     spec = MSetSpec((1.0, 4.0), 17, 0.3, 0.25)
-    assert mset_mass(lebesgue_2pi, spec) == pytest.approx(0.25 * 3.0, abs=1e-12)
+    mass, = mset_masses(lebesgue_2pi, [spec])
+    assert mass == pytest.approx(0.25 * 3.0, abs=1e-12)
 
 
 def test_mset_mass_cantor_self_similarity(cantor40):
     # x -> 27 x mod 1 preserves the Cantor measure: mass approximates
     # mu_C([sigma, sigma + tau]) = 1/2
     spec = MSetSpec((0.0, 1.0), 27, 1e-9, 0.5)
-    assert mset_mass(cantor40, spec) == pytest.approx(0.5, abs=1e-3)
+    assert mset_masses(cantor40, [spec])[0] == pytest.approx(0.5, abs=1e-3)
 
 
 def test_mset_mass_atom_inside():
     m = build_measure(MeasureSpec.atomic([(0.5, 1.0)], (0.0, 1.0)))
-    assert mset_mass(m, MSetSpec((0.0, 1.0), 1, 0.25, 0.5)) == 1.0
+    assert mset_masses(m, [MSetSpec((0.0, 1.0), 1, 0.25, 0.5)])[0] == 1.0
 
 
 def test_mset_mass_monotone_in_tau(cantor40):
-    masses = [mset_mass(cantor40, MSetSpec((0.0, 1.0), 9, 0.2, t))
-              for t in (0.1, 0.3, 0.5, 0.7)]
+    masses = mset_masses(cantor40, [MSetSpec((0.0, 1.0), 9, 0.2, t)
+                                    for t in (0.1, 0.3, 0.5, 0.7)])
     assert all(m2 >= m1 - 1e-15 for m1, m2 in zip(masses, masses[1:]))
+
+
+FIVE_KINDS = [
+    MeasureSpec.lebesgue((0.0, 1.0), 2.0),
+    MeasureSpec.atomic([(0.25, 0.5), (0.5, 1.0), (0.6, 0.25)]),
+    MeasureSpec.cantor(40),
+    MeasureSpec.cdf_table([(0.0, 0.0), (0.3, 0.2), (0.3, 0.5), (1.0, 1.0)]),
+    MeasureSpec.mixture([(0.7, MeasureSpec.cantor(40)),
+                         (0.3, MeasureSpec.atomic([(0.5, 1.0)]))]),
+]
+
+
+def batched_specs():
+    """Specs spanning several 100-interval batches, one larger than a batch."""
+    rng = np.random.default_rng(5)
+    specs = []
+    for n in [1, 37, 99, 100, 3, 250, 64, 64, 1, 80, 7]:
+        a = rng.uniform(0.0, 0.4)
+        s = rng.uniform(0.0, 0.6)
+        specs.append(MSetSpec((a, rng.uniform(a + 0.2, 1.0)), n, s,
+                              rng.uniform(0.05, 1.0 - s)))
+    return specs
+
+
+@pytest.mark.parametrize("spec", FIVE_KINDS, ids=lambda s: s.kind)
+def test_mset_masses_bitwise_equal_per_spec_oracle(spec, monkeypatch):
+    monkeypatch.setattr(msets, "MAX_BATCH_INTERVALS", 100)
+    mu = build_measure(spec)
+    specs = batched_specs()
+    oracle = [np.sum(mu.interval_mass(*mset_intervals(s).T)) for s in specs]
+    assert np.array_equal(mset_masses(mu, specs), oracle)
+
+
+def test_mset_masses_cdf_calls_stay_within_a_batch(monkeypatch):
+    monkeypatch.setattr(msets, "MAX_BATCH_INTERVALS", 100)
+    mu = build_measure(MeasureSpec.cantor(40))
+    sizes = []
+    cont = mu.cont
+
+    def spy(x):
+        sizes.append(np.size(x))
+        return cont(x)
+
+    monkeypatch.setattr(mu, "cont", spy)
+    specs = batched_specs()
+    mset_masses(mu, specs)
+    # only the 250-interval spec exceeds the cap, as a batch on its own
+    assert max(sizes) == 250 and sorted(sizes)[-3] <= 100
+    assert sum(sizes) == 2 * sum(s.n for s in specs)  # b, then a
+    assert len(sizes) < 2 * len(specs)
+
+
+def test_mset_masses_empty_and_out_of_domain(cantor40):
+    assert mset_masses(cantor40, []).shape == (0,)
+    # I reaches past the domain although its one interval [0.5, 0.85] does not
+    with pytest.raises(DomainError):
+        mset_masses(cantor40, [MSetSpec((0.0, 1.0), 3, 0.2, 0.3),
+                               MSetSpec((0.5, 1.2), 1, 0.0, 0.5)])
 
 
 def test_pushforward_lebesgue_equidistributed(lebesgue_unit_norm):
@@ -69,7 +128,7 @@ def test_pushforward_identity_case(cantor40_norm):
 def test_pushforward_matches_mset_mass(cantor40, cantor40_norm):
     # change of variables: A_n = affine(B_n) within I
     spec = MSetSpec((0.0, 1.0), 9, 0.25, 0.5)
-    m1 = mset_mass(cantor40, spec)
+    m1 = mset_masses(cantor40, [spec])[0]
     m2 = pushforward_arc_mass(cantor40_norm, 9, ArcSpec(0.25, 0.5))
     # rounding at Cantor plateau edges limits agreement to ~1e-10
     assert m1 == pytest.approx(m2, abs=1e-9)
@@ -88,7 +147,7 @@ def test_pushforward_mset_identity_random():
         s = rng.uniform(0.0, 0.6)
         t = rng.uniform(0.05, 1 - s - 0.01)
         mI = mix.interval_mass(a, b)
-        m1 = mset_mass(mix, MSetSpec((a, b), n, s, t))
+        m1 = mset_masses(mix, [MSetSpec((a, b), n, s, t)])[0]
         m2 = mI * pushforward_arc_mass(normalize(mix, (a, b)), n, ArcSpec(s, t))
         assert abs(m1 - m2) < 1e-9
 
