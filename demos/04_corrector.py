@@ -9,6 +9,7 @@ import numpy as np
 
 from menshov import (CorrectorParams, build_psi, choose_r, kernel_sup,
                      layout, running_integral_sup)
+from menshov.corrector import _kernel_rows
 
 
 def main():
@@ -42,12 +43,10 @@ def main():
         lay_s = layout(CorrectorParams(0.0, 2 * np.pi, 1.0, eps_s, nu_s, r_s))
         psi_s = build_psi(lay_s, 1.0, nu_s)
         j_star = max(1, int(round(0.5 / lay_s.delta)))
-        # evaluate at the resolving frequency via the segment quadrature
-        from menshov.corrector import _segment_quadrature
+        # row j* of the kernel at the removed-interval midpoints
         xs = lay_s.removed.mean(axis=1)
-        t, w = _segment_quadrature(psi_s, j_star)
-        kern = j_star * np.sinc(j_star * (t[:, None] - xs[None, :]) / np.pi)
-        b_res = float(np.max(np.abs((w * psi_s(t)) @ kern))) / nu_s
+        *_, rows = _kernel_rows(psi_s, j_star, xs)
+        b_res = float(np.max(np.abs(rows[-1]))) / nu_s
         print(f"  nu={nu_s:3d}, r={r_s}: j* = {j_star:5d}, "
               f"B-hat at j* = {b_res:.3f}")
 

@@ -209,7 +209,10 @@ def claim_run(phi: StepFunction, mu: Measure, nu: int,
     stage1_certified = bool(hit.size)
     # first maximum when no mass reaches the target
     kappa, union_mass = tried[-1] if stage1_certified else max(
-        tried, key=lambda t: t[1], default=(1, -1.0))
+        tried, key=lambda t: t[1], default=(1, None))
+    if union_mass is None:  # no member in range: kappa = 1, measured
+        union_mass, = mset_masses(
+            mu, [MSetSpec((lo, hi), rho, sigma_u, tau_u)])
 
     part = subdivide(phi, kappa)
     cells_lr = np.column_stack([part.breakpoints[:-1], part.breakpoints[1:]])
@@ -233,15 +236,17 @@ def claim_run(phi: StepFunction, mu: Measure, nu: int,
         inner_mass = float(mu.interval_mass(a_in, b_in))
         target_cell = (1.0 - 2.0 / nu) * inner_mass
         ok, r_tried = False, []
-        for r in _r_schedule(r_min, r_cap):
+        # r_min above r_cap: measure the least admissible r, uncertified
+        for r in _r_schedule(r_min, r_cap) or [r_min]:
             removed, = mset_masses(
                 mu, [MSetSpec((a_in, b_in), (nu - 4) * r, sigma_c, tau_c)])
             r_tried.append((r, inner_mass - removed))
-            ok = bool(r_tried[-1][1] >= target_cell - 1e-15 * mu_total)
+            ok = bool(r_tried[-1][1] >= target_cell - 1e-15 * mu_total
+                      and r <= r_cap)
             if ok:
                 break
         r_pick, mass_e = r_tried[-1] if ok else max(
-            r_tried, key=lambda t: t[1], default=(r_min, -1.0))
+            r_tried, key=lambda t: t[1])
         params = CorrectorParams(ck, dk, gk, epsk, nu, r_pick)
         lay = layout(params)
         psi = build_psi(lay, gk, nu)
@@ -265,15 +270,12 @@ def claim_run(phi: StepFunction, mu: Measure, nu: int,
 
 def _r_schedule(r_min: int, r_cap: int):
     """r candidates: a consecutive run from r_min, then doubling steps."""
-    out = []
-    r = r_min
-    while r <= r_cap and len(out) < 8:
-        out.append(r)
-        r += 1
+    out = list(range(r_min, min(r_min + 8, r_cap + 1)))
+    r = r_min + 8
     while r <= r_cap:
         out.append(r)
         r *= 2
-    if out and out[-1] != r_cap and r_min <= r_cap:
+    if out and out[-1] != r_cap:
         out.append(r_cap)
     return out
 
@@ -333,14 +335,9 @@ def _continuous_from_plateaus(claim: ClaimResult) -> PiecewiseLinearFn:
     plateaus and ramps to 0 at the domain endpoints, so g(0) = g(2 pi) = 0.
     """
     lo, hi = claim.partition.domain
-    xs, ys = [lo], [0.0]
-    for c in claim.cells:
-        a_in, b_in = c.layout.a_prime, c.layout.b_prime
-        xs.extend([a_in, b_in])
-        ys.extend([c.gamma, c.gamma])
-    xs.append(hi)
-    ys.append(0.0)
-    return PiecewiseLinearFn(xs, ys)
+    xs = [x for c in claim.cells for x in (c.layout.a_prime, c.layout.b_prime)]
+    ys = [c.gamma for c in claim.cells for _ in range(2)]
+    return PiecewiseLinearFn([lo, *xs, hi], [0.0, *ys, 0.0])
 
 
 def theorem_demo(f: Callable, mu: Measure, eps: float, uniform_gap: float,

@@ -53,12 +53,8 @@ def _write_json(path: Path, payload: dict, config: dict):
 
 
 def _json_default(o):
-    if isinstance(o, np.bool_):
-        return bool(o)
-    if isinstance(o, (np.integer,)):
-        return int(o)
-    if isinstance(o, (np.floating,)):
-        return float(o)
+    if isinstance(o, (np.bool_, np.integer, np.floating)):
+        return o.item()
     if isinstance(o, np.ndarray):
         return o.tolist()
     raise TypeError(f"not JSON serializable: {type(o)}")

@@ -237,10 +237,6 @@ class Measure:
         idx = np.searchsorted(self.atom_positions, x, side="left")
         return self.cont(x) + self._atom_cum[idx]
 
-    def jump(self, x):
-        """Point mass at x."""
-        return self.cdf(x) - self.cdf_left(x)
-
     def interval_mass(self, a, b):
         """Mass of the closed interval [a, b], endpoint atoms included."""
         u, v = self.domain
@@ -308,16 +304,13 @@ def build_measure(spec: MeasureSpec) -> Measure:
             return acc
 
         # merge atoms, adding masses at coinciding positions
-        pos_all = np.concatenate([m.atom_positions for _, m in parts]) \
-            if parts else np.empty(0)
-        mas_all = np.concatenate([w * m.atom_masses for w, m in parts]) \
-            if parts else np.empty(0)
-        if pos_all.size:
-            upos, inv = np.unique(pos_all, return_inverse=True)
-            umas = np.bincount(inv, weights=mas_all)
-        else:
-            upos, umas = pos_all, mas_all
-        return Measure(spec.domain, cdf, cont_total, upos, umas)
+        pos_all = np.concatenate(
+            [np.empty(0)] + [m.atom_positions for _, m in parts])
+        mas_all = np.concatenate(
+            [np.empty(0)] + [w * m.atom_masses for w, m in parts])
+        upos, inv = np.unique(pos_all, return_inverse=True)
+        return Measure(spec.domain, cdf, cont_total, upos,
+                       np.bincount(inv, weights=mas_all))
 
     raise MeasureSpecError(f"unknown measure kind {spec.kind!r}")
 

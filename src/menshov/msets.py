@@ -46,11 +46,6 @@ class MSetSpec:
         if self.sigma < 0 or self.tau <= 0 or self.sigma + self.tau > 1 + 1e-15:
             raise ValueError("need sigma >= 0, tau > 0, sigma + tau <= 1")
 
-    @property
-    def strict_hypothesis(self) -> bool:
-        """Whether sigma > 0 and sigma + tau < 1 hold strictly."""
-        return self.sigma > 0 and self.sigma + self.tau < 1
-
 
 @dataclass(frozen=True)
 class ArcSpec:

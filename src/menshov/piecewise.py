@@ -32,10 +32,6 @@ class PiecewiseLinearFn:
     def __call__(self, x):
         return np.interp(x, self.xs, self.ys, left=0.0, right=0.0)
 
-    @property
-    def support(self):
-        return (self.xs[0], self.xs[-1])
-
     def integral(self) -> float:
         return float(self.antideriv[-1])
 
@@ -58,18 +54,16 @@ class PiecewiseLinearFn:
         The antiderivative is piecewise quadratic, so it suffices to check
         the breakpoints and the interior zero crossings of the function.
         """
-        cand_x = [self.xs[0]]
-        cand_v = [0.0]
-        for i in range(self.xs.size - 1):
-            x0, x1 = self.xs[i], self.xs[i + 1]
-            y0, y1 = self.ys[i], self.ys[i + 1]
-            if y0 * y1 < 0:  # interior zero crossing -> quadratic extremum
-                xc = x0 + y0 / (y0 - y1) * (x1 - x0)
-                cand_x.append(xc)
-                cand_v.append(self.antideriv[i] + y0 * (xc - x0) / 2.0)
-            cand_x.append(x1)
-            cand_v.append(self.antideriv[i + 1])
-        return np.array(cand_x), np.array(cand_v)
+        x0, x1, y0, y1 = self.xs[:-1], self.xs[1:], self.ys[:-1], self.ys[1:]
+        cross = y0 * y1 < 0  # interior zero crossing -> quadratic extremum
+        xc = x0 + y0 / np.where(cross, y0 - y1, 1.0) * (x1 - x0)
+        vc = self.antideriv[:-1] + y0 * (xc - x0) / 2.0
+        # per segment: its crossing, if any, then its right breakpoint
+        keep = np.column_stack([cross, np.ones_like(cross)])
+        cand_x = np.column_stack([xc, x1])[keep]
+        cand_v = np.column_stack([vc, self.antideriv[1:]])[keep]
+        return (np.concatenate([[self.xs[0]], cand_x]),
+                np.concatenate([[0.0], cand_v]))
 
     def fourier_coefficients(self, N: int, period: float = 2.0 * np.pi):
         """Coefficients c_n, n = 0..N, of the period-`period` extension.
@@ -136,9 +130,9 @@ class StepFunction:
     def domain(self):
         return (float(self.breakpoints[0]), float(self.breakpoints[-1]))
 
-    def is_equal_length(self, rtol: float = 1e-9) -> bool:
+    def is_equal_length(self) -> bool:
         w = np.diff(self.breakpoints)
-        return bool(np.all(np.abs(w - w.mean()) <= rtol * w.mean()))
+        return bool(np.all(np.abs(w - w.mean()) <= 1e-9 * w.mean()))
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from menshov import (AtomicMeasureError, MeasureSpec, StepFunction,
-                     build_lambda, build_measure, claim_run,
+from menshov import (AtomicMeasureError, MeasureSpec, MSetSpec, StepFunction,
+                     build_lambda, build_measure, claim_run, mset_masses,
                      partial_sum_diagnostics, resample_equal, subdivide,
                      theorem_demo)
 
@@ -149,6 +149,42 @@ def test_claim_stage1_walks_horizons(monkeypatch):
     assert not capped.diagnostics["stage1_certified"]
     assert capped.diagnostics["kappa_search"] == STAGE1_SEARCH[:8]
     assert (capped.kappa, capped.union_inner_mass) == (8, 0.984375)
+
+
+def test_claim_stage1_without_members_measures_kappa_one():
+    # with kappa_cap = 1 the index set has no member in [rho, rho]: kappa
+    # stays 1 and the union mass is measured there, not a sentinel
+    mu = cantor_full()
+    phi = StepFunction.equal_cells((0.0, TWO_PI), [1.0])
+    res = claim_run(phi, mu, 16, kappa_cap=1)
+    assert res.diagnostics["kappa_search"] == []
+    assert not res.diagnostics["stage1_certified"] and not res.certified
+    spec = MSetSpec((0.0, TWO_PI), 1, 2.0 / 16, 1.0 - 4.0 / 16)
+    assert res.kappa == 1
+    assert res.union_inner_mass == mset_masses(mu, [spec])[0] >= 0.0
+
+
+def r_schedule_loop(r_min, r_cap):
+    """Step-by-step r schedule: reference for assembly._r_schedule."""
+    out, r = [], r_min
+    while r <= r_cap and len(out) < 8:
+        out.append(r)
+        r += 1
+    while r <= r_cap:
+        out.append(r)
+        r *= 2
+    if out and out[-1] != r_cap and r_min <= r_cap:
+        out.append(r_cap)
+    return out
+
+
+def test_r_schedule_matches_step_loop():
+    from menshov.assembly import _r_schedule
+    for r_min in range(1, 40):
+        for r_cap in range(0, 300):
+            assert _r_schedule(r_min, r_cap) == r_schedule_loop(r_min, r_cap)
+    assert _r_schedule(3, 40) == [3, 4, 5, 6, 7, 8, 9, 10, 11, 22, 40]
+    assert _r_schedule(9, 2) == []
 
 
 def test_claim_json_dict_is_serializable():

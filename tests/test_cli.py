@@ -157,6 +157,31 @@ def test_non_string_measure_is_config_error(tmp_path, value):
     assert not (tmp_path / "wiener_scan.csv").exists()
 
 
+@pytest.mark.parametrize("field", ["j_max", "x_grid"])
+def test_corrector_kernel_empty_range_is_precondition_violation(tmp_path,
+                                                                field):
+    cfg = {"c": 0.0, "d": 1.0, "gamma": 1.0, "eps": 0.1, "nu": 10, "r": 5,
+           "kernel": True, field: 0}
+    code, out = run_cli(tmp_path, "corrector", cfg)
+    assert code == EXIT_PRECONDITION
+    assert not (out / "corrector_checks.json").exists()
+
+
+def test_claim_r_cap_below_r_min_reports_measured_masses(tmp_path):
+    # both cells need r > 2: each is measured at its least admissible r
+    cfg = {"measure": CANTOR, "nu": 16, "phi": [1.0, -1.0],
+           "kappa_cap": 2, "r_cap": 2}
+    code, out = run_cli(tmp_path, "claim", cfg)
+    assert code == EXIT_UNCERTIFIED
+    res = json.loads((out / "claim_result.json").read_text())
+    assert res["r_per_cell"] == [8, 16]
+    for cell in res["cells"]:
+        assert 0.0 <= cell["mu_E_k"] <= cell["mu_inner"]
+        assert cell["cell_certified"] is False
+    assert res["mu_E"] == sum(c["mu_E_k"] for c in res["cells"])
+    assert 0.0 <= res["mu_E"] <= res["mu_total"]
+
+
 def test_wiener_scan_k_zero_is_precondition_violation(tmp_path):
     code, out = run_cli(tmp_path, "wiener-scan",
                         {"measure": LEBESGUE, "k": 0, "N": 3})

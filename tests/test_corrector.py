@@ -1,11 +1,16 @@
 import dataclasses
+import math
+import subprocess
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from menshov import (CorrectorParams, MSetSpec, PiecewiseLinearFn, build_psi,
-                     check_corrector, choose_r, kernel_sup, layout,
+                     check_corrector, choose_r, corrector, kernel_sup, layout,
                      mset_intervals, running_integral_sup)
+from menshov.corrector import _kernel_rows
 
 TWO_PI = 2.0 * np.pi
 
@@ -80,6 +85,26 @@ def test_removed_set_is_mset_of_inner_interval():
                      float(lay.removed[-1, 1])),
                     n_blocks, 1.0 - 1.0 / lay.nu, 1.0 / lay.nu)
     assert mset_intervals(spec) == pytest.approx(lay.removed, abs=1e-12)
+
+
+def build_psi_loop(lay, gamma, nu):
+    """Per-removed-interval breakpoint loop: reference for build_psi."""
+    h = -gamma * (2 * nu - 1)
+    xs, ys = [lay.a_prime - lay.delta, lay.a_prime], [0.0, gamma]
+    for a_s, c_s in lay.removed:
+        xs.extend([a_s, (a_s + c_s) / 2.0, c_s])
+        ys.extend([gamma, h, gamma])
+    return np.array(xs + [lay.b_prime + lay.delta]), np.array(ys + [0.0])
+
+
+def test_build_psi_matches_breakpoint_loop():
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        nu, r = int(rng.integers(9, 40)), int(rng.integers(1, 4))
+        gamma = float(rng.uniform(-3.0, 3.0))
+        lay, psi = make_psi(c=0.3, d=2.1, nu=nu, r=r, gamma=gamma)
+        xs, ys = build_psi_loop(lay, gamma, nu)
+        assert np.array_equal(psi.xs, xs) and np.array_equal(psi.ys, ys)
 
 
 def test_psi_values_worked_example():
@@ -205,12 +230,8 @@ def test_kernel_sup_brute_force_oracle():
 
 def kernel_sup_single(psi, j, xs, nu, gamma):
     """Kernel sup at one frequency j over explicit shifts (stability helper)."""
-    from menshov.corrector import _segment_quadrature
-    t, w = _segment_quadrature(psi, j)
-    wpsi = w * psi(t)
-    kern = j * np.sinc(j * (t[:, None] - xs[None, :]) / np.pi)
-    sup = float(np.max(np.abs(wpsi @ kern)))
-    return sup / (nu * abs(gamma))
+    *_, rows = _kernel_rows(psi, j, xs)
+    return float(np.max(np.abs(rows[-1]))) / (nu * abs(gamma))
 
 
 def test_kernel_sup_stability_in_resolving_regime():
@@ -218,10 +239,115 @@ def test_kernel_sup_stability_in_resolving_regime():
     # the removed-interval midpoints, the normalized sup is stable across
     # nu and r: the absolute-constant behavior of the kernel bound
     vals = []
-    for nu in (16, 32):
+    for nu in (16, 32, 64):
         for r in (1, 2):
             lay, psi = make_psi(c=0.0, d=TWO_PI, nu=nu, r=r, gamma=1.0)
             j_star = max(1, int(round(0.5 / lay.delta)))
             xs = lay.removed.mean(axis=1)
             vals.append(kernel_sup_single(psi, j_star, xs, nu=nu, gamma=1.0))
     assert max(vals) / min(vals) <= 2.0
+
+
+# 4-point Gauss-Legendre on cells that resolve psi's segments and the kernel
+# phase: the spatial quadrature kernel_sup used before the omega-sum
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(4)
+
+
+def _segment_quadrature(psi, j, cells_per_period=8):
+    """Nodes/weights with at most 2 pi / cells_per_period phase per cell."""
+    period = TWO_PI / j
+    nodes, weights = [], []
+    for x0, x1 in zip(psi.xs[:-1], psi.xs[1:]):
+        n_cells = max(1, int(np.ceil(cells_per_period * (x1 - x0) / period)))
+        edges = np.linspace(x0, x1, n_cells + 1)
+        mid = (edges[:-1] + edges[1:]) / 2.0
+        half = np.diff(edges) / 2.0
+        nodes.append((mid[:, None] + half[:, None] * _GL_NODES).ravel())
+        weights.append((half[:, None] * _GL_WEIGHTS).ravel())
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def oracle_kernel_sup(psi, j_max, x_grid):
+    xs = np.linspace(0.0, TWO_PI, x_grid)
+    sup = 0.0
+    for j in range(1, j_max + 1):
+        t, w = _segment_quadrature(psi, j)
+        kern = j * np.sinc(j * (t[:, None] - xs[None, :]) / np.pi)
+        sup = max(sup, float(np.max(np.abs((w * psi(t)) @ kern))))
+    return sup
+
+
+# (c, d, gamma, nu, r, j_max, x_grid): the six criterion-6 points, a negative
+# gamma, and supports [1, 20] and [1, 40], where T = max |t - x| > 2 pi needs
+# omega sub-blocks (without them [1, 40] is off by 8.6e-6 relative)
+ORACLE_CASES = ([(0.0, TWO_PI, 1.0, nu, r, 64, 256)
+                 for nu in (16, 32, 64) for r in (1, 2)]
+                + [(0.0, TWO_PI, -2.5, 16, 1, 32, 128),
+                   (1.0, 20.0, 1.0, 12, 1, 16, 64),
+                   (1.0, 40.0, 1.0, 12, 1, 16, 64)])
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES, ids=[
+    *(f"nu{nu}-r{r}" for nu in (16, 32, 64) for r in (1, 2)),
+    "negative-gamma", "support-1-20", "support-1-40"])
+def test_kernel_sup_matches_segment_quadrature_oracle(case):
+    c, d, gamma, nu, r, j_max, x_grid = case
+    _, psi = make_psi(c=c, d=d, nu=nu, r=r, gamma=gamma,
+                      eps=16.0 * abs(gamma) * (d - c) / (r * nu))
+    sup, b_hat = kernel_sup(psi, j_max, x_grid, nu=nu, gamma=gamma)
+    assert sup == pytest.approx(oracle_kernel_sup(psi, j_max, x_grid),
+                                rel=1e-8)
+    assert b_hat == sup / (nu * abs(gamma))
+
+
+def phi12_series(theta, terms=40):
+    """phi1, phi2 at z = i theta from their Taylor series in exact rationals."""
+    z_re, z_im = Fraction(1), Fraction(0)  # z^k, starting at k = 0
+    t = Fraction(theta)
+    sums = [[Fraction(0), Fraction(0)], [Fraction(0), Fraction(0)]]
+    for k in range(terms):
+        for s, shift in zip(sums, (1, 2)):
+            s[0] += z_re / math.factorial(k + shift)
+            s[1] += z_im / math.factorial(k + shift)
+        z_re, z_im = -z_im * t, z_re * t
+    return [complex(float(re), float(im)) for re, im in sums]
+
+
+def test_phi12_matches_exact_series():
+    # both sides of the |z| = 0.5 switch, down to where the closed forms
+    # would lose every digit to cancellation
+    thetas = np.concatenate([np.geomspace(1e-9, 3.0, 40), [0.4999, 0.5]])
+    thetas = np.concatenate([thetas, -thetas])
+    phi1, phi2 = corrector._phi12(1j * thetas)
+    for th, p1, p2 in zip(thetas, phi1, phi2):
+        want1, want2 = phi12_series(float(th))
+        assert abs(p1 - want1) <= 1e-15 * abs(want1)
+        assert abs(p2 - want2) <= 1e-14 * abs(want2)
+
+
+def test_kernel_rows_agree_for_every_chunking(monkeypatch):
+    _, psi = make_psi(c=1.0, d=20.0, nu=12, r=1, gamma=1.0)
+    xs = np.linspace(0.0, TWO_PI, 33)
+    ref = np.vstack(list(_kernel_rows(psi, 20, xs)))
+    assert ref.shape == (20, 33)
+    # one omega-block per chunk: rows are the same running sum
+    monkeypatch.setattr(corrector, "_CHUNK_ELEMS", 1)
+    blocks = list(_kernel_rows(psi, 20, xs))
+    assert len(blocks) == 20 and np.array_equal(np.vstack(blocks), ref)
+
+
+def test_kernel_sup_rejects_empty_ranges():
+    _, psi = make_psi()
+    for j_max, x_grid in ((0, 8), (-1, 8), (4, 0)):
+        with pytest.raises(ValueError):
+            kernel_sup(psi, j_max, x_grid)
+
+
+def test_kernel_sup_imports_no_scipy():
+    code = ("import sys, menshov; from menshov import corrector as c; "
+            "p = c.CorrectorParams(0.0, 1.0, 1.0, 0.8, 10, 1); "
+            "c.kernel_sup(c.build_psi(c.layout(p), 1.0, 10), 4, 8); "
+            "assert 'scipy' not in sys.modules, 'scipy was imported'")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -55,7 +55,8 @@ def test_additivity_on_adjacent_intervals():
         for _ in range(50):
             a, b, c = np.sort(rng.uniform(0.0, 1.0, size=3))
             lhs = m.interval_mass(a, c)
-            rhs = m.interval_mass(a, b) + m.interval_mass(b, c) - m.jump(b)
+            jump = m.cdf(b) - m.cdf_left(b)
+            rhs = m.interval_mass(a, b) + m.interval_mass(b, c) - jump
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -111,7 +112,7 @@ def test_cdf_table_with_jump_rows():
                                   (1.0, 1.0)])
     m = build_measure(spec)
     assert m.total_mass == pytest.approx(1.0)
-    assert m.jump(0.5) == pytest.approx(0.5)
+    assert m.cdf(0.5) - m.cdf_left(0.5) == pytest.approx(0.5)
     assert m.interval_mass(0.0, 0.25) == pytest.approx(0.125)
     assert atomic_part(m) == [(0.5, 0.5)]
 

@@ -196,7 +196,6 @@ def test_mset_spec_validation():
         MSetSpec((0.0, 1.0), 0, 0.2, 0.3)
     with pytest.raises(ValueError):
         MSetSpec((0.0, 1.0), 3, 0.5, 0.6)  # sigma + tau > 1
-    # boundary-touching specs are accepted but flagged
-    spec = MSetSpec((0.0, 1.0), 3, 0.0, 0.5)
-    assert not spec.strict_hypothesis
-    assert MSetSpec((0.0, 1.0), 3, 0.1, 0.5).strict_hypothesis
+    # boundary-touching specs are accepted
+    MSetSpec((0.0, 1.0), 3, 0.0, 0.5)
+    MSetSpec((0.0, 1.0), 3, 0.5, 0.5)

@@ -18,7 +18,7 @@ def test_evaluation_and_compact_support():
     f = PiecewiseLinearFn([1.0, 2.0, 3.0], [0.0, 4.0, 0.0])
     assert f(1.5) == pytest.approx(2.0)
     assert f(0.5) == 0.0 and f(3.5) == 0.0
-    assert f.support == (1.0, 3.0)
+    assert (f.xs[0], f.xs[-1]) == (1.0, 3.0)
     assert f.integral() == pytest.approx(4.0)
 
 
@@ -44,6 +44,31 @@ def test_running_integral_extrema_cover_true_sup():
     dense = np.max(np.abs(f.integral_to(grid)))
     assert sup == pytest.approx(dense, abs=1e-8)
     assert sup >= dense - 1e-12  # candidates never miss the true extremum
+
+
+def extrema_loop(f):
+    """Per-segment candidate loop: reference for running_integral_extrema."""
+    cand_x, cand_v = [f.xs[0]], [0.0]
+    for i in range(f.xs.size - 1):
+        x0, x1, y0, y1 = f.xs[i], f.xs[i + 1], f.ys[i], f.ys[i + 1]
+        if y0 * y1 < 0:
+            xc = x0 + y0 / (y0 - y1) * (x1 - x0)
+            cand_x.append(xc)
+            cand_v.append(f.antideriv[i] + y0 * (xc - x0) / 2.0)
+        cand_x.append(x1)
+        cand_v.append(f.antideriv[i + 1])
+    return np.array(cand_x), np.array(cand_v)
+
+
+def test_running_integral_extrema_match_segment_loop():
+    rng = np.random.default_rng(29)
+    for _ in range(50):
+        xs = np.cumsum(rng.uniform(0.01, 1.0, int(rng.integers(2, 30))))
+        ys = rng.normal(size=xs.size)
+        ys[rng.random(xs.size) < 0.2] = 0.0  # zeros: touching, not crossing
+        f = PiecewiseLinearFn(xs, ys)
+        got, want = f.running_integral_extrema(), extrema_loop(f)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_fourier_coefficients_triangle_oracle():
