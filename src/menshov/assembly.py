@@ -315,10 +315,10 @@ def _step_approximation(f: Callable, domain,
     fx = np.asarray([float(f(x)) for x in grid])
     rho = 1
     while rho <= STEP_MAX_CELLS:
-        cells = np.array_split(np.arange(grid.size - 1), rho)
         # half-open cells [x_i, x_{i+1}): the shared right endpoint belongs
-        # to the next cell, so a jump aligned with a boundary resolves
-        osc = max(np.ptp(fx[idx[0]:idx[-1] + 1]) for idx in cells)
+        # to the next cell, so a jump aligned with a boundary resolves; rho
+        # divides the 16 * STEP_MAX_CELLS grid cells, so each row is a cell
+        osc = np.ptp(fx[:-1].reshape(rho, -1), axis=1).max()
         if osc <= uniform_gap:  # midpoint value stays within the oscillation
             break
         rho *= 2

@@ -146,6 +146,7 @@ def _cmd_mset_limit(cfg, out: Path, plot: bool):
     mu = _measure_from_config(cfg)
     interval = tuple(cfg.get("I", list(mu.domain)))
     sigma, tau = float(cfg["sigma"]), float(cfg["tau"])
+    msets.MSetSpec(interval, 1, sigma, tau)  # refuse bad sigma, tau up front
     J, K = int(cfg.get("J", 3)), int(cfg.get("K", 3))
     m, N_max = int(cfg.get("m", 1)), int(cfg.get("N_max", 1000))
     refinement = int(cfg.get("refinement", 512))

@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 ATOM_TOL_FACTOR = 1e-9  # default jump-detection tolerance, relative to total mass
+_CDF_CHUNK = 1 << 16  # cantor_cdf points per chunk; keeps its temporaries in cache
 
 
 # ---------------------------------------------------------------------------
@@ -167,27 +168,31 @@ def cantor_cdf(x, levels: int):
     """Level-`levels` self-similar approximation of the Cantor CDF on [0,1].
 
     Exact on the removed (plateau) intervals of every level <= levels;
-    linear inside the level-`levels` construction intervals.
+    linear inside the level-`levels` construction intervals.  Runs over
+    chunks of _CDF_CHUNK points; at each level only the points not yet on
+    a plateau (a fraction (2/3)^l after level l) are updated, each by the
+    same float operations as a full pass over all levels.
     """
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    t = np.clip(np.atleast_1d(x), 0.0, 1.0).copy()
-    y = np.zeros_like(t)
-    done = np.zeros(t.shape, dtype=bool)
-    f = 0.5
-    for _ in range(levels):
-        t *= 3.0
-        d = np.minimum(np.floor(t), 2.0)
-        hit = ~done & (d == 1.0)
-        y[hit] += f
-        done |= hit
-        two = ~done & (d == 2.0)
-        y[two] += f
-        t -= d
-        f *= 0.5
-    rem = ~done
-    y[rem] += 2.0 * f * t[rem]
-    return y[0] if scalar else y
+    out = np.empty(x.shape)
+    flat_x, flat_out = x.reshape(-1), out.reshape(-1)
+    for start in range(0, flat_x.size, _CDF_CHUNK):
+        t = np.clip(flat_x[start:start + _CDF_CHUNK], 0.0, 1.0)
+        y = np.zeros_like(t)
+        pos = np.arange(start, start + t.size)  # output index of each point
+        f = 0.5
+        for _ in range(levels):
+            t *= 3.0
+            d = np.minimum(np.floor(t), 2.0)
+            np.add(y, f, out=y, where=d > 0.0)
+            t -= d
+            hit = d == 1.0  # landed on a plateau: value is final
+            flat_out[pos[hit]] = y[hit]
+            keep = np.flatnonzero(~hit)
+            t, y, pos = t[keep], y[keep], pos[keep]
+            f *= 0.5
+        flat_out[pos] = y + 2.0 * f * t
+    return out[()]  # a numpy scalar for 0-d input
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +247,11 @@ class Measure:
         u, v = self.domain
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
-        if np.any(a < u - 1e-12) or np.any(b > v + 1e-12) or np.any(a > b):
-            raise DomainError(
-                f"interval outside domain [{u}, {v}] or reversed endpoints")
+        # negated comparisons, so non-finite (NaN) endpoints are refused too
+        if not (np.all(a >= u - 1e-12) and np.all(b <= v + 1e-12)
+                and np.all(a <= b)):
+            raise DomainError(f"interval outside domain [{u}, {v}], reversed "
+                              "or non-finite endpoints")
         out = self.cdf(b) - self.cdf_left(a)
         return np.maximum(out, 0.0)
 

@@ -43,8 +43,9 @@ class MSetSpec:
             raise ValueError("interval must have positive length")
         if self.n < 1:
             raise ValueError("n must be a positive integer")
-        if self.sigma < 0 or self.tau <= 0 or self.sigma + self.tau > 1 + 1e-15:
-            raise ValueError("need sigma >= 0, tau > 0, sigma + tau <= 1")
+        if not (self.sigma >= 0 and self.tau > 0
+                and self.sigma + self.tau <= 1 + 1e-15):  # refuses NaN too
+            raise ValueError("need finite sigma >= 0, tau > 0, sigma + tau <= 1")
 
 
 @dataclass(frozen=True)

@@ -187,6 +187,42 @@ def test_r_schedule_matches_step_loop():
     assert _r_schedule(9, 2) == []
 
 
+def step_approximation_loop(f, domain, uniform_gap):
+    """Oscillation per rho from np.array_split cells, one rho at a time."""
+    from menshov.assembly import STEP_MAX_CELLS
+    lo, hi = domain
+    grid = np.linspace(lo, hi, 16 * STEP_MAX_CELLS + 1)
+    fx = np.asarray([float(f(x)) for x in grid])
+    rho = 1
+    while rho <= STEP_MAX_CELLS:
+        cells = np.array_split(np.arange(grid.size - 1), rho)
+        osc = max(np.ptp(fx[idx[0]:idx[-1] + 1]) for idx in cells)
+        if osc <= uniform_gap:
+            break
+        rho *= 2
+    rho = min(rho, STEP_MAX_CELLS)
+    xs = np.linspace(lo, hi, rho + 1)
+    mids = (xs[:-1] + xs[1:]) / 2.0
+    return StepFunction(xs, [float(f(x)) for x in mids])
+
+
+@pytest.mark.parametrize("f, gap", [
+    (lambda x: math.sin(x) + 0.3 * math.cos(2.0 * x), 0.2),
+    (lambda x: math.sin(x), 1e-3),
+    (lambda x: math.exp(-x) * math.cos(7.0 * x), 0.05),
+    (lambda x: 1.0 if x < math.pi else -1.0, 1e-9),
+    (lambda x: float(int(4.0 * x / math.pi)), 0.5),
+    (lambda x: 2.0 if 1.0 <= x <= 1.3 else 0.0, 0.1),  # unaligned jumps
+    (lambda x: math.sin(50.0 * x), 1e-6),  # never settles: rho hits the cap
+])
+def test_step_approximation_matches_array_split_loop(f, gap):
+    from menshov.assembly import _step_approximation
+    got = _step_approximation(f, (0.0, TWO_PI), gap)
+    want = step_approximation_loop(f, (0.0, TWO_PI), gap)
+    assert np.array_equal(got.breakpoints, want.breakpoints)
+    assert np.array_equal(got.values, want.values)
+
+
 def test_claim_json_dict_is_serializable():
     import json
     phi = StepFunction.equal_cells((0.0, TWO_PI), [1.0, 2.0])

@@ -189,6 +189,16 @@ def test_wiener_scan_k_zero_is_precondition_violation(tmp_path):
     assert not (out / "wiener_scan.csv").exists()
 
 
+@pytest.mark.parametrize("key, value", [("sigma", "NaN"),
+                                        ("tau", "Infinity")])
+def test_mset_limit_non_finite_is_precondition_violation(tmp_path, key, value):
+    cfg = {"measure": CANTOR, "sigma": 0.2, "tau": 0.3, "N_max": 50}
+    code, out = run_cli(tmp_path, "mset-limit", cfg,
+                        extra=("--set", f"{key}={value}"))
+    assert code == EXIT_PRECONDITION
+    assert not (out / "mset_limit_summary.json").exists()
+
+
 def test_bad_set_syntax_is_config_error(tmp_path):
     out = tmp_path / "out"
     assert main(["corrector", "--set", "novalue", "--out", str(out)]) == \

@@ -1,11 +1,96 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from menshov import (MeasureSpec, MeasureSpecError, atomic_part,
+import menshov.measures as measures
+from menshov import (DomainError, MeasureSpec, MeasureSpecError, atomic_part,
                      build_measure, cantor_cdf, normalize)
+from menshov.measures import _CDF_CHUNK
 from conftest import brute_force_atoms
 
 TWO_PI = 2.0 * np.pi
+
+
+def cantor_cdf_oracle(x, levels):
+    """Full-array loop: every point takes all `levels` passes."""
+    x = np.asarray(x, dtype=float)
+    scalar = x.ndim == 0
+    t = np.clip(np.atleast_1d(x), 0.0, 1.0).copy()
+    y = np.zeros_like(t)
+    done = np.zeros(t.shape, dtype=bool)
+    f = 0.5
+    for _ in range(levels):
+        t *= 3.0
+        d = np.minimum(np.floor(t), 2.0)
+        hit = ~done & (d == 1.0)
+        y[hit] += f
+        done |= hit
+        two = ~done & (d == 2.0)
+        y[two] += f
+        t -= d
+        f *= 0.5
+    rem = ~done
+    y[rem] += 2.0 * f * t[rem]
+    return y[0] if scalar else y
+
+
+def _oracle_inputs():
+    rng = np.random.default_rng(11)
+    edges = np.array([k / 3.0**m for m in range(1, 9)
+                      for k in range(3**m + 1)])
+    yield "uniform", rng.uniform(0.0, 1.0, 50_000)
+    for k in (1, 4, 10, 17):
+        yield f"dyadic 2^{k}", np.linspace(0.0, 1.0, 2**k + 1)
+    yield "triadic edges", edges
+    yield "below edges", np.nextafter(edges, -np.inf)
+    yield "above edges", np.nextafter(edges, np.inf)
+    yield "outside", np.array([-2.0, -1e-300, 1.0 + 1e-16, 1.5, 7.0,
+                               np.inf, -np.inf])
+    yield "signed zeros and nan", np.array([0.0, -0.0, np.nan, 0.5, np.nan])
+    yield "empty", np.empty(0)
+    yield "0-d", np.array(0.7)
+    yield "2-d", rng.uniform(-0.1, 1.1, (37, 53))
+    for n in (_CDF_CHUNK - 1, _CDF_CHUNK, _CDF_CHUNK + 1):
+        yield f"size {n}", rng.uniform(0.0, 1.0, n)
+
+
+@pytest.mark.parametrize("levels", [1, 2, 5, 12, 40])
+def test_cantor_cdf_bitwise_equals_full_loop_oracle(levels):
+    for name, x in _oracle_inputs():
+        got, want = cantor_cdf(x, levels), cantor_cdf_oracle(x, levels)
+        assert got.shape == want.shape, name
+        assert np.array_equal(got, want, equal_nan=True), name
+        # bitwise, so +0.0 and -0.0 would count as different values
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+
+
+def test_cantor_cdf_scalar_input_gives_numpy_scalar():
+    for x in (0.0, 0.15, 1.0 / 3.0, 0.7, 1.0, -0.0, np.float64(0.4)):
+        got = cantor_cdf(x, 40)
+        assert type(got) is np.float64
+        assert got == cantor_cdf_oracle(x, 40)
+    assert np.isnan(cantor_cdf(np.nan, 40))
+
+
+def test_cantor_measure_masses_bitwise_equal_oracle_path(monkeypatch):
+    m = build_measure(MeasureSpec.cantor(40, 1.0, (0.0, TWO_PI)))
+    rng = np.random.default_rng(3)
+    a = np.sort(rng.uniform(0.0, TWO_PI, (2, 20_000)), axis=0)
+    got = m.interval_mass(a[0], a[1])
+    monkeypatch.setattr(measures, "cantor_cdf", cantor_cdf_oracle)
+    assert np.array_equal(got, m.interval_mass(a[0], a[1]))
+
+
+def test_cantor_cdf_peak_memory_near_output_size():
+    x = np.linspace(0.0, 1.0, 2**20 + 1)
+    tracemalloc.start()
+    try:
+        cantor_cdf(x, 40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * x.nbytes
 
 
 def test_lebesgue_total_mass():
@@ -58,6 +143,14 @@ def test_additivity_on_adjacent_intervals():
             jump = m.cdf(b) - m.cdf_left(b)
             rhs = m.interval_mass(a, b) + m.interval_mass(b, c) - jump
             assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+@pytest.mark.parametrize("a, b", [(np.nan, 0.5), (0.1, np.nan),
+                                  (-np.inf, 0.5), (0.1, np.inf),
+                                  (np.array([0.1, np.nan]), 0.5)])
+def test_interval_mass_rejects_non_finite_endpoints(cantor40, a, b):
+    with pytest.raises(DomainError):
+        cantor40.interval_mass(a, b)
 
 
 def test_normalize_is_probability(cantor40, lebesgue_2pi):

@@ -199,3 +199,13 @@ def test_mset_spec_validation():
     # boundary-touching specs are accepted
     MSetSpec((0.0, 1.0), 3, 0.0, 0.5)
     MSetSpec((0.0, 1.0), 3, 0.5, 0.5)
+
+
+@pytest.mark.parametrize("sigma, tau", [
+    (np.nan, 0.3), (0.2, np.nan), (np.inf, 0.3), (-np.inf, 0.3),
+    (0.2, np.inf), (0.2, -np.inf)])
+def test_specs_reject_non_finite_sigma_tau(sigma, tau):
+    with pytest.raises(ValueError):
+        MSetSpec((0.0, 1.0), 3, sigma, tau)
+    with pytest.raises(ValueError):
+        ArcSpec(sigma, tau)
