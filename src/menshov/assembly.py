@@ -350,7 +350,7 @@ def theorem_demo(f: Callable, mu: Measure, eps: float, uniform_gap: float,
     returns a continuous piecewise-linear g that matches the step values on
     all of E, together with the measured mass of the complement of E.
     """
-    if eps <= 0 or uniform_gap <= 0:
+    if not (eps > 0 and uniform_gap > 0):  # refuses NaN too
         raise ValueError("eps and uniform_gap must be positive")
     lo, hi = mu.domain
     mu_total = float(mu.interval_mass(lo, hi))

@@ -9,7 +9,9 @@ sitting on interval endpoints are always included.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -27,7 +29,8 @@ __all__ = [
 ]
 
 ATOM_TOL_FACTOR = 1e-9  # default jump-detection tolerance, relative to total mass
-_CDF_CHUNK = 1 << 16  # cantor_cdf points per chunk; keeps its temporaries in cache
+_CDF_CHUNK = 1 << 16  # CDF points per chunk; keeps each chunk's temporaries in cache
+_WORKER_CHUNKS = 8  # a CDF call gets one worker thread per this many chunks, up to the cores
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +165,58 @@ def load_spec(path) -> MeasureSpec:
 
 
 # ---------------------------------------------------------------------------
+# Chunked evaluation
+
+def _cores():
+    """Number of cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):  # Linux: honours the CPU affinity
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@cache
+def _pool():
+    """One worker per core, made by the first call that fans out."""
+    # imported here: concurrent.futures imports logging, which would add
+    # to the start-up time and memory of every process importing menshov
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(max_workers=_cores())
+
+
+def _chunked(fill, x):
+    """Evaluate x in _CDF_CHUNK-point pieces; fill(piece, out) writes out.
+
+    For an elementwise fill the result is bitwise that of one pass over
+    all of x, while every temporary stays chunk-sized.  A call of n chunks
+    runs on min(cores, n // _WORKER_CHUNKS) workers of _pool(), each taking
+    every workers-th chunk; numpy releases the GIL in the ufuncs and
+    indexing they use.  A running worker holds one chunk's temporaries, so
+    those in flight are at most 1/_WORKER_CHUNKS of what one unchunked
+    pass would hold, on any number of cores.  Below two workers' worth the call runs inline, and
+    so does every nested call inside fill (one chunk): no worker waits on
+    the pool.  The shape is kept, and 0-d input gives a numpy scalar.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape)
+    flat_x, flat_out = x.reshape(-1), out.reshape(-1)
+
+    def run(starts):
+        for start in starts:
+            stop = start + _CDF_CHUNK
+            fill(flat_x[start:stop], flat_out[start:stop])
+
+    starts = range(0, flat_x.size, _CDF_CHUNK)
+    workers = min(_cores(), len(starts) // _WORKER_CHUNKS)
+    if workers < 2:
+        run(starts)
+    else:
+        shares = [starts[i::workers] for i in range(workers)]
+        for _ in _pool().map(run, shares):  # re-raises a worker's exception
+            pass
+    return out[()]
+
+
+# ---------------------------------------------------------------------------
 # Cantor CDF (devil's staircase), finite-level approximation
 
 def cantor_cdf(x, levels: int):
@@ -169,17 +224,14 @@ def cantor_cdf(x, levels: int):
 
     Exact on the removed (plateau) intervals of every level <= levels;
     linear inside the level-`levels` construction intervals.  Runs over
-    chunks of _CDF_CHUNK points; at each level only the points not yet on
-    a plateau (a fraction (2/3)^l after level l) are updated, each by the
+    chunks (see _chunked); at each level only the points not yet on a
+    plateau (a fraction (2/3)^l after level l) are updated, each by the
     same float operations as a full pass over all levels.
     """
-    x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape)
-    flat_x, flat_out = x.reshape(-1), out.reshape(-1)
-    for start in range(0, flat_x.size, _CDF_CHUNK):
-        t = np.clip(flat_x[start:start + _CDF_CHUNK], 0.0, 1.0)
+    def fill(x, out):
+        t = np.clip(x, 0.0, 1.0)
         y = np.zeros_like(t)
-        pos = np.arange(start, start + t.size)  # output index of each point
+        pos = np.arange(t.size, dtype=np.int32)  # index of each point in out
         f = 0.5
         for _ in range(levels):
             t *= 3.0
@@ -187,12 +239,14 @@ def cantor_cdf(x, levels: int):
             np.add(y, f, out=y, where=d > 0.0)
             t -= d
             hit = d == 1.0  # landed on a plateau: value is final
-            flat_out[pos[hit]] = y[hit]
-            keep = np.flatnonzero(~hit)
-            t, y, pos = t[keep], y[keep], pos[keep]
+            del d  # one chunk-sized array fewer while compacting
+            out[pos[hit]] = y[hit]
+            live = ~hit
+            t, y, pos = t[live], y[live], pos[live]
             f *= 0.5
-        flat_out[pos] = y + 2.0 * f * t
-    return out[()]  # a numpy scalar for 0-d input
+        out[pos] = y + 2.0 * f * t
+
+    return _chunked(fill, x)
 
 
 # ---------------------------------------------------------------------------
@@ -228,19 +282,32 @@ class Measure:
     # -- CDF evaluation -----------------------------------------------
 
     def cont(self, x):
-        """Continuous CDF part, clamped to the domain."""
+        """Continuous CDF part, clamped to the domain.
+
+        Clamp and CDF run chunk by chunk (see _chunked), bitwise equal to
+        one pass of _cont_cdf(np.clip(x, u, v)) over all of x.
+        """
         u, v = self.domain
-        return self._cont_cdf(np.clip(x, u, v))
+
+        def fill(x, out):
+            out[...] = self._cont_cdf(np.clip(x, u, v))
+
+        return _chunked(fill, x)
+
+    def _with_atoms(self, x, side: str):
+        c = self.cont(x)
+        if self.atom_positions.size == 0:  # no atom term to add
+            return c
+        return c + self._atom_cum[np.searchsorted(self.atom_positions, x,
+                                                  side=side)]
 
     def cdf(self, x):
         """Right-continuous CDF: mass of [u, x]."""
-        idx = np.searchsorted(self.atom_positions, x, side="right")
-        return self.cont(x) + self._atom_cum[idx]
+        return self._with_atoms(x, "right")
 
     def cdf_left(self, x):
         """Left limit of the CDF at x: mass of [u, x)."""
-        idx = np.searchsorted(self.atom_positions, x, side="left")
-        return self.cont(x) + self._atom_cum[idx]
+        return self._with_atoms(x, "left")
 
     def interval_mass(self, a, b):
         """Mass of the closed interval [a, b], endpoint atoms included."""

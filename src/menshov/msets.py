@@ -62,12 +62,33 @@ class ArcSpec:
 
 def mset_intervals(spec: MSetSpec) -> np.ndarray:
     """The n disjoint closed intervals of the M-set, as an (n, 2) array."""
-    a, b = spec.interval
-    w = (b - a) / spec.n
-    k = np.arange(spec.n)
-    left = a + (k + spec.sigma) * w
-    right = a + (k + spec.sigma + spec.tau) * w
-    return np.column_stack([left, right])
+    return np.column_stack(_interval_ends([spec]))
+
+
+def _interval_ends(specs: list[MSetSpec]):
+    """Left and right ends of every interval of specs, spec by spec.
+
+    Interval k of a spec is [a + (k + sigma) * w, a + ((k + sigma) + tau) * w]
+    with w = (b - a) / n.  One vectorized pass over all specs; in-place
+    steps keep the temporaries to one repeated per-spec column at a time.
+    """
+    ns = np.array([s.n for s in specs])
+    a, w, sigma, tau = np.array(
+        [(s.interval[0], (s.interval[1] - s.interval[0]) / s.n, s.sigma,
+          s.tau) for s in specs]).T
+    left = np.arange(ns.sum(), dtype=float)
+    left -= np.repeat(np.cumsum(ns) - ns, ns)  # k, the block within its spec
+    left += np.repeat(sigma, ns)
+    right = np.repeat(tau, ns)
+    right += left
+    w = np.repeat(w, ns)
+    left *= w
+    right *= w
+    del w
+    a = np.repeat(a, ns)
+    left += a
+    right += a
+    return left, right
 
 
 def mset_masses(mu: Measure, specs: list[MSetSpec]) -> np.ndarray:
@@ -88,8 +109,7 @@ def mset_masses(mu: Measure, specs: list[MSetSpec]) -> np.ndarray:
         # the longest run from spec i within the cap, at least spec i
         j = max(i + 1, int(np.searchsorted(
             ends, ends[i] + MAX_BATCH_INTERVALS, side="right")) - 1)
-        iv = np.concatenate([mset_intervals(s) for s in specs[i:j]])
-        cell = mu.interval_mass(iv[:, 0], iv[:, 1])
+        cell = mu.interval_mass(*_interval_ends(specs[i:j]))
         off = ends[i:j + 1] - ends[i]
         masses += [np.sum(cell[a:b]) for a, b in zip(off[:-1], off[1:])]
         i = j

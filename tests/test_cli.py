@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from menshov import cli
 from menshov.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK,
                          EXIT_PRECONDITION, EXIT_UNCERTIFIED, main)
 
@@ -197,6 +198,20 @@ def test_mset_limit_non_finite_is_precondition_violation(tmp_path, key, value):
                         extra=("--set", f"{key}={value}"))
     assert code == EXIT_PRECONDITION
     assert not (out / "mset_limit_summary.json").exists()
+
+
+@pytest.mark.parametrize("key", ["uniform_gap", "eps"])
+def test_demo_nan_parameter_is_precondition_violation(tmp_path, monkeypatch,
+                                                      key):
+    calls = []
+    monkeypatch.setitem(cli._DEMO_FUNCTIONS, "identity",
+                        lambda x: calls.append(x) or x)
+    cfg = {"measure": CANTOR, "f": "identity", "eps": 0.05,
+           "uniform_gap": 0.5}
+    code, out = run_cli(tmp_path, "demo", cfg, extra=("--set", f"{key}=NaN"))
+    assert code == EXIT_PRECONDITION
+    assert calls == []
+    assert not (out / "demo_report.json").exists()
 
 
 def test_bad_set_syntax_is_config_error(tmp_path):

@@ -1,4 +1,8 @@
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -6,10 +10,11 @@ import pytest
 import menshov.measures as measures
 from menshov import (DomainError, MeasureSpec, MeasureSpecError, atomic_part,
                      build_measure, cantor_cdf, normalize)
-from menshov.measures import _CDF_CHUNK
+from menshov.measures import _CDF_CHUNK, _WORKER_CHUNKS
 from conftest import brute_force_atoms
 
 TWO_PI = 2.0 * np.pi
+TWO_WORKERS = 2 * _WORKER_CHUNKS * _CDF_CHUNK  # points: enough for two workers
 
 
 def cantor_cdf_oracle(x, levels):
@@ -91,6 +96,144 @@ def test_cantor_cdf_peak_memory_near_output_size():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * x.nbytes
+
+
+STREAM_SPECS = {
+    "lebesgue": MeasureSpec.lebesgue((0.0, TWO_PI), 2.0),
+    "atomic": MeasureSpec.atomic([(0.25, 0.5), (0.5, 1.0), (0.6, 0.25)]),
+    "cantor": MeasureSpec.cantor(40, 1.0, (0.0, TWO_PI)),
+    "cdf_table": MeasureSpec.cdf_table([(0.0, 0.0), (0.3, 0.2), (0.3, 0.5),
+                                        (1.0, 1.0)]),
+    "mixture": MeasureSpec.mixture([(0.7, MeasureSpec.cantor(40)),
+                                    (0.3, MeasureSpec.lebesgue())]),
+}
+
+
+def _stream_measure(name):
+    if name == "normalized cantor":
+        return normalize(build_measure(STREAM_SPECS["cantor"]), (0.5, 5.5))
+    return build_measure(STREAM_SPECS[name])
+
+
+def _stream_input(m, shape, seed):
+    """Points over the domain and 10% past each end, with the ends and ±0.0."""
+    u, v = m.domain
+    x = np.random.default_rng(seed).uniform(u - 0.1 * (v - u),
+                                            v + 0.1 * (v - u), shape)
+    flat = x.reshape(-1)
+    specials = np.array([u, v, -0.0, 0.0])[:flat.size]
+    flat[:specials.size] = specials
+    return x
+
+
+@pytest.fixture
+def cores(monkeypatch):
+    """set_cores(n): _chunked sees n cores and a fresh pool of n workers."""
+    pools = []
+
+    def set_cores(n):
+        pools.append(ThreadPoolExecutor(max_workers=n))
+        monkeypatch.setattr(measures, "_cores", lambda: n)
+        monkeypatch.setattr(measures, "_pool", lambda: pools[-1])
+
+    yield set_cores
+    for pool in pools:
+        pool.shutdown()
+
+
+@pytest.mark.parametrize("name", [*STREAM_SPECS, "normalized cantor"])
+def test_streamed_cont_bitwise_equals_one_pass(name, monkeypatch, cores):
+    cores(4)  # fan out on any host
+    m = _stream_measure(name)
+    u, v = m.domain
+    inputs = [_stream_input(m, n, n) for n in
+              (1, _CDF_CHUNK, _CDF_CHUNK + 1, TWO_WORKERS + 3)]
+    inputs.append(_stream_input(m, (257, 300), 9))  # 2-D, several chunks
+    got = [m.cont(x) for x in inputs]
+    scalars = [0.5 * (u + v), u, v]
+    got_scalar = [m.cont(x) for x in scalars]
+    # one pass: a single chunk at every nesting level, the 40-pass Cantor loop
+    monkeypatch.setattr(measures, "_CDF_CHUNK", 1 << 40)
+    monkeypatch.setattr(measures, "cantor_cdf", cantor_cdf_oracle)
+    for x, g in zip(inputs, got):
+        want = m._cont_cdf(np.clip(x, u, v))
+        assert g.shape == want.shape == x.shape
+        assert np.array_equal(g.view(np.int64), want.view(np.int64)), x.shape
+    for x, g in zip(scalars, got_scalar):
+        assert type(g) is np.float64
+        assert g == m._cont_cdf(np.clip(x, u, v))
+
+
+def _peak_memory(f, x):
+    tracemalloc.start()
+    try:
+        f(x)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_normalized_cantor_cont_peak_memory(cantor40_norm):
+    x = np.linspace(0.0, 1.0, TWO_WORKERS + 3)
+    assert _peak_memory(cantor40_norm.cont, x) <= 3 * x.nbytes
+
+
+@pytest.mark.parametrize("n", [2**20 + 1, 2**22 + 1])
+def test_cdf_peak_memory_bounds_hold_on_many_cores(n, cantor40_norm, cores):
+    cores(16)  # a 2**22-point call then runs on 8 workers
+    x = np.linspace(0.0, 1.0, n)
+    assert _peak_memory(lambda x: cantor_cdf(x, 40), x) <= 2 * x.nbytes
+    assert _peak_memory(cantor40_norm.cont, x) <= 3 * x.nbytes
+
+
+def test_cdf_threads_start_only_for_large_calls():
+    code = textwrap.dedent(f"""
+        import threading
+        n0 = threading.active_count()
+        import numpy as np
+        import menshov
+        from menshov import measures
+        assert threading.active_count() == n0, "import started a thread"
+        measures._cores = lambda: 2  # fan out on a one-core host too
+        mu = menshov.build_measure(menshov.MeasureSpec.cantor(40))
+        mu.cont(np.linspace(0.0, 1.0, {TWO_WORKERS - _CDF_CHUNK}))
+        assert threading.active_count() == n0, "small call started a thread"
+        mu.cont(np.linspace(0.0, 1.0, {TWO_WORKERS}))
+        n1 = threading.active_count()
+        pool = measures._pool()
+        assert n0 < n1 <= n0 + 2
+        for _ in range(3):
+            mu.cont(np.linspace(0.0, 1.0, {TWO_WORKERS}))
+            assert measures._pool() is pool
+            assert threading.active_count() == n1, "a new pool per call"
+    """)
+    # a worker waiting on the pool would hang; the timeout makes that a failure
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _interval_mass_oracle(m, a, b):
+    """interval_mass with the atom term always gathered."""
+    def with_atoms(x, side):
+        idx = np.searchsorted(m.atom_positions, x, side=side)
+        return m.cont(x) + m._atom_cum[idx]
+
+    return np.maximum(with_atoms(b, "right") - with_atoms(a, "left"), 0.0)
+
+
+@pytest.mark.parametrize("name", STREAM_SPECS)
+def test_interval_mass_bitwise_equals_atom_gather(name):
+    m = _stream_measure(name)
+    u, v = m.domain
+    ab = np.sort(np.random.default_rng(4).uniform(u, v, (2, 5000)), axis=0)
+    pairs = [(ab[0], ab[1]), (u, v), (0.5 * (u + v), v), (u, u),
+             (np.array([u, u, -0.0, 0.0]), np.array([u, v, -0.0, -0.0]))]
+    for a, b in pairs:
+        got, want = m.interval_mass(a, b), _interval_mass_oracle(m, a, b)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(np.asarray(got).view(np.int64),
+                              np.asarray(want).view(np.int64))
 
 
 def test_lebesgue_total_mass():

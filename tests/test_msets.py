@@ -86,6 +86,38 @@ def test_mset_masses_bitwise_equal_per_spec_oracle(spec, monkeypatch):
     assert np.array_equal(mset_masses(mu, specs), oracle)
 
 
+def _intervals_oracle(spec):
+    """The interval ends of spec, computed one spec at a time."""
+    a, b = spec.interval
+    w = (b - a) / spec.n
+    k = np.arange(spec.n)
+    return a + (k + spec.sigma) * w, a + (k + spec.sigma + spec.tau) * w
+
+
+def test_interval_ends_bitwise_equal_per_spec_oracle(monkeypatch):
+    monkeypatch.setattr(msets, "MAX_BATCH_INTERVALS", 100)
+    mu = build_measure(MeasureSpec.lebesgue((0.0, 1.0)))
+    seen = []
+    interval_mass = mu.interval_mass
+
+    def spy(a, b):
+        seen.append((a, b))
+        return interval_mass(a, b)
+
+    monkeypatch.setattr(mu, "interval_mass", spy)
+    specs = batched_specs()
+    mset_masses(mu, specs)
+    want = [_intervals_oracle(s) for s in specs]
+    for col in (0, 1):
+        got = np.concatenate([ends[col] for ends in seen])
+        assert np.array_equal(got.view(np.int64),
+                              np.concatenate([w[col] for w in want])
+                              .view(np.int64))
+        for spec, w in zip(specs, want):
+            got = np.ascontiguousarray(mset_intervals(spec)[:, col])
+            assert np.array_equal(got.view(np.int64), w[col].view(np.int64))
+
+
 def test_mset_masses_cdf_calls_stay_within_a_batch(monkeypatch):
     monkeypatch.setattr(msets, "MAX_BATCH_INTERVALS", 100)
     mu = build_measure(MeasureSpec.cantor(40))
