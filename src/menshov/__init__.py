@@ -11,7 +11,8 @@ from .corrector import (CorrectorLayout, CorrectorParams, build_psi,
                         running_integral_sup)
 from .errors import (AtomicMeasureError, DomainError, MeasureSpecError,
                      QuadratureError)
-from .fourier import IndexSet, Spectrum, build_lambda, spectrum, wiener_average
+from .fourier import (IndexSet, Spectrum, build_lambda, spectrum,
+                      wiener_average, wiener_scan)
 from .measures import (Measure, MeasureSpec, atomic_part, build_measure,
                        cantor_cdf, load_spec, normalize)
 from .msets import (ArcSpec, ConvergenceScan, MSetSpec, mset_intervals,

@@ -21,7 +21,7 @@ import numpy as np
 from .corrector import (CorrectorLayout, CorrectorParams, build_psi,
                         check_corrector, choose_r, layout)
 from .errors import AtomicMeasureError
-from .fourier import build_lambda
+from .fourier import DEFAULT_REFINEMENT, build_lambda
 from .measures import Measure, atomic_part, normalize
 from .msets import MSetSpec, mset_masses
 from .piecewise import PiecewiseLinearFn, StepFunction, fourier_partial_sums
@@ -41,13 +41,15 @@ TWO_PI = 2.0 * np.pi
 LAMBDA_J, LAMBDA_K = 3, 3  # levels of the index set walked to choose kappa
 EPS0, R_BUDGET = 0.1, 64  # default eps_k = EPS0 * 2^-k; r_min <= R_BUDGET
 STEP_MAX_CELLS = 2048  # finest step approximation theorem_demo builds
+RESAMPLE_MAX_CELLS = 4096  # finest equal grid resample_equal tries
+SEARCH_CAP = 512  # default kappa_cap and r_cap of the claim searches
 
 
 # ---------------------------------------------------------------------------
 # Step-function plumbing
 
-def resample_equal(phi: StepFunction, max_cells: int = 4096):
-    """Coarsest equal-length refinement of phi's cells, up to max_cells.
+def resample_equal(phi: StepFunction):
+    """Coarsest equal-cell refinement of phi, up to RESAMPLE_MAX_CELLS cells.
 
     If no equal grid up to the cap lands on every breakpoint, the function
     is resampled on the cap grid with each cell taking the left value.
@@ -58,17 +60,17 @@ def resample_equal(phi: StepFunction, max_cells: int = 4096):
     lo, hi = phi.domain
     span = hi - lo
     inner = phi.breakpoints[1:-1]
-    for n in range(phi.num_cells, max_cells + 1):
+    for n in range(phi.num_cells, RESAMPLE_MAX_CELLS + 1):
         pos = (inner - lo) / span * n
         if np.all(np.abs(pos - np.round(pos)) < 1e-9):
             xs = np.linspace(lo, hi, n + 1)
             mids = (xs[:-1] + xs[1:]) / 2.0
             return StepFunction(xs, phi(mids)), []
-    xs = np.linspace(lo, hi, max_cells + 1)
+    xs = np.linspace(lo, hi, RESAMPLE_MAX_CELLS + 1)
     # left-value assignment: sample just right of each cell's left edge
     vals = phi(xs[:-1] + 1e-12 * span)
-    shifts = [f"breakpoint {b!r} moved to the nearest multiple of span/{max_cells}"
-              for b in inner.tolist()]
+    shifts = [f"breakpoint {b!r} moved to the nearest multiple of "
+              f"span/{RESAMPLE_MAX_CELLS}" for b in inner.tolist()]
     return StepFunction(xs, vals), shifts
 
 
@@ -165,8 +167,8 @@ def _default_eps_seq(gammas, widths, nu):
 
 def claim_run(phi: StepFunction, mu: Measure, nu: int,
               eps_seq: Optional[Sequence[float]] = None, *,
-              kappa_cap: int = 512, r_cap: int = 512,
-              refinement: int = 512) -> ClaimResult:
+              kappa_cap: int = SEARCH_CAP, r_cap: int = SEARCH_CAP,
+              refinement: int = DEFAULT_REFINEMENT) -> ClaimResult:
     """One full round of the correction construction over [0, 2 pi].
 
     Chooses kappa by walking the certified index set of the normalized
@@ -341,7 +343,8 @@ def _continuous_from_plateaus(claim: ClaimResult) -> PiecewiseLinearFn:
 
 
 def theorem_demo(f: Callable, mu: Measure, eps: float, uniform_gap: float,
-                 kappa_cap: int = 512, r_cap: int = 512) -> DemoResult:
+                 kappa_cap: int = SEARCH_CAP,
+                 r_cap: int = SEARCH_CAP) -> DemoResult:
     """One verified correction round for a continuous f on [0, 2 pi].
 
     Picks the smallest nu > 8 with 7 mu_total / nu < eps, approximates f by

@@ -124,15 +124,9 @@ def _measure_from_config(cfg: dict):
 def _cmd_wiener_scan(cfg, out: Path, plot: bool):
     mu = _measure_from_config(cfg)
     nrm = normalize(mu, mu.domain)
-    k = int(cfg.get("k", 1))
-    if k == 0:
-        raise ValueError("k must be nonzero")
-    N = int(cfg.get("N", 1000))
-    refinement = int(cfg.get("refinement", 512))
-    freqs = abs(k) * np.arange(N + 1)
-    vals, errs = fourier.spectrum(nrm, abs(k) * N, refinement).coefficients(freqs)
-    absv = np.abs(vals)
-    running = np.cumsum(absv**2) / np.arange(1, N + 2)
+    k, N = int(cfg.get("k", 1)), int(cfg.get("N", 1000))
+    refinement = int(cfg.get("refinement", fourier.DEFAULT_REFINEMENT))
+    absv, errs, running = fourier.wiener_scan(nrm, k, N, refinement)
     rows = [(n, k, absv[n], errs[n], running[n]) for n in range(N + 1)]
     _write_csv(out / "wiener_scan.csv",
                ["n", "k", "abs_coeff", "error", "running_average"], rows, cfg)
@@ -149,7 +143,7 @@ def _cmd_mset_limit(cfg, out: Path, plot: bool):
     msets.MSetSpec(interval, 1, sigma, tau)  # refuse bad sigma, tau up front
     J, K = int(cfg.get("J", 3)), int(cfg.get("K", 3))
     m, N_max = int(cfg.get("m", 1)), int(cfg.get("N_max", 1000))
-    refinement = int(cfg.get("refinement", 512))
+    refinement = int(cfg.get("refinement", fourier.DEFAULT_REFINEMENT))
     nrm = normalize(mu, interval)
     lam = fourier.build_lambda(nrm, K=K, J=J, N_max=N_max, m=m,
                                refinement=refinement)
@@ -211,9 +205,9 @@ def _cmd_claim(cfg, out: Path, plot: bool):
     eps_seq = cfg.get("eps_seq")
     result = assembly.claim_run(
         phi, mu, nu, eps_seq,
-        kappa_cap=int(cfg.get("kappa_cap", 512)),
-        r_cap=int(cfg.get("r_cap", 512)),
-        refinement=int(cfg.get("refinement", 512)))
+        kappa_cap=int(cfg.get("kappa_cap", assembly.SEARCH_CAP)),
+        r_cap=int(cfg.get("r_cap", assembly.SEARCH_CAP)),
+        refinement=int(cfg.get("refinement", fourier.DEFAULT_REFINEMENT)))
     _write_json(out / "claim_result.json", result.to_json_dict(), cfg)
     _write_csv(out / "claim_e_intervals.csv", ["left", "right"],
                result.e_intervals.tolist(), cfg)
@@ -241,9 +235,10 @@ def _cmd_demo(cfg, out: Path, plot: bool):
     eps = float(cfg.get("eps", 0.05)) * (mu_total if cfg.get(
         "eps_relative", True) else 1.0)
     gap = float(cfg.get("uniform_gap", 0.5))
-    result = assembly.theorem_demo(f, mu, eps, gap,
-                                   kappa_cap=int(cfg.get("kappa_cap", 512)),
-                                   r_cap=int(cfg.get("r_cap", 512)))
+    result = assembly.theorem_demo(
+        f, mu, eps, gap,
+        kappa_cap=int(cfg.get("kappa_cap", assembly.SEARCH_CAP)),
+        r_cap=int(cfg.get("r_cap", assembly.SEARCH_CAP)))
     _write_csv(out / "demo_g.csv", ["breakpoint", "value"],
                list(zip(result.g.xs, result.g.ys)), cfg)
     report = result.report()

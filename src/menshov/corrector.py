@@ -54,14 +54,14 @@ class CorrectorParams:
     r: int
 
     def __post_init__(self):
-        if not self.c < self.d:
-            raise ValueError("need c < d")
+        if not -np.inf < self.c < self.d < np.inf:  # refuses NaN too
+            raise ValueError("need finite c < d")
         if int(self.nu) != self.nu or self.nu <= 8:
             raise ValueError("nu must be an integer > 8")
         if self.r < 1 or int(self.r) != self.r:
             raise ValueError("r must be a positive integer")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not (abs(self.gamma) < np.inf and 0 < self.eps < np.inf):
+            raise ValueError("need finite gamma and finite eps > 0")
         q = self.r * self.nu
         if 4.0 * abs(self.gamma) * (self.d - self.c) / q >= self.eps:
             raise ValueError(
@@ -163,20 +163,6 @@ def check_corrector(lay: CorrectorLayout, psi: PiecewiseLinearFn,
 
 _OMEGA_NODES, _OMEGA_WEIGHTS = np.polynomial.legendre.leggauss(12)
 _CHUNK_ELEMS = 1 << 14  # complex entries per omega-chunk temporary
-_INV_FACT = 1.0 / np.cumprod([1.0, *range(1, 19)])  # 1/k!, k = 0..18
-
-
-def _phi12(z: np.ndarray):
-    """(e^z - 1)/z and (e^z - 1 - z)/z^2; 17 Taylor terms below |z| = 0.5."""
-    small = np.abs(z) < 0.5
-    zb = np.where(small, 1.0, z)
-    em1 = np.exp(zb) - 1.0
-    phi1, phi2 = em1 / zb, (em1 - zb) / (zb * zb)
-    zs, t1, t2 = z[small], 0.0, 0.0
-    for k in range(16, -1, -1):  # Horner; remainder below 1e-20
-        t1, t2 = t1 * zs + _INV_FACT[k + 1], t2 * zs + _INV_FACT[k + 2]
-    phi1[small], phi2[small] = t1, t2
-    return phi1, phi2
 
 
 def _kernel_rows(psi: PiecewiseLinearFn, j_max: int, xs):
@@ -184,28 +170,23 @@ def _kernel_rows(psi: PiecewiseLinearFn, j_max: int, xs):
     at the points of the array xs, yielded as blocks of consecutive rows.
 
     sin(ju)/u = integral_0^j cos(wu) dw gives K_j(x) = integral_0^j
-    Re[Psi(w) e^{-iwx}] dw; Psi(w) = integral psi(t) e^{iwt} dt is exact on
-    a segment [a, a + h] with end values y0, y1:
-    e^{iwa} h [y0 phi2(iwh) + y1 (phi1 - phi2)(iwh)].  Row j is row j-1 plus
-    [j-1, j] by 12-point Gauss-Legendre on m sub-blocks of width
-    1/m <= 2 pi / T, T = max |t - x| over supp psi and xs.  The integrand is
-    entire of exponential type T, so each block is within
+    Re[Psi(w) e^{-iwx}] dw, Psi(w) = psi.transform(w) exact per segment.
+    Row j is row j-1 plus [j-1, j] by 12-point Gauss-Legendre on m
+    sub-blocks of width 1/m <= 2 pi / T, T = max |t - x| over supp psi and
+    xs.  The integrand is entire of exponential type T, so each block is within
     (n!)^4 / ((2n+1) ((2n)!)^3) (2 pi)^(2n) integral |psi|
     = 1.3e-19 integral |psi| (n = 12), and row j within j times that.
     """
-    a, h = psi.xs[:-1], np.diff(psi.xs)
-    hy1, hdy = h * psi.ys[1:], h * (psi.ys[:-1] - psi.ys[1:])
     span = max(psi.xs[-1] - xs.min(), xs.max() - psi.xs[0])
     m = max(1, int(np.ceil(span / (2.0 * np.pi))))
     offs = ((np.arange(m)[:, None] + (1.0 + _OMEGA_NODES) / 2.0) / m).ravel()
-    chunk = max(1, _CHUNK_ELEMS // (offs.size * (a.size + xs.size)))
+    wts = _OMEGA_WEIGHTS / (2.0 * m)
+    chunk = max(1, _CHUNK_ELEMS // (offs.size * (psi.xs.size - 1 + xs.size)))
     rows = np.zeros((1, xs.size))  # row 0: K_0 = 0
     for j0 in range(0, j_max, chunk):
         nb = min(chunk, j_max - j0)
         w = (j0 + np.arange(nb)[:, None] + offs).ravel()
-        phi1, phi2 = _phi12(1j * w[:, None] * h)
-        seg = np.exp(1j * w[:, None] * a) * (hy1 * phi1 + hdy * phi2)
-        big_psi = seg.sum(axis=1) * np.tile(_OMEGA_WEIGHTS / (2.0 * m), m * nb)
+        big_psi = psi.transform(w) * np.tile(wts, m * nb)
         wx = w[:, None] * xs
         vals = (big_psi.real[:, None] * np.cos(wx)
                 + big_psi.imag[:, None] * np.sin(wx))

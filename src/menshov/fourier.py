@@ -25,6 +25,7 @@ __all__ = [
     "IndexSet",
     "Spectrum",
     "spectrum",
+    "wiener_scan",
     "wiener_average",
     "build_lambda",
 ]
@@ -109,16 +110,24 @@ def spectrum(nu: Measure, f_max: int,
     return Spectrum(nu, f_max, refinement, cdf)
 
 
-def wiener_average(nu: Measure, k: int, N: int,
-                   refinement: int = DEFAULT_REFINEMENT) -> float:
-    """Cesaro average of |nu_hat(n*k)|^2 over n = 0..N."""
+def wiener_scan(nu: Measure, k: int, N: int,
+                refinement: int = DEFAULT_REFINEMENT):
+    """|nu_hat(n*k)|, error bounds and running Cesaro averages of
+    |nu_hat(n*k)|^2 for n = 0..N; QuadratureError past CERTIFY_LIMIT."""
     if k == 0:
         raise ValueError("k must be nonzero")
     freqs = abs(k) * np.arange(N + 1)
     vals, errs = spectrum(nu, abs(k) * N, refinement).coefficients(freqs)
     if errs.max() > CERTIFY_LIMIT:
         raise QuadratureError("coefficient error bound exceeds certification limit")
-    return float(np.mean(np.abs(vals) ** 2))
+    absv = np.abs(vals)
+    return absv, errs, np.cumsum(absv**2) / np.arange(1, N + 2)
+
+
+def wiener_average(nu: Measure, k: int, N: int,
+                   refinement: int = DEFAULT_REFINEMENT) -> float:
+    """Cesaro average of |nu_hat(n*k)|^2 over n = 0..N."""
+    return float(np.mean(wiener_scan(nu, k, N, refinement)[0] ** 2))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import json
 import os
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -413,10 +413,8 @@ def normalize(m: Measure, interval) -> Measure:
     return Measure((0.0, 1.0), cdf, ctot, apos, amas)
 
 
-def atomic_part(m: Measure, tol: Optional[float] = None):
-    """Atoms of m whose mass exceeds tol (default 1e-9 * total mass)."""
-    if tol is None:
-        tol = ATOM_TOL_FACTOR * m.total_mass
-    keep = m.atom_masses > tol
+def atomic_part(m: Measure):
+    """Atoms of m whose mass exceeds ATOM_TOL_FACTOR * total mass."""
+    keep = m.atom_masses > ATOM_TOL_FACTOR * m.total_mass
     return list(zip(m.atom_positions[keep].tolist(),
                     m.atom_masses[keep].tolist()))

@@ -1,5 +1,5 @@
-"""Piecewise-linear functions: evaluation, exact antiderivatives, and
-closed-form Fourier coefficients of each linear segment."""
+"""Piecewise-linear functions: evaluation, exact antiderivatives, and the
+closed-form Fourier transform of each linear segment."""
 
 from __future__ import annotations
 
@@ -65,42 +65,54 @@ class PiecewiseLinearFn:
         return (np.concatenate([[self.xs[0]], cand_x]),
                 np.concatenate([[0.0], cand_v]))
 
-    def fourier_coefficients(self, N: int, period: float = 2.0 * np.pi):
-        """Coefficients c_n, n = 0..N, of the period-`period` extension.
+    def transform(self, omega):
+        """Psi(w) = integral f(t) e^{iwt} dt at every w of the 1-d omega.
 
-        c_n = (1/period) * integral of f(t) exp(-2 pi i n t / period) dt,
-        with each linear segment integrated in closed form.
+        Exact on a segment [a, a + h] with end values y0, y1:
+        e^{iwa} h [y0 phi2(iwh) + y1 (phi1 - phi2)(iwh)]; phi1 and phi2
+        take their Taylor series on short segments, where the closed forms
+        would cancel.
         """
-        a0 = self.integral() / period
-        if N == 0:
-            return np.array([a0 + 0j])
-        n = np.arange(1, N + 1)
-        s = -1j * (2.0 * np.pi / period) * n  # column per segment below
-        x0, x1 = self.xs[:-1], self.xs[1:]
-        y0, y1 = self.ys[:-1], self.ys[1:]
-        slope = (y1 - y0) / (x1 - x0)
-        # antiderivative of (a + b t) e^{s t} is e^{s t} ((a + b t)/s - b/s^2)
-        S = s[:, None]
-        E1 = np.exp(S * x1[None, :])
-        E0 = np.exp(S * x0[None, :])
-        term1 = E1 * (y1[None, :] / S - slope[None, :] / S**2)
-        term0 = E0 * (y0[None, :] / S - slope[None, :] / S**2)
-        coeffs = (term1 - term0).sum(axis=1) / period
-        return np.concatenate([[a0 + 0j], coeffs])
+        w = np.asarray(omega, dtype=float)[:, None]
+        a, h = self.xs[:-1], np.diff(self.xs)
+        hy1, hdy = h * self.ys[1:], h * (self.ys[:-1] - self.ys[1:])
+        phi1, phi2 = _phi12(1j * w * h)
+        return (np.exp(1j * w * a) * (hy1 * phi1 + hdy * phi2)).sum(axis=1)
+
+    def fourier_coefficients(self, N: int):
+        """c_n = (1/2 pi) integral f(t) e^{-int} dt, n = 0..N; period 2 pi."""
+        return self.transform(-np.arange(N + 1)) / (2.0 * np.pi)
 
 
-def fourier_partial_sums(coeffs, x, period: float = 2.0 * np.pi):
+_INV_FACT = 1.0 / np.cumprod([1.0, *range(1, 19)])  # 1/k!, k = 0..18
+
+
+def _phi12(z: np.ndarray):
+    """(e^z - 1)/z and (e^z - 1 - z)/z^2; 17 Taylor terms below |z| = 0.5."""
+    small = np.abs(z) < 0.5
+    big = ~small
+    phi1, phi2, zb = np.empty_like(z), np.empty_like(z), z[big]
+    em1 = np.exp(zb) - 1.0
+    phi1[big], phi2[big] = em1 / zb, (em1 - zb) / (zb * zb)
+    zs = z[small]
+    t = np.repeat(_INV_FACT[17:, None], zs.size, axis=1).astype(complex)
+    for k in range(15, -1, -1):  # both series by Horner, in place
+        t *= zs
+        t += _INV_FACT[k + 1:k + 3, None]  # remainder below 1e-20
+    phi1[small], phi2[small] = t
+    return phi1, phi2
+
+
+def fourier_partial_sums(coeffs, x):
     """Partial sums S_N at points x for every N = 0..len(coeffs)-1.
 
     coeffs are c_0..c_Nmax of a real function; S_N = c_0 + 2 Re sum c_n e^{inx}.
     Returns an array of shape (Nmax+1, len(x)).
     """
     x = np.asarray(x, dtype=float)
-    Nmax = len(coeffs) - 1
-    n = np.arange(1, Nmax + 1)
+    n = np.arange(1, len(coeffs))
     modes = 2.0 * np.real(coeffs[1:, None]
-                          * np.exp(1j * (2.0 * np.pi / period)
-                                   * n[:, None] * x[None, :]))
+                          * np.exp(1j * n[:, None] * x[None, :]))
     sums = np.vstack([np.zeros_like(x), np.cumsum(modes, axis=0)])
     return np.real(coeffs[0]) + sums
 

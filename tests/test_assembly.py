@@ -7,6 +7,7 @@ from menshov import (AtomicMeasureError, MeasureSpec, MSetSpec, StepFunction,
                      build_lambda, build_measure, claim_run, mset_masses,
                      partial_sum_diagnostics, resample_equal, subdivide,
                      theorem_demo)
+from menshov import assembly
 
 TWO_PI = 2.0 * np.pi
 
@@ -41,9 +42,10 @@ def test_resample_equal_passthrough_and_refinement():
         assert eq(x) == uneq(x)
 
 
-def test_resample_equal_incommensurate_reports_shifts():
+def test_resample_equal_incommensurate_reports_shifts(monkeypatch):
+    monkeypatch.setattr(assembly, "RESAMPLE_MAX_CELLS", 64)
     uneq = StepFunction(np.array([0.0, 1.0, TWO_PI]), np.array([3.0, 4.0]))
-    eq, shifts = resample_equal(uneq, max_cells=64)
+    eq, shifts = resample_equal(uneq)
     assert eq.num_cells == 64
     assert len(shifts) == 1
     # values preserved away from the shifted boundary
@@ -286,3 +288,23 @@ def test_partial_sum_diagnostics_decreasing():
     assert all(e >= 0 for e in errs)
     # g is piecewise linear and continuous periodically: O(1/N) decay
     assert errs[-1] < 0.5
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
+                    reason="long double is no wider than double here")
+def test_fourier_coefficients_of_demo_g_match_long_double_reference():
+    # the criterion-8 g has short junction segments, where the antiderivative
+    # formula's b/s^2 terms cancel; evaluated in long double they do not
+    mu = cantor_full()
+    g = theorem_demo(lambda x: x, mu, 0.05 * mu.total_mass, 0.5).g
+    N, L = 200, np.longdouble
+    x0, x1 = g.xs[:-1].astype(L), g.xs[1:].astype(L)
+    y0, y1 = g.ys[:-1].astype(L), g.ys[1:].astype(L)
+    slope = (y1 - y0) / (x1 - x0)
+    s = (-1j * np.arange(1, N + 1)).astype(np.clongdouble)[:, None]
+    # antiderivative of (a + b t) e^{s t} is e^{s t} ((a + b t)/s - b/s^2)
+    ref = (np.exp(s * x1) * (y1 / s - slope / s**2)
+           - np.exp(s * x0) * (y0 / s - slope / s**2)).sum(axis=1)
+    ref = np.concatenate([[np.sum((x1 - x0) * (y0 + y1) / 2)], ref])
+    ref /= 8 * np.arctan(L(1))
+    assert np.max(np.abs(g.fourier_coefficients(N) - ref)) <= 1e-14

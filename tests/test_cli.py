@@ -241,3 +241,22 @@ def test_installed_entry_point():
     assert proc.returncode == 0
     for sub in ("wiener-scan", "mset-limit", "corrector", "claim", "demo"):
         assert sub in proc.stdout
+
+
+@pytest.mark.parametrize("key, value", [("eps", "NaN"), ("gamma", "NaN"),
+                                        ("eps", "Infinity")])
+def test_corrector_non_finite_is_precondition_violation(tmp_path, key, value):
+    cfg = {"c": 0.0, "d": 1.0, "gamma": 1.0, "eps": 0.1, "nu": 10, "r": 5}
+    code, out = run_cli(tmp_path, "corrector", cfg,
+                        extra=("--set", f"{key}={value}"))
+    assert code == EXIT_PRECONDITION
+    assert not (out / "corrector_checks.json").exists()
+
+
+def test_wiener_scan_uncertifiable_bound_is_numeric_failure(tmp_path):
+    # refinement 4 puts the bound at n = 1000 at 2 pi 1000 / 4096 = 1.53
+    cfg = {"measure": CANTOR, "N": 1000}
+    code, out = run_cli(tmp_path, "wiener-scan", cfg,
+                        extra=("--set", "refinement=4"))
+    assert code == EXIT_NUMERIC
+    assert not (out / "wiener_scan.csv").exists()

@@ -11,6 +11,7 @@ from menshov import (CorrectorParams, MSetSpec, PiecewiseLinearFn, build_psi,
                      check_corrector, choose_r, corrector, kernel_sup, layout,
                      mset_intervals, running_integral_sup)
 from menshov.corrector import _kernel_rows
+from menshov.piecewise import _phi12
 
 TWO_PI = 2.0 * np.pi
 
@@ -46,6 +47,12 @@ def test_params_validation():
     with pytest.raises(ValueError):
         CorrectorParams(0.0, 1.0, 1.0, 0.1, 10, 4)  # 4*1*1/40 = 0.1, not < 0.1
     CorrectorParams(0.0, 1.0, 1.0, 0.1, 10, 5)  # admissible
+    nan, inf = float("nan"), float("inf")
+    for c, d, gamma, eps in ((nan, 1.0, 1.0, 0.1), (0.0, inf, 0.0, 0.1),
+                             (-inf, 1.0, 0.0, 0.1), (0.0, 1.0, nan, 0.1),
+                             (0.0, 1.0, 1.0, nan), (0.0, 1.0, 1.0, inf)):
+        with pytest.raises(ValueError):
+            CorrectorParams(c, d, gamma, eps, 10, 5)
 
 
 def test_layout_worked_example():
@@ -318,11 +325,37 @@ def test_phi12_matches_exact_series():
     # would lose every digit to cancellation
     thetas = np.concatenate([np.geomspace(1e-9, 3.0, 40), [0.4999, 0.5]])
     thetas = np.concatenate([thetas, -thetas])
-    phi1, phi2 = corrector._phi12(1j * thetas)
+    phi1, phi2 = _phi12(1j * thetas)
     for th, p1, p2 in zip(thetas, phi1, phi2):
         want1, want2 = phi12_series(float(th))
         assert abs(p1 - want1) <= 1e-15 * abs(want1)
         assert abs(p2 - want2) <= 1e-14 * abs(want2)
+
+
+def phi12_out_of_place(z):
+    """_phi12 with closed forms at every entry and a Horner loop that makes
+    new arrays: the bitwise oracle for the selective, in-place version."""
+    inv_fact = 1.0 / np.cumprod([1.0, *range(1, 19)])
+    small = np.abs(z) < 0.5
+    zb = np.where(small, 1.0, z)
+    em1 = np.exp(zb) - 1.0
+    phi1, phi2 = em1 / zb, (em1 - zb) / (zb * zb)
+    zs, t1, t2 = z[small], 0.0, 0.0
+    for k in range(16, -1, -1):
+        t1, t2 = t1 * zs + inv_fact[k + 1], t2 * zs + inv_fact[k + 2]
+    phi1[small], phi2[small] = t1, t2
+    return phi1, phi2
+
+
+def test_phi12_bitwise_equals_out_of_place_oracle():
+    # both signs of w (fourier_coefficients takes w = -n), segment lengths
+    # on both sides of the |z| = 0.5 switch, and all-small / no-small inputs
+    w = np.concatenate([-np.arange(300.0), np.linspace(0.0, 70.0, 701)])
+    h = np.concatenate([np.geomspace(1e-12, 3.0, 60), [0.02, 0.5, 1.0]])
+    for z in (1j * w[:, None] * h, np.full((3, 4), 0.1j),
+              np.full((3, 4), 2.0j), np.zeros((0, 4), complex)):
+        for got, want in zip(_phi12(z), phi12_out_of_place(z)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_kernel_rows_agree_for_every_chunking(monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 from menshov import (AtomicMeasureError, ConvergenceScan, CorrectorParams,
                      IndexSet, Measure, MeasureSpec, QuadratureError,
                      StepFunction, build_lambda, build_measure, layout,
-                     normalize, spectrum, wiener_average)
+                     normalize, spectrum, wiener_average, wiener_scan)
 from menshov.fourier import MAX_GRID_CELLS
 from conftest import TWO_PI, cantor_coefficient_oracle
 
@@ -105,6 +105,18 @@ def test_spectrum_grid_guard_fires_before_evaluation():
         wiener_average(nu, 1, f_max)
     with pytest.raises(AssertionError, match="CDF evaluated"):
         spectrum(nu, 1)  # a small grid does reach the CDF
+
+
+def test_wiener_average_is_mean_of_wiener_scan(cantor40_norm):
+    absv, errs, running = wiener_scan(cantor40_norm, -2, 300)
+    assert absv.shape == errs.shape == running.shape == (301,)
+    assert wiener_average(cantor40_norm, -2, 300) == float(np.mean(absv**2))
+    assert running[-1] == pytest.approx(np.mean(absv**2), rel=1e-12)
+    assert running[0] == absv[0] ** 2
+    with pytest.raises(QuadratureError):  # bound 2 pi 600 / 4096 > 0.5
+        wiener_scan(cantor40_norm, 2, 300, refinement=4)
+    with pytest.raises(ValueError):
+        wiener_scan(cantor40_norm, 0, 300)
 
 
 def test_wiener_average_dirac():
