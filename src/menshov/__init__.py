@@ -14,7 +14,7 @@ from .errors import (AtomicMeasureError, DomainError, MeasureSpecError,
 from .fourier import (IndexSet, Spectrum, build_lambda, spectrum,
                       wiener_average, wiener_scan)
 from .measures import (Measure, MeasureSpec, atomic_part, build_measure,
-                       cantor_cdf, load_spec, normalize)
+                       cantor_cdf, normalize)
 from .msets import (ArcSpec, ConvergenceScan, MSetSpec, mset_intervals,
                     mset_masses, proposition_scan, pushforward_arc_mass)
 from .piecewise import PiecewiseLinearFn, StepFunction, fourier_partial_sums

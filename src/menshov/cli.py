@@ -15,9 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import assembly, corrector, fourier, msets
-from .errors import (AtomicMeasureError, DomainError, MeasureSpecError,
-                     QuadratureError)
-from .measures import MeasureSpec, build_measure, load_spec, normalize
+from .errors import AtomicMeasureError, QuadratureError
+from .measures import MeasureSpec, build_measure, normalize
 from .piecewise import StepFunction
 
 EXIT_OK = 0
@@ -106,16 +105,16 @@ def _measure_from_config(cfg: dict):
     src = cfg.get("measure")
     if src is None:
         raise KeyError("config needs a 'measure' entry (path or inline spec)")
-    if isinstance(src, dict):
-        return build_measure(MeasureSpec.from_dict(src))
-    if not isinstance(src, str):  # open() would take an int as a descriptor
+    if isinstance(src, str):
+        try:
+            with open(src) as fh:
+                src = json.load(fh)
+        except OSError as exc:
+            raise _ConfigError(f"cannot read measure file {src!r}: {exc.strerror}")
+    elif not isinstance(src, dict):  # open() would take an int as a descriptor
         raise _ConfigError("'measure' must be a file path or an inline spec, "
                            f"not {type(src).__name__}")
-    try:
-        spec = load_spec(src)
-    except OSError as exc:
-        raise _ConfigError(f"cannot read measure file {src!r}: {exc.strerror}")
-    return build_measure(spec)
+    return build_measure(MeasureSpec.from_dict(src))
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +231,7 @@ def _cmd_demo(cfg, out: Path, plot: bool):
     else:
         raise KeyError(f"unknown demo function {fname!r}")
     mu_total = float(mu.interval_mass(*mu.domain))
-    eps = float(cfg.get("eps", 0.05)) * (mu_total if cfg.get(
-        "eps_relative", True) else 1.0)
+    eps = float(cfg.get("eps", 0.05)) * mu_total
     gap = float(cfg.get("uniform_gap", 0.5))
     result = assembly.theorem_demo(
         f, mu, eps, gap,
@@ -286,8 +284,7 @@ def main(argv=None) -> int:
     except (KeyError, json.JSONDecodeError, _ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (MeasureSpecError, DomainError, AtomicMeasureError,
-            ValueError) as exc:
+    except (AtomicMeasureError, ValueError) as exc:  # spec and domain errors too
         print(f"precondition violation: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except QuadratureError as exc:

@@ -32,8 +32,13 @@ def choose_r(c: float, d: float, gamma: float, eps: float, nu: int) -> int:
     """Smallest integer r with 4 |gamma| (d - c) / (r nu) < eps."""
     if nu <= 8:
         raise ValueError("nu must exceed 8")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    # negated comparisons, so NaN is refused too
+    if not -np.inf < c < d < np.inf:
+        raise ValueError(f"need finite c < d, got c={c}, d={d}")
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+    if not abs(gamma) < np.inf:
+        raise ValueError(f"gamma must be finite, got {gamma}")
     if gamma == 0:
         return 1
     x = 4.0 * abs(gamma) * (d - c) / (eps * nu)

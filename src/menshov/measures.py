@@ -3,15 +3,17 @@
 A measure is stored as a continuous CDF part (a vectorized monotone
 function vanishing at the left endpoint) plus an explicit finite list of
 atoms.  Closed-interval masses are computed as cdf(b) - cdf(a-), so atoms
-sitting on interval endpoints are always included.
+sitting on interval endpoints are always included.  Each continuous part
+is an elementwise kernel on one chunk (`Measure._kernel`); `_chunked` is
+the single chunking point, run once per `Measure.cont` or `cantor_cdf` call.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from functools import cache
+from numbers import Real
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,7 +27,6 @@ __all__ = [
     "normalize",
     "atomic_part",
     "cantor_cdf",
-    "load_spec",
 ]
 
 ATOM_TOL_FACTOR = 1e-9  # default jump-detection tolerance, relative to total mass
@@ -36,12 +37,19 @@ _WORKER_CHUNKS = 8  # a CDF call gets one worker thread per this many chunks, up
 # ---------------------------------------------------------------------------
 # Specs
 
-_KINDS = ("lebesgue", "atomic", "cantor", "cdf_table", "mixture")
+def _real(x) -> bool:
+    return isinstance(x, Real) and not isinstance(x, bool)  # a JSON true is no number
+
+
+def _positive(x, field: str):
+    if not (_real(x) and 0.0 < x < np.inf):  # negated: NaN fails too
+        raise MeasureSpecError(f"{field} must be a positive finite number, got {x!r}")
 
 
 @dataclass(frozen=True)
 class MeasureSpec:
-    """Declarative description of a measure; see `build_measure`."""
+    """Declarative description of a measure (see `build_measure`), valid
+    however it is built: __post_init__ checks every invariant."""
 
     kind: str
     domain: tuple[float, float]
@@ -53,119 +61,100 @@ class MeasureSpec:
     components: tuple[tuple[float, "MeasureSpec"], ...] = ()
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise MeasureSpecError(f"unknown measure kind {self.kind!r}")
         u, v = self.domain
-        if not (np.isfinite(u) and np.isfinite(v) and u < v):
-            raise MeasureSpecError(f"invalid domain [{u}, {v}]")
+        if not (_real(u) and _real(v) and -np.inf < u < v < np.inf):
+            raise MeasureSpecError(f"invalid {self.kind} domain [{u!r}, {v!r}]")
+        if self.kind == "lebesgue":
+            _positive(self.scale, "lebesgue scale")
+        elif self.kind == "atomic":
+            if not self.atoms:
+                raise MeasureSpecError("atomic spec needs at least one atom")
+            for p, m in self.atoms:
+                _positive(m, "atom mass")
+                if not (_real(p) and u <= p <= v):
+                    raise MeasureSpecError(f"atom position {p!r} outside [{u}, {v}]")
+        elif self.kind == "cantor":
+            if not (_real(self.levels) and self.levels >= 1
+                    and float(self.levels).is_integer()):  # JSON may write 40.0
+                raise MeasureSpecError("cantor levels must be a positive integer, "
+                                       f"got {self.levels!r}")
+            _positive(self.total, "cantor total")
+        elif self.kind == "cdf_table":
+            if len(self.table) < 2 or not all(_real(e) and abs(e) < np.inf
+                                              for row in self.table for e in row):
+                raise MeasureSpecError("cdf_table needs two or more finite rows")
+            rows = np.array(self.table, dtype=float)
+            dx, dF = np.diff(rows, axis=0).T
+            if np.any(dx < 0) or np.any(dF < 0):
+                raise MeasureSpecError("cdf_table x and F must be nondecreasing")
+            # strictly increasing except for explicit jump rows (duplicate x)
+            if np.any((dx == 0) & (dF == 0)):
+                raise MeasureSpecError("duplicate cdf_table x with equal F")
+            if not rows[-1, 1] > rows[0, 1]:
+                raise MeasureSpecError("cdf_table F must rise")
+        elif self.kind == "mixture":
+            if not self.components:
+                raise MeasureSpecError("mixture needs at least one component")
+            for w, s in self.components:
+                _positive(w, "mixture weight")
+                if not (isinstance(s, MeasureSpec) and s.domain == self.domain):
+                    raise MeasureSpecError("mixture components must share one domain")
+        else:
+            raise MeasureSpecError(f"unknown measure kind {self.kind!r}")
 
-    # -- constructors -------------------------------------------------
+    # -- constructors: type conversion only ---------------------------
 
     @staticmethod
     def lebesgue(domain=(0.0, 1.0), scale=1.0) -> "MeasureSpec":
-        if scale <= 0:
-            raise MeasureSpecError("lebesgue scale must be positive")
-        return MeasureSpec("lebesgue", tuple(map(float, domain)), scale=float(scale))
+        return MeasureSpec("lebesgue", tuple(domain), scale=scale)
 
     @staticmethod
     def atomic(atoms: Sequence[tuple[float, float]], domain=(0.0, 1.0)) -> "MeasureSpec":
-        atoms = tuple((float(p), float(m)) for p, m in atoms)
-        if not atoms:
-            raise MeasureSpecError("atomic spec needs at least one atom")
-        u, v = domain
-        for p, m in atoms:
-            if m <= 0:
-                raise MeasureSpecError(f"atom mass {m} must be positive")
-            if not (u <= p <= v):
-                raise MeasureSpecError(f"atom position {p} outside domain [{u}, {v}]")
-        return MeasureSpec("atomic", tuple(map(float, domain)), atoms=atoms)
+        atoms = tuple((p, m) for p, m in atoms)
+        return MeasureSpec("atomic", tuple(domain), atoms=atoms)
 
     @staticmethod
     def cantor(levels: int, total=1.0, domain=(0.0, 1.0)) -> "MeasureSpec":
-        if levels < 1 or int(levels) != levels:
-            raise MeasureSpecError("cantor levels must be a positive integer")
-        if total <= 0:
-            raise MeasureSpecError("cantor total mass must be positive")
-        return MeasureSpec("cantor", tuple(map(float, domain)),
-                           levels=int(levels), total=float(total))
+        return MeasureSpec("cantor", tuple(domain), levels=levels, total=total)
 
     @staticmethod
     def cdf_table(table: Sequence[tuple[float, float]]) -> "MeasureSpec":
-        table = tuple((float(x), float(F)) for x, F in table)
-        if len(table) < 2:
-            raise MeasureSpecError("cdf_table needs at least two rows")
-        xs = np.array([x for x, _ in table])
-        Fs = np.array([F for _, F in table])
-        if np.any(np.diff(xs) < 0):
-            raise MeasureSpecError("cdf_table x values must be nondecreasing")
-        if np.any(np.diff(Fs) < 0):
-            raise MeasureSpecError("cdf_table F values must be nondecreasing")
-        dup = np.diff(xs) == 0
-        if np.any(dup & (np.diff(Fs) == 0)):
-            raise MeasureSpecError("duplicate cdf_table x with equal F")
-        # strictly increasing except for explicit jump rows (duplicate x)
-        return MeasureSpec("cdf_table", (float(xs[0]), float(xs[-1])), table=table)
+        table = tuple((x, F) for x, F in table)
+        domain = (table[0][0], table[-1][0]) if len(table) > 1 else (0.0, 1.0)
+        return MeasureSpec("cdf_table", domain, table=table)
 
     @staticmethod
     def mixture(components: Sequence[tuple[float, "MeasureSpec"]]) -> "MeasureSpec":
-        components = tuple((float(w), s) for w, s in components)
-        if not components:
-            raise MeasureSpecError("mixture needs at least one component")
-        doms = {s.domain for _, s in components}
-        if len(doms) != 1:
-            raise MeasureSpecError("mixture components must share one domain")
-        for w, _ in components:
-            if w <= 0:
-                raise MeasureSpecError("mixture weights must be positive")
-        return MeasureSpec("mixture", components[0][1].domain, components=components)
-
-    # -- JSON round trip ----------------------------------------------
-
-    def to_dict(self) -> dict:
-        d: dict = {"kind": self.kind, "domain": list(self.domain)}
-        if self.kind == "lebesgue":
-            d["scale"] = self.scale
-        elif self.kind == "atomic":
-            d["atoms"] = [list(a) for a in self.atoms]
-        elif self.kind == "cantor":
-            d["levels"] = self.levels
-            d["total"] = self.total
-        elif self.kind == "cdf_table":
-            d["table"] = [list(r) for r in self.table]
-        elif self.kind == "mixture":
-            d["components"] = [
-                {"weight": w, "spec": s.to_dict()} for w, s in self.components
-            ]
-        return d
+        components = tuple((w, s) for w, s in components)
+        domain = components[0][1].domain if components else (0.0, 1.0)
+        return MeasureSpec("mixture", domain, components=components)
 
     @staticmethod
     def from_dict(d: dict) -> "MeasureSpec":
-        kind = d.get("kind")
-        dom = tuple(d.get("domain", (0.0, 1.0)))
-        if kind == "lebesgue":
-            return MeasureSpec.lebesgue(dom, d.get("scale", 1.0))
-        if kind == "atomic":
-            return MeasureSpec.atomic([tuple(a) for a in d["atoms"]], dom)
-        if kind == "cantor":
-            return MeasureSpec.cantor(d["levels"], d.get("total", 1.0), dom)
-        if kind == "cdf_table":
-            return MeasureSpec.cdf_table([tuple(r) for r in d["table"]])
-        if kind == "mixture":
-            return MeasureSpec.mixture(
-                [(c["weight"], MeasureSpec.from_dict(c["spec"]))
-                 for c in d["components"]]
-            )
+        """Spec from its JSON object; a value of a wrong JSON type is refused."""
+        if not isinstance(d, dict):
+            raise MeasureSpecError(f"a measure spec must be an object, got {d!r}")
+        kind, dom = d.get("kind"), d.get("domain", (0.0, 1.0))
+        try:
+            if kind == "lebesgue":
+                return MeasureSpec.lebesgue(dom, d.get("scale", 1.0))
+            if kind == "atomic":
+                return MeasureSpec.atomic(d["atoms"], dom)
+            if kind == "cantor":
+                return MeasureSpec.cantor(d["levels"], d.get("total", 1.0), dom)
+            if kind == "cdf_table":
+                return MeasureSpec.cdf_table(d["table"])
+            if kind == "mixture":
+                return MeasureSpec.mixture(
+                    [(c["weight"], MeasureSpec.from_dict(c["spec"]))
+                     for c in d["components"]])
+        except (TypeError, ValueError) as exc:  # e.g. a list where a number belongs
+            raise MeasureSpecError(f"{kind} spec: {exc}") from exc
         raise MeasureSpecError(f"unknown measure kind {kind!r}")
 
 
-def load_spec(path) -> MeasureSpec:
-    """Read a measure-spec JSON file."""
-    with open(path) as fh:
-        return MeasureSpec.from_dict(json.load(fh))
-
-
 # ---------------------------------------------------------------------------
-# Chunked evaluation
+# Chunked CDF evaluation
 
 def _cores():
     """Number of cores this process may run on."""
@@ -183,18 +172,16 @@ def _pool():
     return ThreadPoolExecutor(max_workers=_cores())
 
 
-def _chunked(fill, x):
-    """Evaluate x in _CDF_CHUNK-point pieces; fill(piece, out) writes out.
+def _chunked(kernel, x):
+    """kernel over x in _CDF_CHUNK-point pieces: the single chunking point.
 
-    For an elementwise fill the result is bitwise that of one pass over
-    all of x, while every temporary stays chunk-sized.  A call of n chunks
-    runs on min(cores, n // _WORKER_CHUNKS) workers of _pool(), each taking
-    every workers-th chunk; numpy releases the GIL in the ufuncs and
-    indexing they use.  A running worker holds one chunk's temporaries, so
-    those in flight are at most 1/_WORKER_CHUNKS of what one unchunked
-    pass would hold, on any number of cores.  Below two workers' worth the call runs inline, and
-    so does every nested call inside fill (one chunk): no worker waits on
-    the pool.  The shape is kept, and 0-d input gives a numpy scalar.
+    Only Measure.cont and cantor_cdf call this, and no kernel calls either,
+    so chunks never nest.  An elementwise kernel gives bitwise the values of
+    one pass over all of x, with chunk-sized temporaries.  A call of n chunks
+    runs on min(cores, n // _WORKER_CHUNKS) workers of _pool() (inline below
+    two), each taking every workers-th chunk (numpy releases the GIL), so at
+    most 1/_WORKER_CHUNKS of one pass's temporaries are in flight on any
+    number of cores.  The shape is kept; 0-d input gives a numpy scalar.
     """
     x = np.asarray(x, dtype=float)
     out = np.empty(x.shape)
@@ -202,8 +189,8 @@ def _chunked(fill, x):
 
     def run(starts):
         for start in starts:
-            stop = start + _CDF_CHUNK
-            fill(flat_x[start:stop], flat_out[start:stop])
+            piece = slice(start, start + _CDF_CHUNK)
+            flat_out[piece] = kernel(flat_x[piece])
 
     starts = range(0, flat_x.size, _CDF_CHUNK)
     workers = min(_cores(), len(starts) // _WORKER_CHUNKS)
@@ -216,46 +203,48 @@ def _chunked(fill, x):
     return out[()]
 
 
-# ---------------------------------------------------------------------------
-# Cantor CDF (devil's staircase), finite-level approximation
-
 def cantor_cdf(x, levels: int):
     """Level-`levels` self-similar approximation of the Cantor CDF on [0,1].
 
     Exact on the removed (plateau) intervals of every level <= levels;
-    linear inside the level-`levels` construction intervals.  Runs over
-    chunks (see _chunked); at each level only the points not yet on a
-    plateau (a fraction (2/3)^l after level l) are updated, each by the
-    same float operations as a full pass over all levels.
+    linear inside the level-`levels` construction intervals.  Chunk by
+    chunk (see _chunked), only the points not yet on a plateau (a fraction
+    (2/3)^l after level l) are updated at each level, each by the same float
+    operations as a full pass over all levels.
     """
-    def fill(x, out):
-        t = np.clip(x, 0.0, 1.0)
-        y = np.zeros_like(t)
-        pos = np.arange(t.size, dtype=np.int32)  # index of each point in out
-        f = 0.5
-        for _ in range(levels):
-            t *= 3.0
-            d = np.minimum(np.floor(t), 2.0)
-            np.add(y, f, out=y, where=d > 0.0)
-            t -= d
-            hit = d == 1.0  # landed on a plateau: value is final
-            del d  # one chunk-sized array fewer while compacting
-            out[pos[hit]] = y[hit]
-            live = ~hit
-            t, y, pos = t[live], y[live], pos[live]
-            f *= 0.5
-        out[pos] = y + 2.0 * f * t
+    return _chunked(lambda piece: _cantor_kernel(piece, levels), x)
 
-    return _chunked(fill, x)
+
+def _cantor_kernel(x, levels: int):
+    """cantor_cdf on one 1-d chunk: the active-set loop."""
+    t = np.clip(x, 0.0, 1.0)
+    y = np.zeros_like(t)
+    out = np.empty_like(t)
+    pos = np.arange(t.size, dtype=np.int32)  # index of each point in out
+    f = 0.5
+    for _ in range(levels):
+        t *= 3.0
+        d = np.minimum(np.floor(t), 2.0)
+        np.add(y, f, out=y, where=d > 0.0)
+        t -= d
+        hit = d == 1.0  # landed on a plateau: value is final
+        del d  # one chunk-sized array fewer while compacting
+        out[pos[hit]] = y[hit]
+        live = ~hit
+        t, y, pos = t[live], y[live], pos[live]
+        f *= 0.5
+    out[pos] = y + 2.0 * f * t
+    return out
 
 
 # ---------------------------------------------------------------------------
-# Measure
+# Measures
 
 class Measure:
     """A finite positive Borel measure on [u, v]: continuous CDF part + atoms.
 
-    Immutable after construction; all operations are pure.
+    Immutable after construction; all operations are pure.  cont_cdf is
+    elementwise on 1-d arrays of points in [u, v].
     """
 
     def __init__(self, domain, cont_cdf: Callable, cont_total: float,
@@ -281,18 +270,15 @@ class Measure:
 
     # -- CDF evaluation -----------------------------------------------
 
-    def cont(self, x):
-        """Continuous CDF part, clamped to the domain.
-
-        Clamp and CDF run chunk by chunk (see _chunked), bitwise equal to
-        one pass of _cont_cdf(np.clip(x, u, v)) over all of x.
-        """
+    def _kernel(self, x):
+        """Continuous CDF part on one 1-d chunk: clamp, then the CDF."""
         u, v = self.domain
+        return self._cont_cdf(np.clip(x, u, v))
 
-        def fill(x, out):
-            out[...] = self._cont_cdf(np.clip(x, u, v))
-
-        return _chunked(fill, x)
+    def cont(self, x):
+        """Continuous CDF part, clamped to the domain: _kernel over chunks
+        (see _chunked), bitwise equal to one pass of _kernel over all of x."""
+        return _chunked(self._kernel, x)
 
     def _with_atoms(self, x, side: str):
         c = self.cont(x)
@@ -324,73 +310,52 @@ class Measure:
 
 
 def build_measure(spec: MeasureSpec) -> Measure:
-    """Realize a MeasureSpec as a Measure."""
+    """Realize a MeasureSpec (valid by construction) as a Measure."""
     u, v = spec.domain
     if spec.kind == "lebesgue":
         s = spec.scale
-        if s <= 0:
-            raise MeasureSpecError("lebesgue scale must be positive")
-        return Measure(spec.domain, lambda x, u=u, s=s: s * (x - u), s * (v - u))
+        return Measure(spec.domain, lambda x: s * (x - u), s * (v - u))
 
     if spec.kind == "atomic":
-        pos = [p for p, _ in spec.atoms]
-        mas = [m for _, m in spec.atoms]
-        return Measure(spec.domain, lambda x: np.zeros_like(np.asarray(x, float)),
-                       0.0, pos, mas)
+        pos, mas = zip(*spec.atoms)
+        return Measure(spec.domain, np.zeros_like, 0.0, pos, mas)
 
     if spec.kind == "cantor":
-        L, tot = spec.levels, spec.total
-        width = v - u
-
-        def cdf(x, u=u, width=width, L=L, tot=tot):
-            return tot * cantor_cdf((np.asarray(x, float) - u) / width, L)
-
-        return Measure(spec.domain, cdf, tot)
+        L, tot, width = int(spec.levels), spec.total, v - u
+        return Measure(spec.domain,
+                       lambda x: tot * _cantor_kernel((x - u) / width, L), tot)
 
     if spec.kind == "cdf_table":
-        xs = np.array([x for x, _ in spec.table])
-        Fs = np.array([F for _, F in spec.table])
+        xs, Fs = np.array(spec.table, dtype=float).T
         if Fs[0] != 0.0:
             Fs = Fs - Fs[0]
         # duplicate x rows encode jumps; peel them off into atoms
-        jump_at = np.flatnonzero(np.diff(xs) == 0)
-        apos = xs[jump_at]
-        amas = Fs[jump_at + 1] - Fs[jump_at]
-        cont_F = Fs - np.concatenate(
-            [[0.0], np.cumsum(np.where(np.diff(xs) == 0, np.diff(Fs), 0.0))])
-        keep = np.concatenate([[True], np.diff(xs) > 0])
+        jump = np.diff(xs) == 0
+        dF = np.diff(Fs)
+        cont_F = Fs - np.concatenate([[0.0], np.cumsum(np.where(jump, dF, 0.0))])
+        keep = np.concatenate([[True], ~jump])
         cxs, cFs = xs[keep], cont_F[keep]
+        return Measure((xs[0], xs[-1]), lambda x: np.interp(x, cxs, cFs),
+                       float(cFs[-1]), xs[:-1][jump], dF[jump])
 
-        def cdf(x, cxs=cxs, cFs=cFs):
-            return np.interp(np.asarray(x, float), cxs, cFs)
+    # a mixture: its kernel sums its components' kernels
+    parts = [(w, build_measure(s)) for w, s in spec.components]
 
-        return Measure((xs[0], xs[-1]), cdf, float(cFs[-1]), apos, amas)
+    def cdf(x):
+        acc = np.zeros(np.shape(x))
+        for w, m in parts:
+            acc = acc + w * m._kernel(x)
+        return acc
 
-    if spec.kind == "mixture":
-        parts = [(w, build_measure(s)) for w, s in spec.components]
-        cont_total = sum(w * m.cont_total for w, m in parts)
+    # merge atoms, adding masses at coinciding positions
+    pos_all = np.concatenate(
+        [np.empty(0)] + [m.atom_positions for _, m in parts])
+    mas_all = np.concatenate(
+        [np.empty(0)] + [w * m.atom_masses for w, m in parts])
+    upos, inv = np.unique(pos_all, return_inverse=True)
+    return Measure(spec.domain, cdf, sum(w * m.cont_total for w, m in parts),
+                   upos, np.bincount(inv, weights=mas_all))
 
-        def cdf(x, parts=parts):
-            x = np.asarray(x, float)
-            acc = np.zeros(np.shape(x))
-            for w, m in parts:
-                acc = acc + w * m.cont(x)
-            return acc
-
-        # merge atoms, adding masses at coinciding positions
-        pos_all = np.concatenate(
-            [np.empty(0)] + [m.atom_positions for _, m in parts])
-        mas_all = np.concatenate(
-            [np.empty(0)] + [w * m.atom_masses for w, m in parts])
-        upos, inv = np.unique(pos_all, return_inverse=True)
-        return Measure(spec.domain, cdf, cont_total, upos,
-                       np.bincount(inv, weights=mas_all))
-
-    raise MeasureSpecError(f"unknown measure kind {spec.kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# Module-level operations
 
 def normalize(m: Measure, interval) -> Measure:
     """Probability measure on [0,1]: mass of E is m(affine(E) ∩ I) / m(I)."""
@@ -404,8 +369,8 @@ def normalize(m: Measure, interval) -> Measure:
     base = float(m.cont(a))
     ctot = (float(m.cont(b)) - base) / M
 
-    def cdf(t, m=m, a=a, b=b, base=base, M=M):
-        return (m.cont(a + np.asarray(t, float) * (b - a)) - base) / M
+    def cdf(t):  # composes m's kernel: no second chunking pass
+        return (m._kernel(a + t * (b - a)) - base) / M
 
     inside = (m.atom_positions >= a) & (m.atom_positions <= b)
     apos = (m.atom_positions[inside] - a) / (b - a)

@@ -260,3 +260,46 @@ def test_wiener_scan_uncertifiable_bound_is_numeric_failure(tmp_path):
                         extra=("--set", "refinement=4"))
     assert code == EXIT_NUMERIC
     assert not (out / "wiener_scan.csv").exists()
+
+
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("spec, field", [
+    ({**CANTOR, "total": INF}, "cantor total"),
+    ({**LEBESGUE, "scale": INF}, "lebesgue scale"),
+    ({**LEBESGUE, "scale": "2"}, "lebesgue scale"),
+    ({"kind": "atomic", "atoms": [[1.0, INF]], "domain": [0.0, 2.0]},
+     "atom mass"),
+    ({"kind": "mixture", "components": [{"weight": INF, "spec": LEBESGUE}]},
+     "mixture weight"),
+    ({"kind": "cdf_table", "table": [[0.0, 0.0], [0.5, NAN], [1.0, 1.0]]},
+     "cdf_table"),
+    ({"kind": "atomic", "atoms": 5}, "atomic spec"),
+    ({"kind": "mixture", "components": [[1.0, LEBESGUE]]}, "mixture spec"),
+    ([LEBESGUE], "measure spec"),
+])
+def test_bad_measure_spec_is_precondition_violation(tmp_path, capsys, spec,
+                                                    field):
+    spec_path = tmp_path / "spec.json"  # a file, so a list spec reaches from_dict
+    spec_path.write_text(json.dumps(spec))
+    code, out = run_cli(tmp_path, "wiener-scan",
+                        {"measure": str(spec_path), "N": 3})
+    assert code == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert err.startswith("precondition violation:") and field in err, err
+    assert not (out / "wiener_scan.csv").exists()
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("eps", "NaN", "eps must"), ("eps", "-0.1", "eps must"),
+    ("gamma", "NaN", "gamma must"), ("gamma", "Infinity", "gamma must"),
+    ("d", "Infinity", "d=inf")])
+def test_corrector_choose_r_names_bad_parameter(tmp_path, capsys, key, value,
+                                                named):
+    cfg = {"c": 0.0, "d": 1.0, "gamma": 1.0, "eps": 0.1, "nu": 10}  # no r
+    code, out = run_cli(tmp_path, "corrector", cfg,
+                        extra=("--set", f"{key}={value}"))
+    assert code == EXIT_PRECONDITION
+    assert named in capsys.readouterr().err
+    assert not (out / "corrector_checks.json").exists()

@@ -83,7 +83,7 @@ def test_cantor_measure_masses_bitwise_equal_oracle_path(monkeypatch):
     rng = np.random.default_rng(3)
     a = np.sort(rng.uniform(0.0, TWO_PI, (2, 20_000)), axis=0)
     got = m.interval_mass(a[0], a[1])
-    monkeypatch.setattr(measures, "cantor_cdf", cantor_cdf_oracle)
+    monkeypatch.setattr(measures, "_cantor_kernel", cantor_cdf_oracle)
     assert np.array_equal(got, m.interval_mass(a[0], a[1]))
 
 
@@ -152,16 +152,15 @@ def test_streamed_cont_bitwise_equals_one_pass(name, monkeypatch, cores):
     got = [m.cont(x) for x in inputs]
     scalars = [0.5 * (u + v), u, v]
     got_scalar = [m.cont(x) for x in scalars]
-    # one pass: a single chunk at every nesting level, the 40-pass Cantor loop
-    monkeypatch.setattr(measures, "_CDF_CHUNK", 1 << 40)
-    monkeypatch.setattr(measures, "cantor_cdf", cantor_cdf_oracle)
+    # one pass: the kernel on all of x, through the 40-pass Cantor loop
+    monkeypatch.setattr(measures, "_cantor_kernel", cantor_cdf_oracle)
     for x, g in zip(inputs, got):
-        want = m._cont_cdf(np.clip(x, u, v))
+        want = m._kernel(np.ravel(x)).reshape(np.shape(x))
         assert g.shape == want.shape == x.shape
         assert np.array_equal(g.view(np.int64), want.view(np.int64)), x.shape
     for x, g in zip(scalars, got_scalar):
         assert type(g) is np.float64
-        assert g == m._cont_cdf(np.clip(x, u, v))
+        assert g == m._kernel(np.array([x]))[0]
 
 
 def _peak_memory(f, x):
@@ -362,12 +361,25 @@ def test_spec_validation_errors():
         MeasureSpec.atomic([(0.5, 0.0)], (0.0, 1.0))  # zero mass
     with pytest.raises(MeasureSpecError):
         MeasureSpec.cdf_table([(0.0, 0.5), (1.0, 0.0)])  # decreasing F
+    # built field by field: levels defaults to 0, so no Lebesgue stand-in
+    with pytest.raises(MeasureSpecError, match="cantor levels"):
+        MeasureSpec("cantor", (0.0, 1.0))
+    with pytest.raises(MeasureSpecError, match="lebesgue scale"):
+        MeasureSpec("lebesgue", (0.0, 1.0), scale="2")
+    with pytest.raises(MeasureSpecError, match="cdf_table F"):
+        MeasureSpec.cdf_table([(0.0, 0.5), (1.0, 0.5)])  # no mass
 
 
-def test_spec_json_round_trip():
+def test_spec_from_dict_matches_constructors():
     spec = MeasureSpec.mixture([
         (0.6, MeasureSpec.cantor(40, 1.0, (0.0, TWO_PI))),
         (0.4, MeasureSpec.lebesgue((0.0, TWO_PI))),
     ])
-    again = MeasureSpec.from_dict(spec.to_dict())
-    assert again == spec
+    doc = {"kind": "mixture", "components": [
+        {"weight": 0.6, "spec": {"kind": "cantor", "levels": 40, "total": 1.0,
+                                 "domain": [0.0, TWO_PI]}},
+        {"weight": 0.4, "spec": {"kind": "lebesgue", "domain": [0.0, TWO_PI]}}]}
+    assert MeasureSpec.from_dict(doc) == spec
+    table = [(0.0, 0.0), (0.5, 0.25), (0.5, 0.75), (1.0, 1.0)]
+    assert MeasureSpec.from_dict({"kind": "cdf_table", "table": table}) == \
+        MeasureSpec.cdf_table(table)
