@@ -177,6 +177,7 @@ def claim_run(phi: StepFunction, mu: Measure, nu: int,
     reaches (1 - 2/nu) of its inner interval, and certifies
     mu(E) >= (1 - 7/nu) mu([0, 2 pi]) by direct measure computation.
     Exhausted search caps yield an uncertified result, not an error.
+    `refinement` is the ceiling of build_lambda's coarse-to-fine levels.
     """
     if int(nu) != nu or nu <= 8:
         raise ValueError("nu must be an integer > 8")

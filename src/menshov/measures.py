@@ -11,6 +11,7 @@ the single chunking point, run once per `Measure.cont` or `cantor_cdf` call.
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass
 from functools import cache
 from numbers import Real
@@ -32,18 +33,44 @@ __all__ = [
 ATOM_TOL_FACTOR = 1e-9  # default jump-detection tolerance, relative to total mass
 _CDF_CHUNK = 1 << 16  # CDF points per chunk; keeps each chunk's temporaries in cache
 _WORKER_CHUNKS = 8  # a CDF call gets one worker thread per this many chunks, up to the cores
+# A point off every plateau takes every level; past 53 levels the level
+# steps 2^-levels fall below a double's resolution at 1.
+MAX_CANTOR_LEVELS = 53
 
 
 # ---------------------------------------------------------------------------
 # Specs
 
 def _real(x) -> bool:
-    return isinstance(x, Real) and not isinstance(x, bool)  # a JSON true is no number
+    """A number a double can hold: not a JSON true, nor an int past 1.8e308."""
+    return (isinstance(x, Real) and not isinstance(x, bool)
+            and not (isinstance(x, int) and abs(x) > sys.float_info.max))
 
 
 def _positive(x, field: str):
     if not (_real(x) and 0.0 < x < np.inf):  # negated: NaN fails too
         raise MeasureSpecError(f"{field} must be a positive finite number, got {x!r}")
+
+
+# the field whose value scales each kind's total mass
+_MASS_FIELD = {"lebesgue": "lebesgue scale", "atomic": "atom mass",
+               "cantor": "cantor total", "cdf_table": "cdf_table F",
+               "mixture": "mixture weight"}
+
+
+def _mass(spec: "MeasureSpec") -> float:
+    """Total mass of a valid spec in Python floats, which overflow to inf
+    without a warning."""
+    u, v = spec.domain
+    if spec.kind == "lebesgue":
+        return float(spec.scale) * (float(v) - float(u))
+    if spec.kind == "atomic":
+        return sum(float(m) for _, m in spec.atoms)
+    if spec.kind == "cantor":
+        return float(spec.total)
+    if spec.kind == "cdf_table":
+        return float(spec.table[-1][1]) - float(spec.table[0][1])
+    return sum(float(w) * _mass(s) for w, s in spec.components)
 
 
 @dataclass(frozen=True)
@@ -64,6 +91,9 @@ class MeasureSpec:
         u, v = self.domain
         if not (_real(u) and _real(v) and -np.inf < u < v < np.inf):
             raise MeasureSpecError(f"invalid {self.kind} domain [{u!r}, {v!r}]")
+        if not float(v) - float(u) < np.inf:
+            raise MeasureSpecError(f"{self.kind} domain [{u!r}, {v!r}] "
+                                   "overflows: its width is inf")
         if self.kind == "lebesgue":
             _positive(self.scale, "lebesgue scale")
         elif self.kind == "atomic":
@@ -74,17 +104,20 @@ class MeasureSpec:
                 if not (_real(p) and u <= p <= v):
                     raise MeasureSpecError(f"atom position {p!r} outside [{u}, {v}]")
         elif self.kind == "cantor":
-            if not (_real(self.levels) and self.levels >= 1
+            if not (_real(self.levels)
+                    and 1 <= self.levels <= MAX_CANTOR_LEVELS
                     and float(self.levels).is_integer()):  # JSON may write 40.0
-                raise MeasureSpecError("cantor levels must be a positive integer, "
-                                       f"got {self.levels!r}")
+                raise MeasureSpecError(
+                    f"cantor levels must be an integer in [1, {MAX_CANTOR_LEVELS}]"
+                    f", got {self.levels!r}")
             _positive(self.total, "cantor total")
         elif self.kind == "cdf_table":
             if len(self.table) < 2 or not all(_real(e) and abs(e) < np.inf
                                               for row in self.table for e in row):
                 raise MeasureSpecError("cdf_table needs two or more finite rows")
             rows = np.array(self.table, dtype=float)
-            dx, dF = np.diff(rows, axis=0).T
+            with np.errstate(over="ignore"):  # an overflowed difference keeps its sign
+                dx, dF = np.diff(rows, axis=0).T
             if np.any(dx < 0) or np.any(dF < 0):
                 raise MeasureSpecError("cdf_table x and F must be nondecreasing")
             # strictly increasing except for explicit jump rows (duplicate x)
@@ -101,6 +134,9 @@ class MeasureSpec:
                     raise MeasureSpecError("mixture components must share one domain")
         else:
             raise MeasureSpecError(f"unknown measure kind {self.kind!r}")
+        if not _mass(self) < np.inf:
+            raise MeasureSpecError(f"{_MASS_FIELD[self.kind]} overflows: the "
+                                   f"{self.kind} mass is inf")
 
     # -- constructors: type conversion only ---------------------------
 

@@ -278,7 +278,15 @@ INF, NAN = float("inf"), float("nan")
     ({"kind": "atomic", "atoms": 5}, "atomic spec"),
     ({"kind": "mixture", "components": [[1.0, LEBESGUE]]}, "mixture spec"),
     ([LEBESGUE], "measure spec"),
+    ({**CANTOR, "levels": 1000000000}, "cantor levels"),  # hours, if run
+    ({**LEBESGUE, "domain": [-1e308, 1e308]},
+     "domain [-1e+308, 1e+308] overflows"),
+    ({"kind": "mixture",
+      "components": [{"weight": 1e300, "spec": {**LEBESGUE, "scale": 1e300}}]},
+     "mixture weight overflows"),
+    ({**LEBESGUE, "scale": 10**400}, "lebesgue scale"),  # no double holds it
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_measure_spec_is_precondition_violation(tmp_path, capsys, spec,
                                                     field):
     spec_path = tmp_path / "spec.json"  # a file, so a list spec reaches from_dict

@@ -10,7 +10,7 @@ import pytest
 import menshov.measures as measures
 from menshov import (DomainError, MeasureSpec, MeasureSpecError, atomic_part,
                      build_measure, cantor_cdf, normalize)
-from menshov.measures import _CDF_CHUNK, _WORKER_CHUNKS
+from menshov.measures import MAX_CANTOR_LEVELS, _CDF_CHUNK, _WORKER_CHUNKS
 from conftest import brute_force_atoms
 
 TWO_PI = 2.0 * np.pi
@@ -368,6 +368,25 @@ def test_spec_validation_errors():
         MeasureSpec("lebesgue", (0.0, 1.0), scale="2")
     with pytest.raises(MeasureSpecError, match="cdf_table F"):
         MeasureSpec.cdf_table([(0.0, 0.5), (1.0, 0.5)])  # no mass
+    MeasureSpec.cantor(MAX_CANTOR_LEVELS)
+    with pytest.raises(MeasureSpecError, match="cantor levels"):
+        MeasureSpec.cantor(MAX_CANTOR_LEVELS + 1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_spec_refuses_overflow_to_infinite_mass():
+    with pytest.raises(MeasureSpecError, match="atom mass overflows"):
+        MeasureSpec.atomic([(0.25, 1e308), (0.75, 1e308)])
+    with pytest.raises(MeasureSpecError, match="cdf_table F overflows"):
+        MeasureSpec.cdf_table([(0.0, -1e308), (1.0, 1e308)])
+    with pytest.raises(MeasureSpecError, match="lebesgue scale overflows"):
+        MeasureSpec.lebesgue((0.0, 1e10), scale=1e300)
+    with pytest.raises(MeasureSpecError, match="lebesgue scale must be"):
+        MeasureSpec.lebesgue(scale=10**400)  # an int too large for a float
+    with pytest.raises(MeasureSpecError, match="invalid lebesgue domain"):
+        MeasureSpec.lebesgue((0, 10**400))
+    with pytest.raises(MeasureSpecError, match="width is inf"):
+        MeasureSpec.cantor(40, 1.0, (-1e308, 1e308))
 
 
 def test_spec_from_dict_matches_constructors():
