@@ -158,11 +158,8 @@ def _default_eps_seq(gammas, widths, nu):
     """Geometric eps_k = EPS0 * 2^-k, floored so the minimal admissible r
     stays within R_BUDGET (a pure geometric default would push r past any
     practical search cap once the cell count grows)."""
-    eps = []
-    for k, (g, w) in enumerate(zip(gammas, widths)):
-        floor = 8.0 * abs(g) * w / (R_BUDGET * nu) if g != 0 else 0.0
-        eps.append(max(EPS0 * 0.5**k, floor, 1e-300))
-    return eps
+    return [max(EPS0 * 0.5**k, 8.0 * abs(g) * w / (R_BUDGET * nu), 1e-300)
+            for k, (g, w) in enumerate(zip(gammas, widths))]
 
 
 def claim_run(phi: StepFunction, mu: Measure, nu: int,
@@ -230,19 +227,21 @@ def claim_run(phi: StepFunction, mu: Measure, nu: int,
 
     # stage 2: r per cell from the complement M-set inside [a', b']
     sigma_c, tau_c = 1.0 - 1.0 / nu, 1.0 / nu
+    a_in = cells_lr[:, 0] + 2.0 * widths / nu
+    b_in = cells_lr[:, 1] - 2.0 * widths / nu
+    inner_masses = mu.interval_mass(a_in, b_in)  # mu([a', b']) of every cell
     cells = []
     for k, ((ck, dk), gk) in enumerate(zip(cells_lr, gammas)):
         epsk = eps_seq[k]
         r_min = choose_r(ck, dk, gk, epsk, nu)
-        a_in = ck + 2.0 * (dk - ck) / nu
-        b_in = dk - 2.0 * (dk - ck) / nu
-        inner_mass = float(mu.interval_mass(a_in, b_in))
+        inner_mass = float(inner_masses[k])
         target_cell = (1.0 - 2.0 / nu) * inner_mass
         ok, r_tried = False, []
         # r_min above r_cap: measure the least admissible r, uncertified
         for r in _r_schedule(r_min, r_cap) or [r_min]:
             removed, = mset_masses(
-                mu, [MSetSpec((a_in, b_in), (nu - 4) * r, sigma_c, tau_c)])
+                mu, [MSetSpec((a_in[k], b_in[k]), (nu - 4) * r, sigma_c,
+                              tau_c)])
             r_tried.append((r, inner_mass - removed))
             ok = bool(r_tried[-1][1] >= target_cell - 1e-15 * mu_total
                       and r <= r_cap)
@@ -250,8 +249,7 @@ def claim_run(phi: StepFunction, mu: Measure, nu: int,
                 break
         r_pick, mass_e = r_tried[-1] if ok else max(
             r_tried, key=lambda t: t[1])
-        params = CorrectorParams(ck, dk, gk, epsk, nu, r_pick)
-        lay = layout(params)
+        lay = layout(CorrectorParams(ck, dk, gk, epsk, nu, r_pick))
         psi = build_psi(lay, gk, nu)
         cells.append(CellResult((float(ck), float(dk)), float(gk), epsk,
                                 r_pick, lay, psi, inner_mass, float(mass_e),
@@ -315,7 +313,7 @@ def _step_approximation(f: Callable, domain,
     """Equal-cell step approximation with sup |f - phi| <= uniform_gap."""
     lo, hi = domain
     grid = np.linspace(lo, hi, 16 * STEP_MAX_CELLS + 1)
-    fx = np.asarray([float(f(x)) for x in grid])
+    fx = np.broadcast_to(f(grid), grid.shape).astype(float)
     rho = 1
     while rho <= STEP_MAX_CELLS:
         # half-open cells [x_i, x_{i+1}): the shared right endpoint belongs
@@ -328,7 +326,7 @@ def _step_approximation(f: Callable, domain,
     rho = min(rho, STEP_MAX_CELLS)
     xs = np.linspace(lo, hi, rho + 1)
     mids = (xs[:-1] + xs[1:]) / 2.0
-    return StepFunction(xs, [float(f(x)) for x in mids])
+    return StepFunction(xs, np.broadcast_to(f(mids), mids.shape))
 
 
 def _continuous_from_plateaus(claim: ClaimResult) -> PiecewiseLinearFn:
@@ -350,9 +348,10 @@ def theorem_demo(f: Callable, mu: Measure, eps: float, uniform_gap: float,
 
     Picks the smallest nu > 8 with 7 mu_total / nu < eps, approximates f by
     an equal-cell step function within uniform_gap, runs one certified
-    correction round, and
-    returns a continuous piecewise-linear g that matches the step values on
-    all of E, together with the measured mass of the complement of E.
+    correction round, and returns a continuous piecewise-linear g that
+    matches the step values on all of E, with the measured mass of E's
+    complement.  f is called once per 1-d float array of sample points;
+    its result is broadcast to that array's shape as floats.
     """
     if not (eps > 0 and uniform_gap > 0):  # refuses NaN too
         raise ValueError("eps and uniform_gap must be positive")
@@ -367,8 +366,7 @@ def theorem_demo(f: Callable, mu: Measure, eps: float, uniform_gap: float,
     exceptional = mu_total - claim.mu_e
     # |f - g| on E is at most the step gap; measure it on sampled E points
     pts = np.concatenate([c.layout.e_samples() for c in claim.cells])
-    fx = np.fromiter((f(x) for x in pts), float, count=pts.size)
-    sup_gap = np.max(np.abs(fx - g(pts)))
+    sup_gap = np.max(np.abs(f(pts) - g(pts)))
     return DemoResult(g, phi, claim, nu, float(eps), float(exceptional),
                       bool(exceptional < eps), float(sup_gap),
                       float(uniform_gap))

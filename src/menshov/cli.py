@@ -146,6 +146,8 @@ def _cmd_mset_limit(cfg, out: Path, plot: bool):
     nrm = normalize(mu, interval)
     lam = fourier.build_lambda(nrm, K=K, J=J, N_max=N_max, m=m,
                                refinement=refinement)
+    for warning in lam.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
     scan = msets.proposition_scan(mu, interval, sigma, tau, lam)
     _write_csv(out / "mset_limit.csv", ["n", "mass", "error"],
                scan.rows(), cfg)

@@ -204,9 +204,6 @@ class IndexSet:
     def __len__(self):
         return int(self.members.size)
 
-    def __iter__(self):
-        return iter(self.members.tolist())
-
 
 def build_lambda(nu: Measure, K: int, J: int, N_max: int, m: int = 1,
                  refinement: int = DEFAULT_REFINEMENT) -> IndexSet:

@@ -268,6 +268,8 @@ def _cantor_kernel(x, levels: int):
         out[pos[hit]] = y[hit]
         live = ~hit
         t, y, pos = t[live], y[live], pos[live]
+        if not pos.size:  # every point is on a plateau
+            break
         f *= 0.5
     out[pos] = y + 2.0 * f * t
     return out

@@ -153,7 +153,7 @@ def proposition_scan(mu: Measure, interval, sigma: float, tau: float,
     tail_sup is the sup of the error over the last quartile of the horizon
     (falling back to the last quartile of the members if that slice is empty).
     """
-    ns = np.asarray([n for n in lam.members if n >= 1], dtype=np.int64)
+    ns = lam.members[lam.members >= 1]
     if ns.size == 0:
         raise ValueError("index set has no usable members (n >= 1)")
     a, b = float(interval[0]), float(interval[1])

@@ -93,6 +93,11 @@ def test_claim_mixture_certified():
     res = claim_run(phi, mixture_full(), 16)
     assert res.certified
     assert res.mu_e >= (9.0 / 16.0) * res.mu_total
+    # the inner masses come from one call; each equals a call of its own
+    mu = mixture_full()
+    for c in res.cells:
+        assert c.mass_inner == float(
+            mu.interval_mass(c.layout.a_prime, c.layout.b_prime))
 
 
 def test_claim_rejects_bad_inputs():
@@ -208,6 +213,11 @@ def step_approximation_loop(f, domain, uniform_gap):
     return StepFunction(xs, [float(f(x)) for x in mids])
 
 
+def zero(x):
+    """A constant f: accepts arrays as it stands, its result is broadcast."""
+    return 0.0
+
+
 @pytest.mark.parametrize("f, gap", [
     (lambda x: math.sin(x) + 0.3 * math.cos(2.0 * x), 0.2),
     (lambda x: math.sin(x), 1e-3),
@@ -216,10 +226,13 @@ def step_approximation_loop(f, domain, uniform_gap):
     (lambda x: float(int(4.0 * x / math.pi)), 0.5),
     (lambda x: 2.0 if 1.0 <= x <= 1.3 else 0.0, 0.1),  # unaligned jumps
     (lambda x: math.sin(50.0 * x), 1e-6),  # never settles: rho hits the cap
+    (zero, 0.25),  # passed unwrapped
 ])
 def test_step_approximation_matches_array_split_loop(f, gap):
     from menshov.assembly import _step_approximation
-    got = _step_approximation(f, (0.0, TWO_PI), gap)
+    # f_array takes arrays; the oracle calls the scalar f point by point
+    f_array = f if f is zero else np.vectorize(f, otypes=[float])
+    got = _step_approximation(f_array, (0.0, TWO_PI), gap)
     want = step_approximation_loop(f, (0.0, TWO_PI), gap)
     assert np.array_equal(got.breakpoints, want.breakpoints)
     assert np.array_equal(got.values, want.values)
@@ -252,7 +265,7 @@ def test_theorem_demo_step_function_exactness():
     # f already a step function: g = f on E up to machine precision.
     # Small total mass keeps nu at 9, so the run stays light.
     phi_vals = [1.0, -1.0]
-    f = lambda x: phi_vals[0] if x < np.pi else phi_vals[1]
+    f = lambda x: np.where(x < np.pi, phi_vals[0], phi_vals[1])
     small_cantor = build_measure(MeasureSpec.cantor(40, 0.1, (0.0, TWO_PI)))
     demo = theorem_demo(f, small_cantor, eps=0.5, uniform_gap=1e-9)
     assert demo.sup_gap_on_e <= 1e-9
@@ -260,9 +273,11 @@ def test_theorem_demo_step_function_exactness():
 
 
 def test_theorem_demo_sup_gap_matches_pointwise_oracle():
-    # math.sin rejects arrays, so f is callable on scalars only
+    # math.sin rejects arrays, so f is callable on scalars only and
+    # theorem_demo gets it vectorized; the oracle calls it point by point
     f = lambda x: math.sin(x) + 0.3 * math.cos(2.0 * x)
-    demo = theorem_demo(f, lebesgue_full(), eps=0.5, uniform_gap=0.2)
+    demo = theorem_demo(np.vectorize(f, otypes=[float]), lebesgue_full(),
+                        eps=0.5, uniform_gap=0.2)
     oracle = 0.0
     for c in demo.claim.cells:
         for a, b in c.layout.e_intervals:

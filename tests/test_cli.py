@@ -65,6 +65,19 @@ def test_mset_limit_oversized_grid_is_numeric_failure(tmp_path):
     assert not (out / "mset_limit.csv").exists()
 
 
+def test_mset_limit_writes_density_warning_to_stderr(tmp_path, capsys):
+    cantor01 = {"kind": "cantor", "levels": 40, "total": 1.0,
+                "domain": [0.0, 1.0]}
+    cfg = {"measure": cantor01, "sigma": 0.2, "tau": 0.3, "J": 20, "K": 3,
+           "N_max": 300}
+    code, out = run_cli(tmp_path, "mset-limit", cfg)
+    assert code == EXIT_OK
+    summary = json.loads((out / "mset_limit_summary.json").read_text())
+    assert round(summary["density"], 4) == 0.4219
+    err = capsys.readouterr().err
+    assert err == "warning: density 0.4219 below floor 0.5/m\n"
+
+
 def test_corrector_reports(tmp_path):
     cfg = {"c": 0.0, "d": 1.0, "gamma": 1.0, "eps": 0.1, "nu": 10, "r": 5}
     code, out = run_cli(tmp_path, "corrector", cfg)

@@ -199,8 +199,9 @@ def test_lambda_jk_cantor_density(cantor40_norm):
 
 def test_lambda_jk_certification_monotone_in_refinement(cantor40_norm):
     # with K = 1 the index set is Lambda_{J,1}
-    coarse = set(build_lambda(cantor40_norm, 1, 3, 500, refinement=64))
-    fine = set(build_lambda(cantor40_norm, 1, 3, 500, refinement=1024))
+    coarse = build_lambda(cantor40_norm, 1, 3, 500, refinement=64).members
+    fine = build_lambda(cantor40_norm, 1, 3, 500, refinement=1024).members
+    coarse, fine = set(coarse.tolist()), set(fine.tolist())
     assert coarse <= fine  # higher refinement never removes a certified member
 
 

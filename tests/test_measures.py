@@ -53,6 +53,8 @@ def _oracle_inputs():
     yield "outside", np.array([-2.0, -1e-300, 1.0 + 1e-16, 1.5, 7.0,
                                np.inf, -np.inf])
     yield "signed zeros and nan", np.array([0.0, -0.0, np.nan, 0.5, np.nan])
+    yield "all on a level-1 plateau", rng.uniform(0.34, 0.66, 1_000)
+    yield "never settle, mixed", np.array([0.25, 0.5, 0.75, 0.4, 0.25])
     yield "empty", np.empty(0)
     yield "0-d", np.array(0.7)
     yield "2-d", rng.uniform(-0.1, 1.1, (37, 53))

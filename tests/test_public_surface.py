@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import menshov
-from menshov import cli, corrector
+from menshov import assembly, cli, corrector, fourier, msets
 from menshov.fourier import IndexSet
 from menshov.measures import Measure
+from menshov.piecewise import PiecewiseLinearFn
 
 SURFACE = [
     (cli.main, ["argv"]),
@@ -27,6 +28,14 @@ SURFACE = [
     (Measure.cont, ["self", "x"]),
     (Measure.interval_mass, ["self", "a", "b"]),
     (IndexSet.__len__, ["self"]),
+    # the f-counting wrapper takes f as theorem_demo's first argument
+    (assembly.theorem_demo,
+     ["f", "mu", "eps", "uniform_gap", "kappa_cap", "r_cap"]),
+    (assembly.claim_run,
+     ["phi", "mu", "nu", "eps_seq", "kappa_cap", "r_cap", "refinement"]),
+    (fourier.build_lambda, ["nu", "K", "J", "N_max", "m", "refinement"]),
+    (msets.proposition_scan, ["mu", "interval", "sigma", "tau", "lam"]),
+    (PiecewiseLinearFn.__call__, ["self", "x"]),
 ]
 
 
