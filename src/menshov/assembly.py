@@ -7,8 +7,8 @@ corrector construction in each cell, and certifies
     mu(E) >= (1 - 7/nu) mu([0, 2 pi])
 
 by direct measure computation, choosing kappa from the union-level M-set
-(tau = 1 - 4/nu, target 1 - 5/nu) and r per cell from the complement M-set
-(tau = 1/nu, target 1 - 2/nu).
+(tau = 1 - 4/nu, target 1 - 5/nu) and r per cell by measuring the corrector
+layout it builds (mu(E_k) over mu([a', b']), target 1 - 2/nu).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .corrector import (CorrectorLayout, CorrectorParams, build_psi,
                         check_corrector, choose_r, layout)
-from .errors import AtomicMeasureError
+from .errors import AtomicMeasureError, QuadratureError
 from .fourier import DEFAULT_REFINEMENT, build_lambda
 from .measures import Measure, atomic_part, normalize
 from .msets import MSetSpec, mset_masses
@@ -217,43 +217,34 @@ def claim_run(phi: StepFunction, mu: Measure, nu: int,
     part = subdivide(phi, kappa)
     cells_lr = np.column_stack([part.breakpoints[:-1], part.breakpoints[1:]])
     gammas = part.values
-    widths = cells_lr[:, 1] - cells_lr[:, 0]
     if eps_seq is None:
-        eps_seq = _default_eps_seq(gammas, widths, nu)
+        eps_seq = _default_eps_seq(gammas, np.diff(part.breakpoints), nu)
     else:
         eps_seq = [float(e) for e in eps_seq]
         if len(eps_seq) < len(gammas):
             raise ValueError("eps_seq shorter than the cell count")
 
-    # stage 2: r per cell from the complement M-set inside [a', b']
-    sigma_c, tau_c = 1.0 - 1.0 / nu, 1.0 / nu
-    a_in = cells_lr[:, 0] + 2.0 * widths / nu
-    b_in = cells_lr[:, 1] - 2.0 * widths / nu
-    inner_masses = mu.interval_mass(a_in, b_in)  # mu([a', b']) of every cell
+    # stage 2: r per cell, measuring E_k on the layout each candidate builds
     cells = []
-    for k, ((ck, dk), gk) in enumerate(zip(cells_lr, gammas)):
-        epsk = eps_seq[k]
+    for (ck, dk), gk, epsk in zip(cells_lr, gammas, eps_seq):
         r_min = choose_r(ck, dk, gk, epsk, nu)
-        inner_mass = float(inner_masses[k])
-        target_cell = (1.0 - 2.0 / nu) * inner_mass
-        ok, r_tried = False, []
+        best = None  # (layout, mu([a', b']), mu(E_k)): first maximum, or ok
         # r_min above r_cap: measure the least admissible r, uncertified
         for r in _r_schedule(r_min, r_cap) or [r_min]:
-            removed, = mset_masses(
-                mu, [MSetSpec((a_in[k], b_in[k]), (nu - 4) * r, sigma_c,
-                              tau_c)])
-            r_tried.append((r, inner_mass - removed))
-            ok = bool(r_tried[-1][1] >= target_cell - 1e-15 * mu_total
+            lay = layout(CorrectorParams(ck, dk, gk, epsk, nu, r))
+            inner = float(mu.interval_mass(lay.a_prime, lay.b_prime))
+            mass_e = inner - np.sum(mu.interval_mass(*lay.removed.T))
+            ok = bool(mass_e >= (1.0 - 2.0 / nu) * inner - 1e-15 * mu_total
                       and r <= r_cap)
+            if ok or best is None or mass_e > best[2]:
+                best = (lay, inner, float(mass_e))
             if ok:
                 break
-        r_pick, mass_e = r_tried[-1] if ok else max(
-            r_tried, key=lambda t: t[1])
-        lay = layout(CorrectorParams(ck, dk, gk, epsk, nu, r_pick))
+        lay, inner, mass_e = best
         psi = build_psi(lay, gk, nu)
         cells.append(CellResult((float(ck), float(dk)), float(gk), epsk,
-                                r_pick, lay, psi, inner_mass, float(mass_e),
-                                ok, check_corrector(lay, psi, gk, epsk)))
+                                lay.r, lay, psi, inner, mass_e, ok,
+                                check_corrector(lay, psi, gk, epsk)))
 
     mu_e = float(sum(c.mass_e for c in cells))
     certified = (stage1_certified and all(c.cell_certified for c in cells)
@@ -261,7 +252,7 @@ def claim_run(phi: StepFunction, mu: Measure, nu: int,
     diagnostics = {
         "stage1_certified": stage1_certified,
         "union_target": target_union,
-        "kappa_search": [[int(k), float(m)] for k, m in tried[:64]],
+        "kappa_search": [[int(k), float(m)] for k, m in tried],
         "resample_shifts": shifts,
     }
     return ClaimResult(int(nu), rho, int(kappa), part, cells,
@@ -310,20 +301,24 @@ class DemoResult:
 
 def _step_approximation(f: Callable, domain,
                         uniform_gap: float) -> StepFunction:
-    """Equal-cell step approximation with sup |f - phi| <= uniform_gap."""
+    """Equal-cell step approximation with sup |f - phi| <= uniform_gap, or
+    QuadratureError when no rho = 1, 2, 4, ... <= STEP_MAX_CELLS meets it."""
     lo, hi = domain
     grid = np.linspace(lo, hi, 16 * STEP_MAX_CELLS + 1)
     fx = np.broadcast_to(f(grid), grid.shape).astype(float)
     rho = 1
-    while rho <= STEP_MAX_CELLS:
-        # half-open cells [x_i, x_{i+1}): the shared right endpoint belongs
-        # to the next cell, so a jump aligned with a boundary resolves; rho
-        # divides the 16 * STEP_MAX_CELLS grid cells, so each row is a cell
-        osc = np.ptp(fx[:-1].reshape(rho, -1), axis=1).max()
-        if osc <= uniform_gap:  # midpoint value stays within the oscillation
+    # half-open cells [x_i, x_{i+1}): the shared right endpoint belongs to
+    # the next cell, so a jump aligned with a boundary resolves; rho divides
+    # the 16 * STEP_MAX_CELLS grid cells, so each row is a cell
+    while True:
+        osc = float(np.ptp(fx[:-1].reshape(rho, -1), axis=1).max())
+        if osc <= uniform_gap:  # the midpoint value stays within osc
             break
+        if rho == STEP_MAX_CELLS:  # NaN never meets the gap either
+            raise QuadratureError(
+                f"no step function of up to {rho} equal cells meets "
+                f"uniform_gap={uniform_gap!r}: the oscillation is {osc!r}")
         rho *= 2
-    rho = min(rho, STEP_MAX_CELLS)
     xs = np.linspace(lo, hi, rho + 1)
     mids = (xs[:-1] + xs[1:]) / 2.0
     return StepFunction(xs, np.broadcast_to(f(mids), mids.shape))
@@ -351,7 +346,8 @@ def theorem_demo(f: Callable, mu: Measure, eps: float, uniform_gap: float,
     correction round, and returns a continuous piecewise-linear g that
     matches the step values on all of E, with the measured mass of E's
     complement.  f is called once per 1-d float array of sample points;
-    its result is broadcast to that array's shape as floats.
+    its result is broadcast to that array's shape as floats.  Raises
+    QuadratureError when no step function meets uniform_gap.
     """
     if not (eps > 0 and uniform_gap > 0):  # refuses NaN too
         raise ValueError("eps and uniform_gap must be positive")

@@ -127,8 +127,9 @@ class StepFunction:
     def __post_init__(self):
         xs = np.asarray(self.breakpoints, dtype=float)
         ys = np.asarray(self.values, dtype=float)
-        if xs.size != ys.size + 1:
-            raise ValueError("need one more breakpoint than values")
+        if ys.size < 1 or xs.size != ys.size + 1:
+            raise ValueError("need at least one value and one more "
+                             "breakpoint than values")
         if np.any(np.diff(xs) <= 0):
             raise ValueError("breakpoints must be strictly increasing")
         object.__setattr__(self, "breakpoints", xs)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from menshov import (AtomicMeasureError, MeasureSpec, MSetSpec, StepFunction,
-                     build_lambda, build_measure, claim_run, mset_masses,
+from menshov import (AtomicMeasureError, MeasureSpec, MSetSpec,
+                     QuadratureError, StepFunction, build_lambda,
+                     build_measure, claim_run, mset_masses,
                      partial_sum_diagnostics, resample_equal, subdivide,
                      theorem_demo)
 from menshov import assembly
@@ -64,7 +65,8 @@ def test_subdivide_repeats_values():
 
 def test_claim_lebesgue_certified_minimal_parameters():
     phi = StepFunction.equal_cells((0.0, TWO_PI), [1.0, -0.5, 2.0, 0.25])
-    res = claim_run(phi, lebesgue_full(), 16)
+    mu = lebesgue_full()
+    res = claim_run(phi, mu, 16)
     assert res.certified
     assert res.kappa == 1  # Lebesgue hits the union target at the first n
     assert res.mu_e / res.mu_total >= 1.0 - 7.0 / 16.0
@@ -74,7 +76,25 @@ def test_claim_lebesgue_certified_minimal_parameters():
         w = c.cell[1] - c.cell[0]
         expect = (1.0 - 4.0 / 16.0) * w - (16 - 4) * c.r * c.layout.delta
         assert c.mass_e == pytest.approx(expect, abs=1e-9)
+        # both masses are measured on the layout the cell keeps
+        lay = c.layout
+        assert c.mass_inner == float(mu.interval_mass(lay.a_prime,
+                                                      lay.b_prime))
+        assert c.mass_e == c.mass_inner - np.sum(
+            mu.interval_mass(*lay.removed.T))
     assert all(all(c.checks.values()) for c in res.cells)
+
+
+def test_claim_and_demo_masses_match_frozen_values():
+    # values of the earlier stage 2, which measured a', b' and the removed
+    # intervals on a second encoding of the layout; these did not move
+    phi = StepFunction.equal_cells((0.0, TWO_PI), [1.0, -1.0])
+    res = claim_run(phi, cantor_full(), 16)
+    assert [(c.r, c.mass_inner, c.mass_e) for c in res.cells] == [
+        (8, 0.375, 0.34159342447924246), (16, 0.375, 0.34737141927075754)]
+    mu = cantor_full()  # criterion 8
+    demo = theorem_demo(lambda x: x, mu, 0.05 * mu.total_mass, 0.5)
+    assert demo.claim.mu_e == 0.9637392035376706
 
 
 def test_claim_cantor_certified():
@@ -158,6 +178,17 @@ def test_claim_stage1_walks_horizons(monkeypatch):
     assert (capped.kappa, capped.union_inner_mass) == (8, 0.984375)
 
 
+def test_claim_reports_the_full_kappa_search():
+    # eps 10 gives r_min = 1; the union target 1 - 5/20000 is first met at
+    # kappa = 83, the 78th member tried, past the 64 entries once reported
+    phi = StepFunction.equal_cells((0.0, TWO_PI), [1.0])
+    res = claim_run(phi, cantor_full(), 20000, [10.0] * 4000, kappa_cap=100)
+    search = res.diagnostics["kappa_search"]
+    assert res.diagnostics["stage1_certified"] and res.kappa == 83
+    assert len(search) == 78
+    assert search[-1] == [83, res.union_inner_mass]
+
+
 def test_claim_stage1_without_members_measures_kappa_one():
     # with kappa_cap = 1 the index set has no member in [rho, rho]: kappa
     # stays 1 and the union mass is measured there, not a sentinel
@@ -195,7 +226,8 @@ def test_r_schedule_matches_step_loop():
 
 
 def step_approximation_loop(f, domain, uniform_gap):
-    """Oscillation per rho from np.array_split cells, one rho at a time."""
+    """Oscillation per rho from np.array_split cells, one rho at a time;
+    None when no rho up to STEP_MAX_CELLS meets the gap."""
     from menshov.assembly import STEP_MAX_CELLS
     lo, hi = domain
     grid = np.linspace(lo, hi, 16 * STEP_MAX_CELLS + 1)
@@ -207,7 +239,8 @@ def step_approximation_loop(f, domain, uniform_gap):
         if osc <= uniform_gap:
             break
         rho *= 2
-    rho = min(rho, STEP_MAX_CELLS)
+    else:
+        return None
     xs = np.linspace(lo, hi, rho + 1)
     mids = (xs[:-1] + xs[1:]) / 2.0
     return StepFunction(xs, [float(f(x)) for x in mids])
@@ -220,20 +253,24 @@ def zero(x):
 
 @pytest.mark.parametrize("f, gap", [
     (lambda x: math.sin(x) + 0.3 * math.cos(2.0 * x), 0.2),
-    (lambda x: math.sin(x), 1e-3),
+    (lambda x: math.sin(x), 1e-3),  # needs rho past the cap
     (lambda x: math.exp(-x) * math.cos(7.0 * x), 0.05),
     (lambda x: 1.0 if x < math.pi else -1.0, 1e-9),
     (lambda x: float(int(4.0 * x / math.pi)), 0.5),
-    (lambda x: 2.0 if 1.0 <= x <= 1.3 else 0.0, 0.1),  # unaligned jumps
-    (lambda x: math.sin(50.0 * x), 1e-6),  # never settles: rho hits the cap
+    (lambda x: 2.0 if 1.0 <= x <= 1.3 else 0.0, 0.1),  # unaligned: past it
+    (lambda x: math.sin(50.0 * x), 1e-6),  # never settles: past it
     (zero, 0.25),  # passed unwrapped
 ])
 def test_step_approximation_matches_array_split_loop(f, gap):
     from menshov.assembly import _step_approximation
     # f_array takes arrays; the oracle calls the scalar f point by point
     f_array = f if f is zero else np.vectorize(f, otypes=[float])
-    got = _step_approximation(f_array, (0.0, TWO_PI), gap)
     want = step_approximation_loop(f, (0.0, TWO_PI), gap)
+    if want is None:  # no step function up to the cap: refused, not clamped
+        with pytest.raises(QuadratureError, match=f"uniform_gap={gap!r}"):
+            _step_approximation(f_array, (0.0, TWO_PI), gap)
+        return
+    got = _step_approximation(f_array, (0.0, TWO_PI), gap)
     assert np.array_equal(got.breakpoints, want.breakpoints)
     assert np.array_equal(got.values, want.values)
 

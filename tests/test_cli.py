@@ -227,6 +227,25 @@ def test_demo_nan_parameter_is_precondition_violation(tmp_path, monkeypatch,
     assert not (out / "demo_report.json").exists()
 
 
+@pytest.mark.parametrize("sub, key", [("demo", "f"), ("claim", "phi")])
+def test_empty_step_list_is_precondition_violation(tmp_path, capsys, sub, key):
+    code, out = run_cli(tmp_path, sub, {"measure": CANTOR, key: []})
+    assert code == EXIT_PRECONDITION
+    assert "at least one value" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_demo_step_gap_out_of_reach_is_numeric_failure(tmp_path, capsys):
+    # jumps at thirds of [0, 2 pi]: no dyadic grid of up to 2048 cells
+    # lands on them, so no step function meets uniform_gap
+    code, out = run_cli(tmp_path, "demo",
+                        {"measure": CANTOR, "f": [1.0, -0.5, 2.0]})
+    assert code == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "uniform_gap=0.5" in err and "oscillation" in err, err
+    assert list(out.iterdir()) == []
+
+
 def test_bad_set_syntax_is_config_error(tmp_path):
     out = tmp_path / "out"
     assert main(["corrector", "--set", "novalue", "--out", str(out)]) == \

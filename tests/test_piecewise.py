@@ -135,3 +135,5 @@ def test_constructor_validation():
         PiecewiseLinearFn([0.0], [1.0])
     with pytest.raises(ValueError):
         StepFunction([0.0, 1.0], [1.0, 2.0])
+    with pytest.raises(ValueError, match="at least one value"):
+        StepFunction([0.0], [])
