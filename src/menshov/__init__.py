@@ -3,9 +3,8 @@ CDF-backed Borel measures, Fourier-Stieltjes coefficients and Wiener
 averages, density-1 index sets, M-set measure asymptotics, the
 piecewise-linear corrector, and the certified large-set assembly."""
 
-from .assembly import (ClaimResult, DemoResult, claim_run,
-                       partial_sum_diagnostics, resample_equal, subdivide,
-                       theorem_demo)
+from .assembly import (CellResult, ClaimResult, DemoResult, claim_run,
+                       partial_sum_diagnostics, subdivide, theorem_demo)
 from .corrector import (CorrectorLayout, CorrectorParams, build_psi,
                         check_corrector, choose_r, kernel_sup, layout,
                         running_integral_sup)

@@ -28,7 +28,6 @@ from .piecewise import PiecewiseLinearFn, StepFunction, fourier_partial_sums
 
 __all__ = [
     "subdivide",
-    "resample_equal",
     "claim_run",
     "ClaimResult",
     "CellResult",
@@ -41,45 +40,18 @@ TWO_PI = 2.0 * np.pi
 LAMBDA_J, LAMBDA_K = 3, 3  # levels of the index set walked to choose kappa
 EPS0, R_BUDGET = 0.1, 64  # default eps_k = EPS0 * 2^-k; r_min <= R_BUDGET
 STEP_MAX_CELLS = 2048  # finest step approximation theorem_demo builds
-RESAMPLE_MAX_CELLS = 4096  # finest equal grid resample_equal tries
 SEARCH_CAP = 512  # default kappa_cap and r_cap of the claim searches
 
 
 # ---------------------------------------------------------------------------
 # Step-function plumbing
 
-def resample_equal(phi: StepFunction):
-    """Coarsest equal-cell refinement of phi, up to RESAMPLE_MAX_CELLS cells.
-
-    If no equal grid up to the cap lands on every breakpoint, the function
-    is resampled on the cap grid with each cell taking the left value.
-    Returns (step_function, list of shifted-boundary reports).
-    """
-    if phi.is_equal_length():
-        return phi, []
-    lo, hi = phi.domain
-    span = hi - lo
-    inner = phi.breakpoints[1:-1]
-    for n in range(phi.num_cells, RESAMPLE_MAX_CELLS + 1):
-        pos = (inner - lo) / span * n
-        if np.all(np.abs(pos - np.round(pos)) < 1e-9):
-            xs = np.linspace(lo, hi, n + 1)
-            mids = (xs[:-1] + xs[1:]) / 2.0
-            return StepFunction(xs, phi(mids)), []
-    xs = np.linspace(lo, hi, RESAMPLE_MAX_CELLS + 1)
-    # left-value assignment: sample just right of each cell's left edge
-    vals = phi(xs[:-1] + 1e-12 * span)
-    shifts = [f"breakpoint {b!r} moved to the nearest multiple of "
-              f"span/{RESAMPLE_MAX_CELLS}" for b in inner.tolist()]
-    return StepFunction(xs, vals), shifts
-
-
 def subdivide(phi: StepFunction, kappa: int) -> StepFunction:
     """Split each of the rho equal cells into kappa equal cells."""
     if kappa < 1 or int(kappa) != kappa:
         raise ValueError("kappa must be a positive integer")
     if not phi.is_equal_length():
-        raise ValueError("subdivide needs equal-length cells; resample first")
+        raise ValueError("subdivide needs equal-length cells")
     if kappa == 1:
         return phi
     lo, hi = phi.domain
@@ -173,6 +145,8 @@ def claim_run(phi: StepFunction, mu: Measure, nu: int,
     (1 - 5/nu) of the total mass, then picks r per cell until each kept set
     reaches (1 - 2/nu) of its inner interval, and certifies
     mu(E) >= (1 - 7/nu) mu([0, 2 pi]) by direct measure computation.
+    phi must have equal cells (StepFunction.equal_cells); any other phi is
+    refused with ValueError before mu is evaluated.
     Exhausted search caps yield an uncertified result, not an error.
     `refinement` is the ceiling of build_lambda's coarse-to-fine levels.
     """
@@ -181,7 +155,8 @@ def claim_run(phi: StepFunction, mu: Measure, nu: int,
     lo, hi = mu.domain
     if atomic_part(mu):
         raise AtomicMeasureError("claim_run requires a non-atomic measure")
-    phi, shifts = resample_equal(phi)
+    if not phi.is_equal_length():
+        raise ValueError("phi needs equal cells; use StepFunction.equal_cells")
     if phi.domain != (lo, hi):
         raise ValueError("step function and measure must share the domain")
     rho = phi.num_cells
@@ -234,8 +209,7 @@ def claim_run(phi: StepFunction, mu: Measure, nu: int,
             lay = layout(CorrectorParams(ck, dk, gk, epsk, nu, r))
             inner = float(mu.interval_mass(lay.a_prime, lay.b_prime))
             mass_e = inner - np.sum(mu.interval_mass(*lay.removed.T))
-            ok = bool(mass_e >= (1.0 - 2.0 / nu) * inner - 1e-15 * mu_total
-                      and r <= r_cap)
+            ok = bool(mass_e >= (1.0 - 2.0 / nu) * inner and r <= r_cap)
             if ok or best is None or mass_e > best[2]:
                 best = (lay, inner, float(mass_e))
             if ok:
@@ -248,12 +222,11 @@ def claim_run(phi: StepFunction, mu: Measure, nu: int,
 
     mu_e = float(sum(c.mass_e for c in cells))
     certified = (stage1_certified and all(c.cell_certified for c in cells)
-                 and mu_e >= (1.0 - 7.0 / nu) * mu_total - 1e-12 * mu_total)
+                 and mu_e >= (1.0 - 7.0 / nu) * mu_total)
     diagnostics = {
         "stage1_certified": stage1_certified,
         "union_target": target_union,
         "kappa_search": [[int(k), float(m)] for k, m in tried],
-        "resample_shifts": shifts,
     }
     return ClaimResult(int(nu), rho, int(kappa), part, cells,
                        float(union_mass), mu_e, mu_total, bool(certified),
@@ -347,7 +320,8 @@ def theorem_demo(f: Callable, mu: Measure, eps: float, uniform_gap: float,
     matches the step values on all of E, with the measured mass of E's
     complement.  f is called once per 1-d float array of sample points;
     its result is broadcast to that array's shape as floats.  Raises
-    QuadratureError when no step function meets uniform_gap.
+    QuadratureError when no step function meets uniform_gap, or when the
+    claim cannot run the one that does.
     """
     if not (eps > 0 and uniform_gap > 0):  # refuses NaN too
         raise ValueError("eps and uniform_gap must be positive")
@@ -357,7 +331,12 @@ def theorem_demo(f: Callable, mu: Measure, eps: float, uniform_gap: float,
     while 7.0 * mu_total / nu >= eps:
         nu += 1
     phi = _step_approximation(f, (lo, hi), uniform_gap)
-    claim = claim_run(phi, mu, nu, kappa_cap=kappa_cap, r_cap=r_cap)
+    try:
+        claim = claim_run(phi, mu, nu, kappa_cap=kappa_cap, r_cap=r_cap)
+    except QuadratureError as exc:
+        raise QuadratureError(
+            f"the claim cannot run the rho={phi.num_cells}-cell step function "
+            f"that uniform_gap={uniform_gap!r} needs: {exc}") from exc
     g = _continuous_from_plateaus(claim)
     exceptional = mu_total - claim.mu_e
     # |f - g| on E is at most the step gap; measure it on sampled E points

@@ -156,12 +156,11 @@ def check_corrector(lay: CorrectorLayout, psi: PiecewiseLinearFn,
     """Numerical checks of the corrector properties, with nu = lay.nu."""
     nu = lay.nu
     checks = {
-        "sup_bound": np.max(np.abs(psi.ys)) <= 2 * nu * abs(gamma) + 1e-12,
+        "sup_bound": np.max(np.abs(psi.ys)) <= 2 * nu * abs(gamma),
         "equals_gamma_on_E": np.all(psi(lay.e_samples()) == gamma),
         "running_integral": running_integral_sup(psi) < eps,
         "removed_count": lay.removed.shape[0] == (nu - 4) * lay.r,
-        "lebesgue_E":
-            lay.lebesgue_e() >= (lay.d - lay.c) * (1 - 5.0 / nu) - 1e-12,
+        "lebesgue_E": lay.lebesgue_e() >= (lay.d - lay.c) * (1 - 5.0 / nu),
     }
     return {k: bool(v) for k, v in checks.items()}
 

@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+__all__ = ["MeasureSpecError", "DomainError", "AtomicMeasureError",
+           "QuadratureError"]
+
 
 class MeasureSpecError(ValueError):
     """A measure specification violates its invariants."""

@@ -6,9 +6,8 @@ import pytest
 from menshov import (AtomicMeasureError, MeasureSpec, MSetSpec,
                      QuadratureError, StepFunction, build_lambda,
                      build_measure, claim_run, mset_masses,
-                     partial_sum_diagnostics, resample_equal, subdivide,
-                     theorem_demo)
-from menshov import assembly
+                     partial_sum_diagnostics, subdivide, theorem_demo)
+from menshov.measures import Measure
 
 TWO_PI = 2.0 * np.pi
 
@@ -26,31 +25,6 @@ def mixture_full():
         (0.6, MeasureSpec.cantor(40, 1.0, (0.0, TWO_PI))),
         (0.4, MeasureSpec.lebesgue((0.0, TWO_PI))),
     ]))
-
-
-def test_resample_equal_passthrough_and_refinement():
-    phi = StepFunction.equal_cells((0.0, TWO_PI), [1.0, 2.0])
-    same, shifts = resample_equal(phi)
-    assert same is phi and shifts == []
-    # breakpoints at thirds and halves commensurate with a sixth grid
-    uneq = StepFunction(np.array([0.0, TWO_PI / 3.0, TWO_PI / 2.0, TWO_PI]),
-                        np.array([1.0, 5.0, -2.0]))
-    eq, shifts = resample_equal(uneq)
-    assert shifts == []
-    assert eq.is_equal_length()
-    assert eq.num_cells == 6
-    for x in (0.1, 2.0, 2.5, 4.0, 6.0):
-        assert eq(x) == uneq(x)
-
-
-def test_resample_equal_incommensurate_reports_shifts(monkeypatch):
-    monkeypatch.setattr(assembly, "RESAMPLE_MAX_CELLS", 64)
-    uneq = StepFunction(np.array([0.0, 1.0, TWO_PI]), np.array([3.0, 4.0]))
-    eq, shifts = resample_equal(uneq)
-    assert eq.num_cells == 64
-    assert len(shifts) == 1
-    # values preserved away from the shifted boundary
-    assert eq(0.5) == 3.0 and eq(3.0) == 4.0
 
 
 def test_subdivide_repeats_values():
@@ -130,6 +104,23 @@ def test_claim_rejects_bad_inputs():
     ]))
     with pytest.raises(AtomicMeasureError):
         claim_run(phi, atom, 16)
+
+
+def test_claim_refuses_unequal_cells_before_measuring(monkeypatch):
+    # a breakpoint at 1.0 lies on no equal grid of [0, 2 pi]
+    calls = []
+    cont = Measure.cont
+    monkeypatch.setattr(Measure, "cont",
+                        lambda self, x: calls.append(x) or cont(self, x))
+    uneq = StepFunction(np.array([0.0, 1.0, TWO_PI]), np.array([3.0, 4.0]))
+    mu = cantor_full()
+    with pytest.raises(ValueError, match="StepFunction.equal_cells"):
+        claim_run(uneq, mu, 40)
+    assert calls == []
+    mu.interval_mass(0.0, 1.0)  # the spy does see a measure evaluation
+    assert calls
+    with pytest.raises(ValueError, match="equal-length cells"):
+        subdivide(uneq, 2)
 
 
 def test_claim_uncertified_on_tiny_caps():

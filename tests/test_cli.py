@@ -246,6 +246,17 @@ def test_demo_step_gap_out_of_reach_is_numeric_failure(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+def test_demo_partition_past_the_claim_names_demo_inputs(tmp_path, capsys):
+    # sin within 0.01 needs rho = 1024 cells, which stage 1's spectrum grid
+    # guard refuses; the message names the demo input that chose rho
+    code, out = run_cli(tmp_path, "demo", {"measure": CANTOR, "f": "sin",
+                                           "uniform_gap": 0.01})
+    assert code == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "uniform_gap=0.01" in err and "rho=1024" in err, err
+    assert list(out.iterdir()) == []
+
+
 def test_bad_set_syntax_is_config_error(tmp_path):
     out = tmp_path / "out"
     assert main(["corrector", "--set", "novalue", "--out", str(out)]) == \

@@ -187,6 +187,27 @@ def test_check_corrector_flags_missing_removed_row():
     assert failing_keys(short, psi, 1.0, 0.4) == {"removed_count"}
 
 
+def test_check_corrector_flags_peak_just_above_two_nu_gamma():
+    # the construction peaks at (2 nu - 1)|gamma|, so the bound needs no slack
+    lay, psi = make_psi(nu=10, r=2, gamma=1.0)
+    assert psi.xs[3] == lay.removed[0].mean()  # first dip midpoint
+    ys = psi.ys.copy()
+    ys[3] = -(2 * 10 * 1.0 + 5e-13)
+    high = PiecewiseLinearFn(psi.xs, ys)
+    assert failing_keys(lay, high, 1.0, 0.4) == {"sup_bound"}
+
+
+def test_check_corrector_flags_e_just_short_of_one_minus_five_over_nu():
+    # Leb(E) = (d - c)(1 - 4/nu)(1 - 1/nu) clears the bound by 4(d - c)/nu^2
+    lay, psi = make_psi(nu=10, r=2, gamma=1.0)
+    need = (lay.d - lay.c) * (1 - 5.0 / 10)
+    e = lay.e_intervals.copy()
+    e[0, 1] -= lay.lebesgue_e() - need + 5e-13
+    short = dataclasses.replace(lay, e_intervals=e)
+    assert need - short.lebesgue_e() == pytest.approx(5e-13, rel=1e-2)
+    assert failing_keys(short, psi, 1.0, 0.4) == {"lebesgue_E"}
+
+
 def test_per_period_integral_cancellation():
     lay, psi = make_psi(c=0.0, d=1.0, nu=10, r=2, gamma=1.0)
     # over each full period [c_s, c_{s+1}] in the removed range the
