@@ -22,7 +22,7 @@ def main():
             (0.6, MeasureSpec.cantor(40, 1.0, (0.0, TWO_PI))),
             (0.4, MeasureSpec.lebesgue((0.0, TWO_PI)))])),
     }
-    phi = StepFunction.equal_cells((0.0, TWO_PI), [1.0, -0.5])
+    phi = StepFunction((0.0, TWO_PI), [1.0, -0.5])
     print("claim runs at nu=16 (target mu(E)/mu_total >= 1 - 7/16 = 0.5625)")
     for name, mu in measures.items():
         res = claim_run(phi, mu, 16)

@@ -4,7 +4,7 @@ averages, density-1 index sets, M-set measure asymptotics, the
 piecewise-linear corrector, and the certified large-set assembly."""
 
 from .assembly import (CellResult, ClaimResult, DemoResult, claim_run,
-                       partial_sum_diagnostics, subdivide, theorem_demo)
+                       partial_sum_diagnostics, theorem_demo)
 from .corrector import (CorrectorLayout, CorrectorParams, build_psi,
                         check_corrector, choose_r, kernel_sup, layout,
                         running_integral_sup)

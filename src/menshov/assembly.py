@@ -18,8 +18,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .corrector import (CorrectorLayout, CorrectorParams, build_psi,
-                        check_corrector, choose_r, layout)
+from .corrector import (MAX_LAYOUT_NODES, CorrectorLayout, CorrectorParams,
+                        build_psi, check_corrector, choose_r, layout)
 from .errors import AtomicMeasureError, QuadratureError
 from .fourier import DEFAULT_REFINEMENT, build_lambda
 from .measures import Measure, atomic_part, normalize
@@ -27,7 +27,6 @@ from .msets import MSetSpec, mset_masses
 from .piecewise import PiecewiseLinearFn, StepFunction, fourier_partial_sums
 
 __all__ = [
-    "subdivide",
     "claim_run",
     "ClaimResult",
     "CellResult",
@@ -44,23 +43,6 @@ SEARCH_CAP = 512  # default kappa_cap and r_cap of the claim searches
 
 
 # ---------------------------------------------------------------------------
-# Step-function plumbing
-
-def subdivide(phi: StepFunction, kappa: int) -> StepFunction:
-    """Split each of the rho equal cells into kappa equal cells."""
-    if kappa < 1 or int(kappa) != kappa:
-        raise ValueError("kappa must be a positive integer")
-    if not phi.is_equal_length():
-        raise ValueError("subdivide needs equal-length cells")
-    if kappa == 1:
-        return phi
-    lo, hi = phi.domain
-    n = phi.num_cells * kappa
-    return StepFunction(np.linspace(lo, hi, n + 1),
-                        np.repeat(phi.values, kappa))
-
-
-# ---------------------------------------------------------------------------
 # Claim
 
 @dataclass
@@ -71,8 +53,7 @@ class CellResult:
     gamma: float
     eps: float
     r: int
-    layout: CorrectorLayout
-    psi: PiecewiseLinearFn
+    layout: CorrectorLayout    # psi is build_psi(layout, gamma, claim.nu)
     mass_inner: float          # mu([a', b'])
     mass_e: float              # mu(E_k)
     cell_certified: bool       # mass_e >= (1 - 2/nu) mass_inner
@@ -145,8 +126,6 @@ def claim_run(phi: StepFunction, mu: Measure, nu: int,
     (1 - 5/nu) of the total mass, then picks r per cell until each kept set
     reaches (1 - 2/nu) of its inner interval, and certifies
     mu(E) >= (1 - 7/nu) mu([0, 2 pi]) by direct measure computation.
-    phi must have equal cells (StepFunction.equal_cells); any other phi is
-    refused with ValueError before mu is evaluated.
     Exhausted search caps yield an uncertified result, not an error.
     `refinement` is the ceiling of build_lambda's coarse-to-fine levels.
     """
@@ -155,8 +134,6 @@ def claim_run(phi: StepFunction, mu: Measure, nu: int,
     lo, hi = mu.domain
     if atomic_part(mu):
         raise AtomicMeasureError("claim_run requires a non-atomic measure")
-    if not phi.is_equal_length():
-        raise ValueError("phi needs equal cells; use StepFunction.equal_cells")
     if phi.domain != (lo, hi):
         raise ValueError("step function and measure must share the domain")
     rho = phi.num_cells
@@ -189,7 +166,7 @@ def claim_run(phi: StepFunction, mu: Measure, nu: int,
         union_mass, = mset_masses(
             mu, [MSetSpec((lo, hi), rho, sigma_u, tau_u)])
 
-    part = subdivide(phi, kappa)
+    part = StepFunction(phi.domain, np.repeat(phi.values, kappa))
     cells_lr = np.column_stack([part.breakpoints[:-1], part.breakpoints[1:]])
     gammas = part.values
     if eps_seq is None:
@@ -215,10 +192,9 @@ def claim_run(phi: StepFunction, mu: Measure, nu: int,
             if ok:
                 break
         lay, inner, mass_e = best
-        psi = build_psi(lay, gk, nu)
+        checks = check_corrector(lay, build_psi(lay, gk, nu), gk, epsk)
         cells.append(CellResult((float(ck), float(dk)), float(gk), epsk,
-                                lay.r, lay, psi, inner, mass_e, ok,
-                                check_corrector(lay, psi, gk, epsk)))
+                                lay.r, lay, inner, mass_e, ok, checks))
 
     mu_e = float(sum(c.mass_e for c in cells))
     certified = (stage1_certified and all(c.cell_certified for c in cells)
@@ -251,7 +227,6 @@ def _r_schedule(r_min: int, r_cap: int):
 @dataclass
 class DemoResult:
     g: PiecewiseLinearFn
-    phi: StepFunction
     claim: ClaimResult
     nu: int
     eps: float
@@ -294,7 +269,7 @@ def _step_approximation(f: Callable, domain,
         rho *= 2
     xs = np.linspace(lo, hi, rho + 1)
     mids = (xs[:-1] + xs[1:]) / 2.0
-    return StepFunction(xs, np.broadcast_to(f(mids), mids.shape))
+    return StepFunction((lo, hi), np.broadcast_to(f(mids), mids.shape))
 
 
 def _continuous_from_plateaus(claim: ClaimResult) -> PiecewiseLinearFn:
@@ -327,6 +302,9 @@ def theorem_demo(f: Callable, mu: Measure, eps: float, uniform_gap: float,
         raise ValueError("eps and uniform_gap must be positive")
     lo, hi = mu.domain
     mu_total = float(mu.interval_mass(lo, hi))
+    if not 7.0 * mu_total / eps <= MAX_LAYOUT_NODES:  # nu above every layout
+        raise ValueError(f"eps={eps!r} needs nu > 7 mu_total / eps, above "
+                         f"the {MAX_LAYOUT_NODES}-node layout limit")
     nu = max(9, int(np.floor(7.0 * mu_total / eps)) + 1)
     while 7.0 * mu_total / nu >= eps:
         nu += 1
@@ -342,7 +320,7 @@ def theorem_demo(f: Callable, mu: Measure, eps: float, uniform_gap: float,
     # |f - g| on E is at most the step gap; measure it on sampled E points
     pts = np.concatenate([c.layout.e_samples() for c in claim.cells])
     sup_gap = np.max(np.abs(f(pts) - g(pts)))
-    return DemoResult(g, phi, claim, nu, float(eps), float(exceptional),
+    return DemoResult(g, claim, nu, float(eps), float(exceptional),
                       bool(exceptional < eps), float(sup_gap),
                       float(uniform_gap))
 

@@ -194,15 +194,10 @@ def _cmd_corrector(cfg, out: Path, plot: bool):
     return EXIT_OK
 
 
-def _step_from_config(cfg, domain) -> StepFunction:
-    values = cfg.get("phi", [1.0, -1.0])
-    return StepFunction.equal_cells(domain, values)
-
-
 def _cmd_claim(cfg, out: Path, plot: bool):
     mu = _measure_from_config(cfg)
     nu = int(cfg.get("nu", 16))
-    phi = _step_from_config(cfg, mu.domain)
+    phi = StepFunction(mu.domain, cfg.get("phi", [1.0, -1.0]))
     eps_seq = cfg.get("eps_seq")
     result = assembly.claim_run(
         phi, mu, nu, eps_seq,
@@ -226,8 +221,7 @@ def _cmd_demo(cfg, out: Path, plot: bool):
     mu = _measure_from_config(cfg)
     fname = cfg.get("f", "identity")
     if isinstance(fname, list):
-        step = StepFunction.equal_cells(mu.domain, fname)
-        f = step
+        f = StepFunction(mu.domain, fname)
     elif fname in _DEMO_FUNCTIONS:
         f = _DEMO_FUNCTIONS[fname]
     else:

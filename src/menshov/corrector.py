@@ -27,6 +27,8 @@ __all__ = [
     "kernel_sup",
 ]
 
+MAX_LAYOUT_NODES = 1 << 24  # q = r nu; larger layouts' node arrays need GBs
+
 
 def choose_r(c: float, d: float, gamma: float, eps: float, nu: int) -> int:
     """Smallest integer r with 4 |gamma| (d - c) / (r nu) < eps."""
@@ -42,6 +44,9 @@ def choose_r(c: float, d: float, gamma: float, eps: float, nu: int) -> int:
     if gamma == 0:
         return 1
     x = 4.0 * abs(gamma) * (d - c) / (eps * nu)
+    if not x * nu <= MAX_LAYOUT_NODES:  # every admissible q = r nu > x nu
+        raise ValueError(f"4|gamma|(d-c)/eps = {x * nu!r} puts every "
+                         f"admissible q above {MAX_LAYOUT_NODES} layout nodes")
     r = int(np.floor(x)) + 1
     # guard against the strict inequality failing on the boundary
     while 4.0 * abs(gamma) * (d - c) / (r * nu) >= eps:
@@ -68,6 +73,9 @@ class CorrectorParams:
         if not (abs(self.gamma) < np.inf and 0 < self.eps < np.inf):
             raise ValueError("need finite gamma and finite eps > 0")
         q = self.r * self.nu
+        if q > MAX_LAYOUT_NODES:
+            raise ValueError(f"q = r nu = {q} is above the "
+                             f"{MAX_LAYOUT_NODES}-node layout limit")
         if 4.0 * abs(self.gamma) * (self.d - self.c) / q >= self.eps:
             raise ValueError(
                 "inadmissible parameters: 4|gamma|(d-c)/q must be < eps")

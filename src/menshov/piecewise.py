@@ -117,22 +117,25 @@ def fourier_partial_sums(coeffs, x):
     return np.real(coeffs[0]) + sums
 
 
-@dataclass(frozen=True, eq=False)  # == on the array fields is ambiguous
+@dataclass(frozen=True, eq=False)  # == on the array field is ambiguous
 class StepFunction:
-    """Step function on an interval: constant value per cell."""
+    """Step function on len(values) equal cells of domain = (lo, hi)."""
 
-    breakpoints: np.ndarray
+    domain: tuple[float, float]
     values: np.ndarray
 
     def __post_init__(self):
-        xs = np.asarray(self.breakpoints, dtype=float)
+        lo, hi = (float(x) for x in self.domain)
+        if not -np.inf < lo < hi < np.inf:  # refuses NaN too
+            raise ValueError(f"need a finite domain lo < hi, got {self.domain}")
         ys = np.asarray(self.values, dtype=float)
-        if ys.size < 1 or xs.size != ys.size + 1:
-            raise ValueError("need at least one value and one more "
-                             "breakpoint than values")
-        if np.any(np.diff(xs) <= 0):
-            raise ValueError("breakpoints must be strictly increasing")
-        object.__setattr__(self, "breakpoints", xs)
+        if ys.ndim != 1 or ys.size < 1:
+            raise ValueError("step values must be a 1-d array of at least "
+                             "one value")
+        if not np.all(np.isfinite(ys)):
+            raise ValueError("step values must be finite, got "
+                             f"{ys[~np.isfinite(ys)][0]}")
+        object.__setattr__(self, "domain", (lo, hi))
         object.__setattr__(self, "values", ys)
 
     @property
@@ -140,21 +143,12 @@ class StepFunction:
         return int(self.values.size)
 
     @property
-    def domain(self):
-        return (float(self.breakpoints[0]), float(self.breakpoints[-1]))
-
-    def is_equal_length(self) -> bool:
-        w = np.diff(self.breakpoints)
-        return bool(np.all(np.abs(w - w.mean()) <= 1e-9 * w.mean()))
+    def breakpoints(self) -> np.ndarray:
+        return np.linspace(*self.domain, self.values.size + 1)
 
     def __call__(self, x):
+        """Value of the half-open cell holding x; hi is in the last cell."""
         x = np.asarray(x, dtype=float)
         idx = np.clip(np.searchsorted(self.breakpoints, x, side="right") - 1,
                       0, self.values.size - 1)
         return self.values[idx]
-
-    @staticmethod
-    def equal_cells(domain, values) -> "StepFunction":
-        values = np.asarray(values, dtype=float)
-        xs = np.linspace(domain[0], domain[1], values.size + 1)
-        return StepFunction(xs, values)

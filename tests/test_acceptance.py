@@ -156,7 +156,7 @@ def test_criterion_7_claim_bound():
             (0.6, MeasureSpec.cantor(40, 1.0, (0.0, TWO_PI))),
             (0.4, MeasureSpec.lebesgue((0.0, TWO_PI)))])),
     }
-    phi = StepFunction.equal_cells((0.0, TWO_PI), [1.0, -0.5])
+    phi = StepFunction((0.0, TWO_PI), [1.0, -0.5])
     ratios = {}
     ok = True
     for name, mu in measures.items():

@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +9,7 @@ import pytest
 from menshov import (AtomicMeasureError, MeasureSpec, MSetSpec,
                      QuadratureError, StepFunction, build_lambda,
                      build_measure, claim_run, mset_masses,
-                     partial_sum_diagnostics, subdivide, theorem_demo)
-from menshov.measures import Measure
+                     partial_sum_diagnostics, theorem_demo)
 
 TWO_PI = 2.0 * np.pi
 
@@ -27,18 +29,20 @@ def mixture_full():
     ]))
 
 
-def test_subdivide_repeats_values():
-    phi = StepFunction.equal_cells((0.0, TWO_PI), [1.0, -2.0])
-    fine = subdivide(phi, 3)
-    assert fine.num_cells == 6
-    assert list(fine.values) == [1.0, 1.0, 1.0, -2.0, -2.0, -2.0]
-    assert subdivide(phi, 1) is phi
-    with pytest.raises(ValueError):
-        subdivide(phi, 0)
+def test_claim_partition_splits_each_cell_into_kappa_equal_cells():
+    phi = StepFunction((0.0, TWO_PI), [1.0, -2.0])
+    res = claim_run(phi, cantor_full(), 40)
+    assert (res.rho, res.kappa) == (2, 7)
+    part = res.partition
+    xs = np.linspace(0.0, TWO_PI, 2 * 7 + 1)
+    assert np.array_equal(part.breakpoints, xs)
+    assert np.array_equal(part.values, np.repeat(phi.values, 7))
+    assert [c.cell for c in res.cells] == list(zip(xs[:-1], xs[1:]))
+    assert [c.gamma for c in res.cells] == part.values.tolist()
 
 
 def test_claim_lebesgue_certified_minimal_parameters():
-    phi = StepFunction.equal_cells((0.0, TWO_PI), [1.0, -0.5, 2.0, 0.25])
+    phi = StepFunction((0.0, TWO_PI), [1.0, -0.5, 2.0, 0.25])
     mu = lebesgue_full()
     res = claim_run(phi, mu, 16)
     assert res.certified
@@ -62,7 +66,7 @@ def test_claim_lebesgue_certified_minimal_parameters():
 def test_claim_and_demo_masses_match_frozen_values():
     # values of the earlier stage 2, which measured a', b' and the removed
     # intervals on a second encoding of the layout; these did not move
-    phi = StepFunction.equal_cells((0.0, TWO_PI), [1.0, -1.0])
+    phi = StepFunction((0.0, TWO_PI), [1.0, -1.0])
     res = claim_run(phi, cantor_full(), 16)
     assert [(c.r, c.mass_inner, c.mass_e) for c in res.cells] == [
         (8, 0.375, 0.34159342447924246), (16, 0.375, 0.34737141927075754)]
@@ -72,7 +76,7 @@ def test_claim_and_demo_masses_match_frozen_values():
 
 
 def test_claim_cantor_certified():
-    phi = StepFunction.equal_cells((0.0, TWO_PI), [1.0])
+    phi = StepFunction((0.0, TWO_PI), [1.0])
     res = claim_run(phi, cantor_full(), 16)
     assert res.certified
     assert res.mu_e >= (9.0 / 16.0) * res.mu_total
@@ -83,7 +87,7 @@ def test_claim_cantor_certified():
 
 
 def test_claim_mixture_certified():
-    phi = StepFunction.equal_cells((0.0, TWO_PI), [0.5, -1.0])
+    phi = StepFunction((0.0, TWO_PI), [0.5, -1.0])
     res = claim_run(phi, mixture_full(), 16)
     assert res.certified
     assert res.mu_e >= (9.0 / 16.0) * res.mu_total
@@ -95,7 +99,7 @@ def test_claim_mixture_certified():
 
 
 def test_claim_rejects_bad_inputs():
-    phi = StepFunction.equal_cells((0.0, TWO_PI), [1.0])
+    phi = StepFunction((0.0, TWO_PI), [1.0])
     with pytest.raises(ValueError):
         claim_run(phi, lebesgue_full(), 8)  # hypothesis nu > 8
     atom = build_measure(MeasureSpec.mixture([
@@ -106,26 +110,9 @@ def test_claim_rejects_bad_inputs():
         claim_run(phi, atom, 16)
 
 
-def test_claim_refuses_unequal_cells_before_measuring(monkeypatch):
-    # a breakpoint at 1.0 lies on no equal grid of [0, 2 pi]
-    calls = []
-    cont = Measure.cont
-    monkeypatch.setattr(Measure, "cont",
-                        lambda self, x: calls.append(x) or cont(self, x))
-    uneq = StepFunction(np.array([0.0, 1.0, TWO_PI]), np.array([3.0, 4.0]))
-    mu = cantor_full()
-    with pytest.raises(ValueError, match="StepFunction.equal_cells"):
-        claim_run(uneq, mu, 40)
-    assert calls == []
-    mu.interval_mass(0.0, 1.0)  # the spy does see a measure evaluation
-    assert calls
-    with pytest.raises(ValueError, match="equal-length cells"):
-        subdivide(uneq, 2)
-
-
 def test_claim_uncertified_on_tiny_caps():
     # caps too small to reach the targets: result is returned, flagged
-    phi = StepFunction.equal_cells((0.0, TWO_PI), [1.0])
+    phi = StepFunction((0.0, TWO_PI), [1.0])
     res = claim_run(phi, cantor_full(), 16, r_cap=1, kappa_cap=1)
     assert isinstance(res.certified, bool)
     assert res.mu_e <= res.mu_total
@@ -154,7 +141,7 @@ def test_claim_stage1_walks_horizons(monkeypatch):
         return build_lambda(nu, **kw)
 
     monkeypatch.setattr(assembly, "build_lambda", spy)
-    phi = StepFunction.equal_cells((0.0, TWO_PI), [1.0] * 4)
+    phi = StepFunction((0.0, TWO_PI), [1.0] * 4)
     res = claim_run(phi, cantor_full(), 400, [10.0] * 100)
     # union target 1 - 5/400 is first reached at n = 68, past horizon 64
     assert horizons == [64, 128]
@@ -172,7 +159,7 @@ def test_claim_stage1_walks_horizons(monkeypatch):
 def test_claim_reports_the_full_kappa_search():
     # eps 10 gives r_min = 1; the union target 1 - 5/20000 is first met at
     # kappa = 83, the 78th member tried, past the 64 entries once reported
-    phi = StepFunction.equal_cells((0.0, TWO_PI), [1.0])
+    phi = StepFunction((0.0, TWO_PI), [1.0])
     res = claim_run(phi, cantor_full(), 20000, [10.0] * 4000, kappa_cap=100)
     search = res.diagnostics["kappa_search"]
     assert res.diagnostics["stage1_certified"] and res.kappa == 83
@@ -184,7 +171,7 @@ def test_claim_stage1_without_members_measures_kappa_one():
     # with kappa_cap = 1 the index set has no member in [rho, rho]: kappa
     # stays 1 and the union mass is measured there, not a sentinel
     mu = cantor_full()
-    phi = StepFunction.equal_cells((0.0, TWO_PI), [1.0])
+    phi = StepFunction((0.0, TWO_PI), [1.0])
     res = claim_run(phi, mu, 16, kappa_cap=1)
     assert res.diagnostics["kappa_search"] == []
     assert not res.diagnostics["stage1_certified"] and not res.certified
@@ -234,7 +221,7 @@ def step_approximation_loop(f, domain, uniform_gap):
         return None
     xs = np.linspace(lo, hi, rho + 1)
     mids = (xs[:-1] + xs[1:]) / 2.0
-    return StepFunction(xs, [float(f(x)) for x in mids])
+    return StepFunction(domain, [float(f(x)) for x in mids])
 
 
 def zero(x):
@@ -268,7 +255,7 @@ def test_step_approximation_matches_array_split_loop(f, gap):
 
 def test_claim_json_dict_is_serializable():
     import json
-    phi = StepFunction.equal_cells((0.0, TWO_PI), [1.0, 2.0])
+    phi = StepFunction((0.0, TWO_PI), [1.0, 2.0])
     res = claim_run(phi, lebesgue_full(), 16)
     blob = json.dumps(res.to_json_dict())
     back = json.loads(blob)
@@ -320,6 +307,35 @@ def test_theorem_demo_input_validation():
         theorem_demo(np.sin, lebesgue_full(), eps=-1.0, uniform_gap=0.1)
     with pytest.raises(ValueError):
         theorem_demo(np.sin, lebesgue_full(), eps=0.5, uniform_gap=0.0)
+
+
+def test_theorem_demo_refuses_eps_past_the_layout_limit():
+    # 7 mu_total / eps overflows at eps = 5e-324; at 1e-300 it is 4.4e301,
+    # where nu += 1 no longer moves 7 mu_total / nu, so the search for nu
+    # never ended: both are refused before it, in a subprocess for the hang
+    with pytest.raises(ValueError, match="eps=5e-324"):
+        theorem_demo(np.sin, lebesgue_full(), eps=5e-324, uniform_gap=0.1)
+    code = ("import numpy as np; from menshov import *; "
+            "mu = build_measure(MeasureSpec.lebesgue((0.0, 2 * np.pi))); "
+            "theorem_demo(np.sin, mu, 1e-300, 0.1)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 1
+    assert "ValueError: eps=1e-300 needs nu" in proc.stderr, proc.stderr
+
+
+def test_theorem_demo_criterion_8_peak_memory():
+    # cells keep their layout, not their psi: the 32 psi of this demo held
+    # 8 MB of the 20.4 MB peak when each cell kept one
+    mu = cantor_full()
+    tracemalloc.start()
+    try:
+        demo = theorem_demo(lambda x: x, mu, 0.05 * mu.total_mass, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(demo.claim.cells) == 32
+    assert peak < 16e6
 
 
 def test_partial_sum_diagnostics_decreasing():

@@ -235,6 +235,48 @@ def test_empty_step_list_is_precondition_violation(tmp_path, capsys, sub, key):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("sub, key, value", [("demo", "f", "[1.0, NaN]"),
+                                             ("claim", "phi", "[1, Infinity]")])
+def test_non_finite_step_value_is_precondition_violation(tmp_path, capsys,
+                                                         sub, key, value):
+    lebesgue01 = {"kind": "lebesgue", "domain": [0.0, 1.0]}
+    code, out = run_cli(tmp_path, sub, {"measure": lebesgue01},
+                        extra=("--set", f"{key}={value}"))
+    assert code == EXIT_PRECONDITION
+    assert "step values must be finite" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_corrector_past_the_layout_limit_is_precondition_violation(tmp_path,
+                                                                   capsys):
+    # q = r nu = 1e10 nodes: the layout's node array alone needs 74.5 GiB
+    code, out = run_cli(tmp_path, "corrector", {"nu": 10**10, "r": 1})
+    assert code == EXIT_PRECONDITION
+    assert "layout limit" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_corrector_choose_r_past_the_layout_limit_ends(tmp_path):
+    # r would be about 2.8e303, where r += 1 no longer moves r nu, so the
+    # search for r never ended; a subprocess bounds the wait
+    proc = subprocess.run(
+        [sys.executable, "-m", "menshov.cli", "corrector", "--set",
+         "gamma=1e300", "--set", "eps=0.001", "--set", "nu=9",
+         "--out", str(tmp_path)], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_PRECONDITION, proc.stderr
+    assert "layout nodes" in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_demo_eps_past_the_layout_limit_is_precondition_violation(tmp_path,
+                                                                  capsys):
+    # eps 1e-9 of the mass of Lebesgue [0, 2 pi] gives nu = 7e9
+    code, out = run_cli(tmp_path, "demo", {"measure": LEBESGUE, "eps": 1e-9})
+    assert code == EXIT_PRECONDITION
+    assert "eps=6.28" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_demo_step_gap_out_of_reach_is_numeric_failure(tmp_path, capsys):
     # jumps at thirds of [0, 2 pi]: no dyadic grid of up to 2048 cells
     # lands on them, so no step function meets uniform_gap

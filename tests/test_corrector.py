@@ -10,7 +10,7 @@ import pytest
 from menshov import (CorrectorParams, MSetSpec, PiecewiseLinearFn, build_psi,
                      check_corrector, choose_r, corrector, kernel_sup, layout,
                      mset_intervals, running_integral_sup)
-from menshov.corrector import _kernel_rows
+from menshov.corrector import MAX_LAYOUT_NODES, _kernel_rows
 from menshov.piecewise import _phi12
 
 TWO_PI = 2.0 * np.pi
@@ -53,6 +53,17 @@ def test_params_validation():
                              (0.0, 1.0, 1.0, nan), (0.0, 1.0, 1.0, inf)):
         with pytest.raises(ValueError):
             CorrectorParams(c, d, gamma, eps, 10, 5)
+
+
+def test_layout_node_limit():
+    r = MAX_LAYOUT_NODES // 16
+    assert CorrectorParams(0.0, 1.0, 1.0, 0.1, 16, r).q == MAX_LAYOUT_NODES
+    with pytest.raises(ValueError, match="layout limit"):
+        CorrectorParams(0.0, 1.0, 1.0, 0.1, 16, r + 1)
+    # 4 |gamma| (d - c) / eps lies below every admissible q = r nu
+    assert choose_r(0.0, 1.0, 2.0**22, 1.0, 16) == 2**20 + 1
+    with pytest.raises(ValueError, match="layout nodes"):
+        choose_r(0.0, 1.0, 2.0**23, 1.0, 16)
 
 
 def test_layout_worked_example():

@@ -318,7 +318,7 @@ def test_index_set_compares_by_identity():
     makers = [
         lambda: IndexSet([1, 2], 5, 0.3),
         lambda: layout(params),
-        lambda: StepFunction([0.0, 0.5, 1.0], [1.0, -1.0]),
+        lambda: StepFunction((0.0, 1.0), [1.0, -1.0]),
         lambda: ConvergenceScan(ns, ns * 0.3, ns * 0.0, 0.3, 0.0, 2),
     ]
     for make in makers:

@@ -114,18 +114,13 @@ def test_partial_sums_shape_and_n0():
 
 
 def test_step_function_basics():
-    phi = StepFunction.equal_cells((0.0, TWO_PI), [1.0, -2.0, 3.0])
+    phi = StepFunction((0.0, TWO_PI), [1.0, -2.0, 3.0])
     assert phi.num_cells == 3
-    assert phi.is_equal_length()
+    assert phi.domain == (0.0, TWO_PI)
+    assert np.array_equal(phi.breakpoints, np.linspace(0.0, TWO_PI, 4))
     assert phi(0.1) == 1.0
     assert phi(np.pi) == -2.0
     assert phi(TWO_PI) == 3.0  # right endpoint belongs to the last cell
-
-
-def test_step_function_unequal_cells_flagged():
-    phi = StepFunction([0.0, 1.0, 4.0], [2.0, 5.0])
-    assert not phi.is_equal_length()
-    assert phi(2.0) == 5.0
 
 
 def test_constructor_validation():
@@ -133,7 +128,14 @@ def test_constructor_validation():
         PiecewiseLinearFn([0.0, 0.0, 1.0], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         PiecewiseLinearFn([0.0], [1.0])
-    with pytest.raises(ValueError):
-        StepFunction([0.0, 1.0], [1.0, 2.0])
+    for domain in [(1.0, 0.0), (0.0, 0.0), (0.0, np.nan), (-np.inf, 1.0),
+                   (0.0, np.inf), (0.0, 0.5, 1.0)]:
+        with pytest.raises(ValueError):
+            StepFunction(domain, [1.0])
     with pytest.raises(ValueError, match="at least one value"):
-        StepFunction([0.0], [])
+        StepFunction((0.0, 1.0), [])
+    with pytest.raises(ValueError, match="1-d"):
+        StepFunction((0.0, 1.0), [[1.0, 2.0]])
+    for bad in [np.nan, np.inf, -np.inf]:
+        with pytest.raises(ValueError, match="step values must be finite"):
+            StepFunction((0.0, 1.0), [1.0, bad])
