@@ -16,6 +16,6 @@ from .measures import (Measure, MeasureSpec, atomic_part, build_measure,
                        cantor_cdf, normalize)
 from .msets import (ArcSpec, ConvergenceScan, MSetSpec, mset_intervals,
                     mset_masses, proposition_scan, pushforward_arc_mass)
-from .piecewise import PiecewiseLinearFn, StepFunction, fourier_partial_sums
+from .piecewise import PiecewiseLinearFn, StepFunction
 
 __version__ = "0.1.0"

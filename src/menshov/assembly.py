@@ -24,7 +24,7 @@ from .errors import AtomicMeasureError, QuadratureError
 from .fourier import DEFAULT_REFINEMENT, build_lambda
 from .measures import Measure, atomic_part, normalize
 from .msets import MSetSpec, mset_masses
-from .piecewise import PiecewiseLinearFn, StepFunction, fourier_partial_sums
+from .piecewise import PiecewiseLinearFn, StepFunction
 
 __all__ = [
     "claim_run",
@@ -40,6 +40,8 @@ LAMBDA_J, LAMBDA_K = 3, 3  # levels of the index set walked to choose kappa
 EPS0, R_BUDGET = 0.1, 64  # default eps_k = EPS0 * 2^-k; r_min <= R_BUDGET
 STEP_MAX_CELLS = 2048  # finest step approximation theorem_demo builds
 SEARCH_CAP = 512  # default kappa_cap and r_cap of the claim searches
+PARTIAL_SUM_GRID = 2048  # points of [0, 2 pi) where S_N g - g is sampled
+MAX_PARTIAL_SUM_N = 1 << 20  # largest N; its coefficients cost N * segments
 
 
 # ---------------------------------------------------------------------------
@@ -290,13 +292,13 @@ def theorem_demo(f: Callable, mu: Measure, eps: float, uniform_gap: float,
     """One verified correction round for a continuous f on [0, 2 pi].
 
     Picks the smallest nu > 8 with 7 mu_total / nu < eps, approximates f by
-    an equal-cell step function within uniform_gap, runs one certified
-    correction round, and returns a continuous piecewise-linear g that
-    matches the step values on all of E, with the measured mass of E's
-    complement.  f is called once per 1-d float array of sample points;
-    its result is broadcast to that array's shape as floats.  Raises
-    QuadratureError when no step function meets uniform_gap, or when the
-    claim cannot run the one that does.
+    an equal-cell step function within uniform_gap (a StepFunction f on
+    mu's domain is its own), runs one certified correction round, and
+    returns a continuous piecewise-linear g that matches the step values on
+    all of E, with the measured mass of E's complement.  f is called once
+    per 1-d float array of sample points; its result is broadcast to that
+    array's shape as floats.  Raises QuadratureError when no step function
+    meets uniform_gap, or when the claim cannot run the one that does.
     """
     if not (eps > 0 and uniform_gap > 0):  # refuses NaN too
         raise ValueError("eps and uniform_gap must be positive")
@@ -308,13 +310,15 @@ def theorem_demo(f: Callable, mu: Measure, eps: float, uniform_gap: float,
     nu = max(9, int(np.floor(7.0 * mu_total / eps)) + 1)
     while 7.0 * mu_total / nu >= eps:
         nu += 1
-    phi = _step_approximation(f, (lo, hi), uniform_gap)
+    phi = f if isinstance(f, StepFunction) else _step_approximation(
+        f, (lo, hi), uniform_gap)
     try:
         claim = claim_run(phi, mu, nu, kappa_cap=kappa_cap, r_cap=r_cap)
     except QuadratureError as exc:
+        why = "f" if phi is f else f"uniform_gap={uniform_gap!r}"
         raise QuadratureError(
             f"the claim cannot run the rho={phi.num_cells}-cell step function "
-            f"that uniform_gap={uniform_gap!r} needs: {exc}") from exc
+            f"that {why} needs: {exc}") from exc
     g = _continuous_from_plateaus(claim)
     exceptional = mu_total - claim.mu_e
     # |f - g| on E is at most the step gap; measure it on sampled E points
@@ -325,16 +329,29 @@ def theorem_demo(f: Callable, mu: Measure, eps: float, uniform_gap: float,
                       float(uniform_gap))
 
 
-def partial_sum_diagnostics(g: PiecewiseLinearFn, N_list: Sequence[int],
-                            grid: int = 2048):
+def partial_sum_diagnostics(g: PiecewiseLinearFn, N_list: Sequence[int]):
     """Sup-norm gap between g and its Fourier partial sums S_N.
 
-    g must close up (g(0) = g(2 pi), both zero outside its support, so the
-    periodization is continuous).  Returns a list of (N, sup |S_N g - g|).
+    g must vanish outside [0, 2 pi], so its periodization is continuous.
+    Returns a list of (N, sup |S_N g - g|) over the grid x_j = 2 pi j / G,
+    G = PARTIAL_SUM_GRID.  e^{inx_j} depends only on n mod G, so c_1..c_N
+    summed by n mod G give S_N(x_j) exactly from one inverse FFT.
     """
-    N_max = int(max(N_list))
-    coeffs = g.fourier_coefficients(N_max)
-    x = np.linspace(0.0, TWO_PI, grid, endpoint=False)
-    sums = fourier_partial_sums(coeffs, x)
-    gx = g(x)
-    return [(int(N), float(np.max(np.abs(sums[int(N)] - gx)))) for N in N_list]
+    if not (isinstance(N_list, (list, tuple, np.ndarray)) and all(
+            isinstance(N, (int, np.integer)) and not isinstance(N, bool)
+            and 0 <= N <= MAX_PARTIAL_SUM_N for N in N_list)):
+        raise ValueError("partial_sums must be a list of integers N with "
+                         f"0 <= N <= {MAX_PARTIAL_SUM_N}, got {N_list!r}")
+    if g.xs[0] < 0.0 or g.xs[-1] > TWO_PI:  # S_N g tends to g's periodization
+        raise ValueError("partial_sums need g zero outside [0, 2 pi], got "
+                         f"support [{g.xs[0]!r}, {g.xs[-1]!r}]")
+    G = PARTIAL_SUM_GRID
+    coeffs = g.fourier_coefficients(int(max(N_list, default=0)))
+    gx = g(np.linspace(0.0, TWO_PI, G, endpoint=False))
+    out = []
+    for N in map(int, N_list):
+        c = np.concatenate([[0.0], coeffs[1:N + 1], np.zeros(-(N + 1) % G)])
+        folded = c.reshape(-1, G).sum(axis=0)  # F_k: sum of c_n, n = k mod G
+        s_n = coeffs[0].real + 2.0 * np.fft.ifft(folded, norm="forward").real
+        out.append((N, float(np.max(np.abs(s_n - gx)))))
+    return out

@@ -233,12 +233,12 @@ def _cmd_demo(cfg, out: Path, plot: bool):
         f, mu, eps, gap,
         kappa_cap=int(cfg.get("kappa_cap", assembly.SEARCH_CAP)),
         r_cap=int(cfg.get("r_cap", assembly.SEARCH_CAP)))
+    report = result.report()
+    if "partial_sums" in cfg:  # refused before any file is written
+        report["partial_sums"] = assembly.partial_sum_diagnostics(
+            result.g, cfg["partial_sums"])
     _write_csv(out / "demo_g.csv", ["breakpoint", "value"],
                list(zip(result.g.xs, result.g.ys)), cfg)
-    report = result.report()
-    if cfg.get("partial_sums"):
-        report["partial_sums"] = assembly.partial_sum_diagnostics(
-            result.g, [int(n) for n in cfg["partial_sums"]])
     _write_json(out / "demo_report.json", report, cfg)
     if plot:
         _write_svg(out / "demo_g.svg", result.g.xs, result.g.ys, "corrected g")

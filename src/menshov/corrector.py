@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .piecewise import PiecewiseLinearFn
+from .piecewise import _CHUNK_ELEMS, PiecewiseLinearFn
 
 __all__ = [
     "CorrectorParams",
@@ -174,7 +174,6 @@ def check_corrector(lay: CorrectorLayout, psi: PiecewiseLinearFn,
 
 
 _OMEGA_NODES, _OMEGA_WEIGHTS = np.polynomial.legendre.leggauss(12)
-_CHUNK_ELEMS = 1 << 14  # complex entries per omega-chunk temporary
 
 
 def _kernel_rows(psi: PiecewiseLinearFn, j_max: int, xs):

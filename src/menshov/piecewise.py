@@ -7,7 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PiecewiseLinearFn", "StepFunction", "fourier_partial_sums"]
+__all__ = ["PiecewiseLinearFn", "StepFunction"]
+
+_CHUNK_ELEMS = 1 << 14  # complex entries per transform temporary
 
 
 class PiecewiseLinearFn:
@@ -81,7 +83,10 @@ class PiecewiseLinearFn:
 
     def fourier_coefficients(self, N: int):
         """c_n = (1/2 pi) integral f(t) e^{-int} dt, n = 0..N; period 2 pi."""
-        return self.transform(-np.arange(N + 1)) / (2.0 * np.pi)
+        n = -np.arange(N + 1)
+        step = max(1, _CHUNK_ELEMS // (self.xs.size - 1))
+        return np.concatenate([self.transform(n[i:i + step])
+                               for i in range(0, N + 1, step)]) / (2.0 * np.pi)
 
 
 _INV_FACT = 1.0 / np.cumprod([1.0, *range(1, 19)])  # 1/k!, k = 0..18
@@ -101,20 +106,6 @@ def _phi12(z: np.ndarray):
         t += _INV_FACT[k + 1:k + 3, None]  # remainder below 1e-20
     phi1[small], phi2[small] = t
     return phi1, phi2
-
-
-def fourier_partial_sums(coeffs, x):
-    """Partial sums S_N at points x for every N = 0..len(coeffs)-1.
-
-    coeffs are c_0..c_Nmax of a real function; S_N = c_0 + 2 Re sum c_n e^{inx}.
-    Returns an array of shape (Nmax+1, len(x)).
-    """
-    x = np.asarray(x, dtype=float)
-    n = np.arange(1, len(coeffs))
-    modes = 2.0 * np.real(coeffs[1:, None]
-                          * np.exp(1j * n[:, None] * x[None, :]))
-    sums = np.vstack([np.zeros_like(x), np.cumsum(modes, axis=0)])
-    return np.real(coeffs[0]) + sums
 
 
 @dataclass(frozen=True, eq=False)  # == on the array field is ambiguous

@@ -5,10 +5,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from menshov import (AtomicMeasureError, MeasureSpec, MSetSpec,
-                     QuadratureError, StepFunction, build_lambda,
-                     build_measure, claim_run, mset_masses,
+                     PiecewiseLinearFn, QuadratureError, StepFunction,
+                     build_lambda, build_measure, claim_run, mset_masses,
                      partial_sum_diagnostics, theorem_demo)
 
 TWO_PI = 2.0 * np.pi
@@ -347,6 +349,76 @@ def test_partial_sum_diagnostics_decreasing():
     assert all(e >= 0 for e in errs)
     # g is piecewise linear and continuous periodically: O(1/N) decay
     assert errs[-1] < 0.5
+
+
+def fourier_partial_sums(coeffs, x):
+    """Dense oracle: partial sums S_N at points x for every N = 0..len-1.
+
+    coeffs are c_0..c_Nmax of a real function; S_N = c_0 + 2 Re sum c_n e^{inx}.
+    Returns an array of shape (Nmax+1, len(x)).
+    """
+    x = np.asarray(x, dtype=float)
+    n = np.arange(1, len(coeffs))
+    modes = 2.0 * np.real(coeffs[1:, None]
+                          * np.exp(1j * n[:, None] * x[None, :]))
+    sums = np.vstack([np.zeros_like(x), np.cumsum(modes, axis=0)])
+    return np.real(coeffs[0]) + sums
+
+
+def dense_partial_sum_errors(g, N_list):
+    """sup |S_N g - g| on the 2048-point grid, from the dense oracle taken
+    on blocks of 256 points, so no (Nmax+1) x 2048 matrix is built."""
+    x = np.linspace(0.0, TWO_PI, 2048, endpoint=False)
+    coeffs = g.fourier_coefficients(max(N_list))
+    errs = np.zeros(max(N_list) + 1)
+    for i in range(0, x.size, 256):
+        sums = fourier_partial_sums(coeffs, x[i:i + 256])
+        errs = np.maximum(errs, np.abs(sums - g(x[i:i + 256])).max(axis=1))
+    return [(N, float(errs[N])) for N in N_list]
+
+
+@settings(max_examples=8, deadline=None, database=None, derandomize=True)
+@given(xs=st.lists(st.floats(0.0, TWO_PI), min_size=3, max_size=10,
+                   unique=True),
+       ys=st.lists(st.floats(-5.0, 5.0), min_size=8, max_size=8),
+       small=st.lists(st.integers(0, 2047), max_size=3),
+       wrapped=st.integers(2048, 2300))
+def test_partial_sum_diagnostics_match_dense_oracle(xs, ys, small, wrapped):
+    # g is 0 at both ends of its support inside [0, 2 pi]; N >= 2048 wraps
+    # the fold past the grid
+    xs = np.sort(xs)
+    assume(np.all(np.diff(xs) > 1e-6))
+    g = PiecewiseLinearFn(xs, [0.0, *ys[:xs.size - 2], 0.0])
+    N_list = [*small, wrapped]
+    got = partial_sum_diagnostics(g, N_list)
+    want = dense_partial_sum_errors(g, N_list)
+    assert [N for N, _ in got] == N_list
+    assert max(abs(a - b) for (_, a), (_, b) in zip(got, want)) <= 1e-12
+
+
+def test_partial_sum_diagnostics_memory_is_linear_in_n():
+    # the dense (N + 1) x 2048 matrix of the criterion-8 g at N = 4096
+    # peaked at 269 MB
+    mu = cantor_full()
+    g = theorem_demo(lambda x: x, mu, 0.05 * mu.total_mass, 0.5).g
+    tracemalloc.start()
+    try:
+        (N, err), = partial_sum_diagnostics(g, [4096])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert N == 4096 and 0.0 < err < 0.5
+    assert peak < 16e6
+
+
+def test_partial_sum_diagnostics_refuses_g_outside_0_2pi():
+    # S_N g tends to g's 2 pi-periodization, not to g
+    for xs in ([-1.0, 1.0, 3.0], [1.0, 4.0, 7.0]):
+        g = PiecewiseLinearFn(xs, [0.0, 1.0, 0.0])
+        with pytest.raises(ValueError, match="outside"):
+            partial_sum_diagnostics(g, [8])
+    g = PiecewiseLinearFn([0.0, 1.0, TWO_PI], [0.0, 1.0, 0.0])
+    assert len(partial_sum_diagnostics(g, [8])) == 1
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,

@@ -278,13 +278,50 @@ def test_demo_eps_past_the_layout_limit_is_precondition_violation(tmp_path,
 
 
 def test_demo_step_gap_out_of_reach_is_numeric_failure(tmp_path, capsys):
-    # jumps at thirds of [0, 2 pi]: no dyadic grid of up to 2048 cells
-    # lands on them, so no step function meets uniform_gap
-    code, out = run_cli(tmp_path, "demo",
-                        {"measure": CANTOR, "f": [1.0, -0.5, 2.0]})
+    # sin varies by up to 2 pi / 2048 across a cell of 2048, so no step
+    # function of up to 2048 equal cells meets uniform_gap = 0.001
+    code, out = run_cli(tmp_path, "demo", {"measure": CANTOR, "f": "sin",
+                                           "uniform_gap": 0.001})
     assert code == EXIT_NUMERIC
     err = capsys.readouterr().err
-    assert "uniform_gap=0.5" in err and "oscillation" in err, err
+    assert "uniform_gap=0.001" in err and "oscillation" in err, err
+    assert list(out.iterdir()) == []
+
+
+def test_demo_step_f_is_its_own_phi(tmp_path):
+    # jumps at thirds of [0, 2 pi]: no dyadic step function lands on them,
+    # but f itself is a 3-cell step function
+    code, out = run_cli(tmp_path, "demo",
+                        {"measure": CANTOR, "f": [1.0, -0.5, 2.0]})
+    assert code == EXIT_OK
+    rep = json.loads((out / "demo_report.json").read_text())
+    assert rep["claim"]["certified"] and rep["below_eps"]
+    assert rep["claim"]["rho"] == 3 and rep["sup_gap_on_E"] == 0.0
+
+
+@pytest.mark.parametrize("partial_sums", [[-5], 5, [2.7], [True], [1048577]],
+                         ids=["negative", "not-a-list", "float", "bool",
+                              "above-cap"])
+def test_demo_bad_partial_sums_is_precondition(tmp_path, capsys,
+                                               partial_sums):
+    code, out = run_cli(tmp_path, "demo", {"measure": LEBESGUE, "f": "sin",
+                                           "uniform_gap": 0.4,
+                                           "partial_sums": partial_sums})
+    assert code == EXIT_PRECONDITION
+    assert "partial_sums" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_demo_partial_sums_of_g_outside_0_2pi_is_precondition(tmp_path,
+                                                               capsys):
+    # on [0, 10], S_N g tends to g's 2 pi-periodization: a gap near 1 at
+    # every N
+    cfg = {"measure": {"kind": "lebesgue", "domain": [0.0, 10.0]},
+           "f": "sin", "uniform_gap": 0.3, "partial_sums": [64]}
+    code, out = run_cli(tmp_path, "demo", cfg)
+    assert code == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert "partial_sums" in err and "outside [0, 2 pi]" in err, err
     assert list(out.iterdir()) == []
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from menshov import PiecewiseLinearFn, StepFunction, fourier_partial_sums
+from menshov import PiecewiseLinearFn, StepFunction, partial_sum_diagnostics
+from menshov import piecewise
 
 TWO_PI = 2.0 * np.pi
 
@@ -93,12 +94,21 @@ def test_fourier_coefficients_match_dense_quadrature():
         assert abs(coeffs[n] - riemann) < 1e-8
 
 
+def test_fourier_coefficients_chunks_equal_one_transform(monkeypatch):
+    f = PiecewiseLinearFn([0.5, 1.5, 2.0, 5.0], [0.0, 2.0, -1.0, 0.0])
+    step = piecewise._CHUNK_ELEMS // 3  # n per chunk: f has 3 segments
+    for N in (3 * step + 5, 20):  # three chunks and a part; one chunk
+        one = f.transform(-np.arange(N + 1)) / TWO_PI
+        assert np.array_equal(f.fourier_coefficients(N).view(np.uint64),
+                              one.view(np.uint64))
+    monkeypatch.setattr(piecewise, "_CHUNK_ELEMS", 7)  # two n per chunk
+    assert np.array_equal(f.fourier_coefficients(N).view(np.uint64),
+                          one.view(np.uint64))
+
+
 def test_partial_sums_converge_uniformly_for_triangle():
     f = triangle_wave()
-    x = np.linspace(0.0, TWO_PI, 1001)
-    coeffs = f.fourier_coefficients(200)
-    sums = fourier_partial_sums(coeffs, x)
-    errs = np.max(np.abs(sums - f(x)[None, :]), axis=1)
+    errs = dict(partial_sum_diagnostics(f, [1, 10, 50, 100, 200]))
     assert errs[200] < errs[10] < errs[1]
     # tail error of the triangle series is sum_{odd n > N} 4/(pi n^2) ~ 2/(pi N)
     for N in (50, 100, 200):
@@ -106,11 +116,10 @@ def test_partial_sums_converge_uniformly_for_triangle():
 
 
 def test_partial_sums_shape_and_n0():
-    coeffs = np.array([1.5 + 0j, 0.25 + 0.1j])
-    x = np.linspace(0.0, TWO_PI, 7)
-    sums = fourier_partial_sums(coeffs, x)
-    assert sums.shape == (2, 7)
-    assert np.allclose(sums[0], 1.5)
+    f = PiecewiseLinearFn([0.5, 1.5, 2.0, 5.0], [0.0, 2.0, -1.0, 0.0])
+    x = np.linspace(0.0, TWO_PI, 2048, endpoint=False)
+    c0 = f.fourier_coefficients(0)[0].real
+    assert partial_sum_diagnostics(f, [0]) == [(0, np.max(np.abs(c0 - f(x))))]
 
 
 def test_step_function_basics():

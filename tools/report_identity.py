@@ -34,7 +34,8 @@ RUN_TIMEOUT = 300  # seconds; a run past it is killed and the check fails
 # name: (subcommand, config, extra flags)
 CONFIGS = {
     "demo-criterion-8": ("demo", {"measure": CANTOR,
-                                  "partial_sums": [8, 64, 256]}, ["--plot"]),
+                                  "partial_sums": [8, 64, 256, 4096]},
+                         ["--plot"]),
     "demo-zero": ("demo", {"measure": CANTOR, "f": "zero"}, []),
     "demo-sin-mixture": ("demo", {"measure": MIXTURE, "f": "sin",
                                   "uniform_gap": 0.2}, []),
