@@ -344,7 +344,9 @@ class Measure:
             raise DomainError(f"interval outside domain [{u}, {v}], reversed "
                               "or non-finite endpoints")
         out = self.cdf(b) - self.cdf_left(a)
-        return np.maximum(out, 0.0)
+        if np.any(out < 0):  # a monotone CDF never gives one
+            raise DomainError(f"negative mass {np.min(out):.17g}: CDF not monotone")
+        return out + 0.0  # -0.0, from signed-zero ends, reads +0.0
 
 
 def build_measure(spec: MeasureSpec) -> Measure:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import measures
 from .errors import DomainError
 from .fourier import IndexSet
 from .measures import Measure
@@ -25,7 +26,7 @@ __all__ = [
     "ConvergenceScan",
 ]
 
-MAX_BATCH_INTERVALS = 1 << 21  # bounds the CDF temporaries of one batch
+MAX_BATCH_INTERVALS = measures._CDF_CHUNK  # intervals of one pooled group
 
 
 @dataclass(frozen=True)
@@ -94,25 +95,37 @@ def _interval_ends(specs: list[MSetSpec]):
 def mset_masses(mu: Measure, specs: list[MSetSpec]) -> np.ndarray:
     """Total mu-mass of each M-set in specs, in order.
 
-    Consecutive specs are stacked into batches of at most
-    MAX_BATCH_INTERVALS intervals (a larger spec is a batch on its own) and
-    each batch takes one interval_mass call.  Each mass is np.sum over the
-    spec's own slice, which adds in the order of that spec evaluated alone.
+    Consecutive specs are cut into groups of at most MAX_BATCH_INTERVALS
+    intervals, each one interval_mass call on a measures._pool() worker; a
+    larger spec runs alone in the calling thread, where _chunked fans it out,
+    so no pool task waits on the pool.  Each mass is np.sum over the spec's
+    own slice, which adds in the order of that spec evaluated alone.
     """
     u, v = mu.domain
     if any(s.interval[0] < u - 1e-12 or s.interval[1] > v + 1e-12
            for s in specs):
         raise DomainError("M-set interval outside measure domain")
     ends = np.cumsum([0] + [s.n for s in specs])  # interval offset per spec
-    masses, i = [], 0
+    groups, i = [], 0
     while i < len(specs):
         # the longest run from spec i within the cap, at least spec i
         j = max(i + 1, int(np.searchsorted(
             ends, ends[i] + MAX_BATCH_INTERVALS, side="right")) - 1)
-        cell = mu.interval_mass(*_interval_ends(specs[i:j]))
-        off = ends[i:j + 1] - ends[i]
-        masses += [np.sum(cell[a:b]) for a, b in zip(off[:-1], off[1:])]
+        groups.append(slice(i, j))
         i = j
+
+    def group_masses(g):
+        cell = mu.interval_mass(*_interval_ends(specs[g]))
+        off = ends[g.start:g.stop + 1] - ends[g.start]
+        return [np.sum(cell[a:b]) for a, b in zip(off[:-1], off[1:])]
+
+    small = [g for g in groups if specs[g.start].n <= MAX_BATCH_INTERVALS]
+    pooled = (measures._pool().map if len(small) > 1 else map)(
+        group_masses, small)  # in order; re-raises a worker's exception
+    masses = []
+    for g in groups:  # a group above the cap is one spec above it
+        masses += (group_masses(g) if specs[g.start].n > MAX_BATCH_INTERVALS
+                   else next(pooled))
     return np.array(masses, dtype=float)
 
 

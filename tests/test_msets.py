@@ -1,9 +1,20 @@
+import subprocess
+import sys
+import textwrap
+import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from menshov import (ArcSpec, DomainError, MeasureSpec, MSetSpec, build_lambda,
-                     build_measure, msets, mset_intervals, mset_masses,
-                     normalize, proposition_scan, pushforward_arc_mass)
+import menshov.measures as measures
+from menshov import (ArcSpec, DomainError, Measure, MeasureSpec, MSetSpec,
+                     build_lambda, build_measure, msets, mset_intervals,
+                     mset_masses, normalize, proposition_scan,
+                     pushforward_arc_mass)
 
 TWO_PI = 2.0 * np.pi
 
@@ -108,6 +119,10 @@ def test_interval_ends_bitwise_equal_per_spec_oracle(monkeypatch):
     specs = batched_specs()
     mset_masses(mu, specs)
     want = [_intervals_oracle(s) for s in specs]
+    # groups run on pool workers in any order; each starts at a spec
+    first = {w[0][0]: k for k, w in enumerate(want)}
+    assert len(first) == len(specs)
+    seen.sort(key=lambda ends: first[ends[0][0]])
     for col in (0, 1):
         got = np.concatenate([ends[col] for ends in seen])
         assert np.array_equal(got.view(np.int64),
@@ -143,6 +158,92 @@ def test_mset_masses_empty_and_out_of_domain(cantor40):
     with pytest.raises(DomainError):
         mset_masses(cantor40, [MSetSpec((0.0, 1.0), 3, 0.2, 0.3),
                                MSetSpec((0.5, 1.2), 1, 0.0, 0.5)])
+
+
+def test_mset_masses_large_specs_run_beside_pooled_groups():
+    code = textwrap.dedent("""
+        import numpy as np
+        import menshov.measures as measures
+        from menshov import MeasureSpec, MSetSpec, build_measure, msets
+        measures._cores = lambda: 2  # fan out on a one-core host too
+        measures._CDF_CHUNK = 64  # a 5000-interval spec: 79 chunks, 2 workers
+        msets.MAX_BATCH_INTERVALS = 100
+        mu = build_measure(MeasureSpec.cantor(40))
+        specs = [MSetSpec((0.0, 1.0), n, 0.2, 0.3)
+                 for n in (37, 5000, 99, 64, 5001, 1, 80, 100, 7)]
+        oracle = [np.sum(mu.interval_mass(*msets.mset_intervals(s).T))
+                  for s in specs]
+        assert np.array_equal(msets.mset_masses(mu, specs), oracle)
+    """)
+    # the two large specs fan out on the pool from the calling thread while
+    # small groups queue there; a pool task waiting on the pool would hang,
+    # and the timeout makes that a failure
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_decreasing_cdf_raises_also_from_a_pool_worker(monkeypatch):
+    monkeypatch.setattr(msets, "MAX_BATCH_INTERVALS", 100)
+    threads = set()
+
+    def tent(x):  # rises to 1/2, then falls: not a CDF
+        threads.add(threading.get_ident())
+        return np.minimum(x, 1.0 - x)
+
+    mu = Measure((0.0, 1.0), tent, 1.0)
+    with pytest.raises(DomainError, match="negative mass -0.3"):
+        mu.interval_mass(0.6, 0.9)
+    threads.clear()
+    with pytest.raises(DomainError, match="negative mass"):
+        mset_masses(mu, [MSetSpec((0.0, 1.0), n, 0.2, 0.3)
+                         for n in (50, 60, 70)])  # three pooled groups
+    assert threads and threading.get_ident() not in threads
+
+
+def test_criterion_2_scan_peak_memory(cantor40, cantor40_norm, monkeypatch):
+    # two workers, so the bound holds on any host: each worker holds the
+    # temporaries of one group of at most one CDF chunk
+    pool = ThreadPoolExecutor(max_workers=2)
+    monkeypatch.setattr(measures, "_pool", lambda: pool)
+    lam = build_lambda(cantor40_norm, K=3, J=3, N_max=2000, m=1)
+    tracemalloc.start()
+    try:
+        scan = proposition_scan(cantor40, (0.0, 1.0), 0.2, 0.3, lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        pool.shutdown()
+    assert scan.ns.size == 1993  # 1,999,907 intervals
+    assert peak <= 24e6  # one batch of all intervals peaked at 81 MB
+
+
+MASS_MEASURES = st.one_of(
+    st.just(MeasureSpec.lebesgue()), st.just(MeasureSpec.cantor(40)),
+    st.floats(0.1, 0.9).map(lambda w: MeasureSpec.mixture(
+        [(w, MeasureSpec.cantor(40)), (1.0 - w, MeasureSpec.lebesgue())])))
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(spec=MASS_MEASURES, a=st.floats(0.0, 0.5), length=st.floats(0.1, 0.5),
+       ns=st.lists(st.integers(1, 400), max_size=5), sigma=st.floats(0.0, 0.7),
+       tau_frac=st.floats(0.0, 1.0))
+def test_pushforward_identity_property(spec, a, length, ns, sigma, tau_frac):
+    """mu(A_n) = mu(I) * nu_n(arc), nu the normalization of mu to I."""
+    mu = build_measure(spec)
+    b = a + length
+    mass_I = float(mu.interval_mass(a, b))
+    assume(mass_I > 1e-9)  # normalize needs mass on I
+    tau = 0.02 + tau_frac * (0.97 - sigma)  # sigma + tau <= 0.99
+    ns = [33, 32, *ns]  # at least two pooled groups under a cap of 64
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(msets, "MAX_BATCH_INTERVALS", 64)
+        masses = mset_masses(mu, [MSetSpec((a, b), n, sigma, tau)
+                                  for n in ns])
+    nu = normalize(mu, (a, b))
+    for n, mass in zip(ns, masses):
+        arc = pushforward_arc_mass(nu, n, ArcSpec(sigma, tau))
+        assert abs(mass - mass_I * arc) < 1e-9  # criterion 3's tolerance
 
 
 def test_pushforward_lebesgue_equidistributed(lebesgue_unit_norm):

@@ -59,6 +59,9 @@ CONFIGS = {
     "mset-limit-criterion-2": ("mset-limit", {
         "measure": {"kind": "cantor", "levels": 40, "domain": [0.0, 1.0]},
         "sigma": 0.2, "tau": 0.3, "J": 3, "K": 3, "N_max": 2000}, []),
+    "mset-limit-mixture-sub-interval": ("mset-limit", {
+        "measure": MIXTURE, "I": [1.0, 5.0], "sigma": 0.2, "tau": 0.3,
+        "J": 3, "K": 3, "N_max": 3000}, []),
     "wiener-scan-criterion-9": ("wiener-scan", {"measure": CANTOR, "k": 1,
                                                 "N": 200}, ["--plot"]),
 }
