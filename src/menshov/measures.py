@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import sys
+import threading
 from dataclasses import dataclass
 from functools import cache
 from numbers import Real
@@ -33,6 +34,8 @@ __all__ = [
 ATOM_TOL_FACTOR = 1e-9  # default jump-detection tolerance, relative to total mass
 _CDF_CHUNK = 1 << 16  # CDF points per chunk; keeps each chunk's temporaries in cache
 _WORKER_CHUNKS = 8  # a CDF call gets one worker thread per this many chunks, up to the cores
+MASS_ROUNDING = 1e-12  # a mass down to -this * total mass is rounding and reads 0
+_in_pool = threading.local()  # .share is set in the threads that run a share
 # A point off every plateau takes every level; past 53 levels the level
 # steps 2^-levels fall below a double's resolution at 1.
 MAX_CANTOR_LEVELS = 53
@@ -208,17 +211,27 @@ def _pool():
     return ThreadPoolExecutor(max_workers=_cores())
 
 
-def _chunked(kernel, x):
-    """kernel over x in _CDF_CHUNK-point pieces: the single chunking point.
+def _fan_out(run, items):
+    """run(share) over items, the single fan-out point (_chunked and
+    msets.mset_masses): min(cores, len(items) // _WORKER_CHUNKS) shares, each
+    every workers-th item, on _pool(), so at most 1/_WORKER_CHUNKS of the
+    items are in flight on any number of cores.  Inline below two shares and
+    inside a share, so no pool task waits on the pool."""
+    workers = min(_cores(), len(items) // _WORKER_CHUNKS)
+    if workers < 2 or getattr(_in_pool, "share", False):
+        return run(items)
 
-    Only Measure.cont and cantor_cdf call this, and no kernel calls either,
-    so chunks never nest.  An elementwise kernel gives bitwise the values of
-    one pass over all of x, with chunk-sized temporaries.  A call of n chunks
-    runs on min(cores, n // _WORKER_CHUNKS) workers of _pool() (inline below
-    two), each taking every workers-th chunk (numpy releases the GIL), so at
-    most 1/_WORKER_CHUNKS of one pass's temporaries are in flight on any
-    number of cores.  The shape is kept; 0-d input gives a numpy scalar.
-    """
+    def share(part):
+        _in_pool.share = True  # a pool thread only ever runs shares
+        run(part)
+    list(_pool().map(share, [items[i::workers] for i in range(workers)]))
+
+
+def _chunked(kernel, x):
+    """kernel over x in _CDF_CHUNK-point pieces through _fan_out (numpy
+    releases the GIL): the single chunking point, called by Measure.cont and
+    cantor_cdf.  An elementwise kernel gives bitwise one pass over all of x,
+    with chunk-sized temporaries.  Shape kept; 0-d input gives a scalar."""
     x = np.asarray(x, dtype=float)
     out = np.empty(x.shape)
     flat_x, flat_out = x.reshape(-1), out.reshape(-1)
@@ -228,14 +241,7 @@ def _chunked(kernel, x):
             piece = slice(start, start + _CDF_CHUNK)
             flat_out[piece] = kernel(flat_x[piece])
 
-    starts = range(0, flat_x.size, _CDF_CHUNK)
-    workers = min(_cores(), len(starts) // _WORKER_CHUNKS)
-    if workers < 2:
-        run(starts)
-    else:
-        shares = [starts[i::workers] for i in range(workers)]
-        for _ in _pool().map(run, shares):  # re-raises a worker's exception
-            pass
+    _fan_out(run, range(0, flat_x.size, _CDF_CHUNK))
     return out[()]
 
 
@@ -344,9 +350,9 @@ class Measure:
             raise DomainError(f"interval outside domain [{u}, {v}], reversed "
                               "or non-finite endpoints")
         out = self.cdf(b) - self.cdf_left(a)
-        if np.any(out < 0):  # a monotone CDF never gives one
+        if np.any(out < -MASS_ROUNDING * self.total_mass):
             raise DomainError(f"negative mass {np.min(out):.17g}: CDF not monotone")
-        return out + 0.0  # -0.0, from signed-zero ends, reads +0.0
+        return np.maximum(out, 0.0)
 
 
 def build_measure(spec: MeasureSpec) -> Measure:
@@ -373,6 +379,7 @@ def build_measure(spec: MeasureSpec) -> Measure:
         jump = np.diff(xs) == 0
         dF = np.diff(Fs)
         cont_F = Fs - np.concatenate([[0.0], np.cumsum(np.where(jump, dF, 0.0))])
+        cont_F = np.maximum.accumulate(cont_F)  # may dip by rounding after a jump
         keep = np.concatenate([[True], ~jump])
         cxs, cFs = xs[keep], cont_F[keep]
         return Measure((xs[0], xs[-1]), lambda x: np.interp(x, cxs, cFs),

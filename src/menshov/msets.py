@@ -11,10 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import measures
 from .errors import DomainError
 from .fourier import IndexSet
-from .measures import Measure
+from .measures import _CDF_CHUNK, Measure, _fan_out
 
 __all__ = [
     "MSetSpec",
@@ -26,7 +25,7 @@ __all__ = [
     "ConvergenceScan",
 ]
 
-MAX_BATCH_INTERVALS = measures._CDF_CHUNK  # intervals of one pooled group
+MAX_BATCH_INTERVALS = _CDF_CHUNK  # intervals of one group
 
 
 @dataclass(frozen=True)
@@ -96,10 +95,9 @@ def mset_masses(mu: Measure, specs: list[MSetSpec]) -> np.ndarray:
     """Total mu-mass of each M-set in specs, in order.
 
     Consecutive specs are cut into groups of at most MAX_BATCH_INTERVALS
-    intervals, each one interval_mass call on a measures._pool() worker; a
-    larger spec runs alone in the calling thread, where _chunked fans it out,
-    so no pool task waits on the pool.  Each mass is np.sum over the spec's
-    own slice, which adds in the order of that spec evaluated alone.
+    intervals (a larger spec is a group on its own), each one interval_mass
+    call; the groups run through measures._fan_out.  Each mass is np.sum over
+    the spec's own slice, which adds in the order of that spec evaluated alone.
     """
     u, v = mu.domain
     if any(s.interval[0] < u - 1e-12 or s.interval[1] > v + 1e-12
@@ -113,20 +111,15 @@ def mset_masses(mu: Measure, specs: list[MSetSpec]) -> np.ndarray:
             ends, ends[i] + MAX_BATCH_INTERVALS, side="right")) - 1)
         groups.append(slice(i, j))
         i = j
+    masses = np.empty(len(specs))
+    def run(share):
+        for g in share:
+            cell = mu.interval_mass(*_interval_ends(specs[g]))
+            off = ends[g.start:g.stop + 1] - ends[g.start]
+            masses[g] = [np.sum(cell[a:b]) for a, b in zip(off[:-1], off[1:])]
 
-    def group_masses(g):
-        cell = mu.interval_mass(*_interval_ends(specs[g]))
-        off = ends[g.start:g.stop + 1] - ends[g.start]
-        return [np.sum(cell[a:b]) for a, b in zip(off[:-1], off[1:])]
-
-    small = [g for g in groups if specs[g.start].n <= MAX_BATCH_INTERVALS]
-    pooled = (measures._pool().map if len(small) > 1 else map)(
-        group_masses, small)  # in order; re-raises a worker's exception
-    masses = []
-    for g in groups:  # a group above the cap is one spec above it
-        masses += (group_masses(g) if specs[g.start].n > MAX_BATCH_INTERVALS
-                   else next(pooled))
-    return np.array(masses, dtype=float)
+    _fan_out(run, groups)  # re-raises a worker's exception
+    return masses
 
 
 def pushforward_arc_mass(nu: Measure, n: int, arc: ArcSpec) -> float:

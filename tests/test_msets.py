@@ -4,6 +4,7 @@ import textwrap
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -17,6 +18,18 @@ from menshov import (ArcSpec, DomainError, Measure, MeasureSpec, MSetSpec,
                      pushforward_arc_mass)
 
 TWO_PI = 2.0 * np.pi
+
+
+@contextmanager
+def pooled_groups(cap):
+    """mset_masses cuts groups of at most cap intervals and runs two groups
+    or more on a pool of two workers, on any host."""
+    with pytest.MonkeyPatch.context() as mp, ThreadPoolExecutor(2) as pool:
+        mp.setattr(msets, "MAX_BATCH_INTERVALS", cap)
+        mp.setattr(measures, "_cores", lambda: 2)
+        mp.setattr(measures, "_WORKER_CHUNKS", 1)
+        mp.setattr(measures, "_pool", lambda: pool)
+        yield
 
 
 def test_mset_intervals_direct_substitution():
@@ -89,12 +102,12 @@ def batched_specs():
 
 
 @pytest.mark.parametrize("spec", FIVE_KINDS, ids=lambda s: s.kind)
-def test_mset_masses_bitwise_equal_per_spec_oracle(spec, monkeypatch):
-    monkeypatch.setattr(msets, "MAX_BATCH_INTERVALS", 100)
+def test_mset_masses_bitwise_equal_per_spec_oracle(spec):
     mu = build_measure(spec)
     specs = batched_specs()
     oracle = [np.sum(mu.interval_mass(*mset_intervals(s).T)) for s in specs]
-    assert np.array_equal(mset_masses(mu, specs), oracle)
+    with pooled_groups(100):
+        assert np.array_equal(mset_masses(mu, specs), oracle)
 
 
 def _intervals_oracle(spec):
@@ -106,7 +119,6 @@ def _intervals_oracle(spec):
 
 
 def test_interval_ends_bitwise_equal_per_spec_oracle(monkeypatch):
-    monkeypatch.setattr(msets, "MAX_BATCH_INTERVALS", 100)
     mu = build_measure(MeasureSpec.lebesgue((0.0, 1.0)))
     seen = []
     interval_mass = mu.interval_mass
@@ -117,7 +129,8 @@ def test_interval_ends_bitwise_equal_per_spec_oracle(monkeypatch):
 
     monkeypatch.setattr(mu, "interval_mass", spy)
     specs = batched_specs()
-    mset_masses(mu, specs)
+    with pooled_groups(100):
+        mset_masses(mu, specs)
     want = [_intervals_oracle(s) for s in specs]
     # groups run on pool workers in any order; each starts at a spec
     first = {w[0][0]: k for k, w in enumerate(want)}
@@ -134,7 +147,6 @@ def test_interval_ends_bitwise_equal_per_spec_oracle(monkeypatch):
 
 
 def test_mset_masses_cdf_calls_stay_within_a_batch(monkeypatch):
-    monkeypatch.setattr(msets, "MAX_BATCH_INTERVALS", 100)
     mu = build_measure(MeasureSpec.cantor(40))
     sizes = []
     cont = mu.cont
@@ -145,7 +157,8 @@ def test_mset_masses_cdf_calls_stay_within_a_batch(monkeypatch):
 
     monkeypatch.setattr(mu, "cont", spy)
     specs = batched_specs()
-    mset_masses(mu, specs)
+    with pooled_groups(100):
+        mset_masses(mu, specs)
     # only the 250-interval spec exceeds the cap, as a batch on its own
     assert max(sizes) == 250 and sorted(sizes)[-3] <= 100
     assert sum(sizes) == 2 * sum(s.n for s in specs)  # b, then a
@@ -160,31 +173,30 @@ def test_mset_masses_empty_and_out_of_domain(cantor40):
                                MSetSpec((0.5, 1.2), 1, 0.0, 0.5)])
 
 
-def test_mset_masses_large_specs_run_beside_pooled_groups():
+def test_mset_masses_fan_out_inside_a_pooled_group_runs_inline():
     code = textwrap.dedent("""
         import numpy as np
         import menshov.measures as measures
         from menshov import MeasureSpec, MSetSpec, build_measure, msets
         measures._cores = lambda: 2  # fan out on a one-core host too
-        measures._CDF_CHUNK = 64  # a 5000-interval spec: 79 chunks, 2 workers
+        measures._CDF_CHUNK = 4  # a 100-interval group: 25 chunks, 3 shares
         msets.MAX_BATCH_INTERVALS = 100
         mu = build_measure(MeasureSpec.cantor(40))
         specs = [MSetSpec((0.0, 1.0), n, 0.2, 0.3)
-                 for n in (37, 5000, 99, 64, 5001, 1, 80, 100, 7)]
+                 for n in [37, 5000, 99, 64, 1001, 1, 80, 100, 7] * 3]
         oracle = [np.sum(mu.interval_mass(*msets.mset_intervals(s).T))
                   for s in specs]
         assert np.array_equal(msets.mset_masses(mu, specs), oracle)
     """)
-    # the two large specs fan out on the pool from the calling thread while
-    # small groups queue there; a pool task waiting on the pool would hang,
-    # and the timeout makes that a failure
+    # 18 groups run on two pool workers, and each group's CDF calls would
+    # fan out again; a pool task waiting on the pool would hang, and the
+    # timeout makes that a failure
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 
 
-def test_decreasing_cdf_raises_also_from_a_pool_worker(monkeypatch):
-    monkeypatch.setattr(msets, "MAX_BATCH_INTERVALS", 100)
+def test_decreasing_cdf_raises_also_from_a_pool_worker():
     threads = set()
 
     def tent(x):  # rises to 1/2, then falls: not a CDF
@@ -195,18 +207,38 @@ def test_decreasing_cdf_raises_also_from_a_pool_worker(monkeypatch):
     with pytest.raises(DomainError, match="negative mass -0.3"):
         mu.interval_mass(0.6, 0.9)
     threads.clear()
-    with pytest.raises(DomainError, match="negative mass"):
+    with pooled_groups(100), pytest.raises(DomainError, match="negative mass"):
         mset_masses(mu, [MSetSpec((0.0, 1.0), n, 0.2, 0.3)
                          for n in (50, 60, 70)])  # three pooled groups
     assert threads and threading.get_ident() not in threads
 
 
-def test_criterion_2_scan_peak_memory(cantor40, cantor40_norm, monkeypatch):
-    # two workers, so the bound holds on any host: each worker holds the
-    # temporaries of one group of at most one CDF chunk
-    pool = ThreadPoolExecutor(max_workers=2)
-    monkeypatch.setattr(measures, "_pool", lambda: pool)
+def test_rounding_dips_of_a_table_cdf_read_zero():
+    # the continuous part is F minus the jumps: 0.7 - 0.6 < 0.1
+    jump = build_measure(MeasureSpec.cdf_table(
+        [(0.0, 0.0), (0.5, 0.1), (0.5, 0.7), (1.0, 0.7)]))
+    assert jump.interval_mass(0.75, 1.0) == 0.0
+    with pooled_groups(100):
+        masses = mset_masses(jump, [MSetSpec((0.5, 1.0), n, 0.2, 0.3)
+                                    for n in (1, 7, 50, 300)])
+    assert np.array_equal(masses, np.zeros(4))
+    # np.interp steps back one ulp from just below the row at 0.22
+    kink = build_measure(MeasureSpec.cdf_table(
+        [(0.0, 0.0), (0.05, 0.1), (0.22, 0.9), (1.0, 1.0)]))
+    below = np.nextafter(0.22, 0.0)
+    assert kink.cont(below) > kink.cont(0.22)
+    assert kink.interval_mass(below, 0.22) == 0.0
+
+
+@pytest.mark.parametrize("n_cores", [2, 32])
+def test_criterion_2_scan_peak_memory(n_cores, cantor40, cantor40_norm,
+                                      monkeypatch):
     lam = build_lambda(cantor40_norm, K=3, J=3, N_max=2000, m=1)
+    # 31 groups of at most one CDF chunk run on min(cores, 31 // 8) workers
+    # of this pool, whatever its size
+    pool = ThreadPoolExecutor(max_workers=n_cores)
+    monkeypatch.setattr(measures, "_cores", lambda: n_cores)
+    monkeypatch.setattr(measures, "_pool", lambda: pool)
     tracemalloc.start()
     try:
         scan = proposition_scan(cantor40, (0.0, 1.0), 0.2, 0.3, lam)
@@ -236,8 +268,7 @@ def test_pushforward_identity_property(spec, a, length, ns, sigma, tau_frac):
     assume(mass_I > 1e-9)  # normalize needs mass on I
     tau = 0.02 + tau_frac * (0.97 - sigma)  # sigma + tau <= 0.99
     ns = [33, 32, *ns]  # at least two pooled groups under a cap of 64
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(msets, "MAX_BATCH_INTERVALS", 64)
+    with pooled_groups(64):
         masses = mset_masses(mu, [MSetSpec((a, b), n, sigma, tau)
                                   for n in ns])
     nu = normalize(mu, (a, b))
