@@ -13,7 +13,7 @@ from .errors import (AtomicMeasureError, DomainError, MeasureSpecError,
 from .fourier import (IndexSet, Spectrum, build_lambda, spectrum,
                       wiener_average, wiener_scan)
 from .measures import (Measure, MeasureSpec, atomic_part, build_measure,
-                       cantor_cdf, normalize)
+                       normalize)
 from .msets import (ArcSpec, ConvergenceScan, MSetSpec, mset_intervals,
                     mset_masses, proposition_scan, pushforward_arc_mass)
 from .piecewise import PiecewiseLinearFn, StepFunction

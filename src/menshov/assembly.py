@@ -133,6 +133,8 @@ def claim_run(phi: StepFunction, mu: Measure, nu: int,
     """
     if int(nu) != nu or nu <= 8:
         raise ValueError("nu must be an integer > 8")
+    if not (kappa_cap >= 1 and r_cap >= 1):
+        raise ValueError("kappa_cap and r_cap must be at least 1")
     lo, hi = mu.domain
     if atomic_part(mu):
         raise AtomicMeasureError("claim_run requires a non-atomic measure")

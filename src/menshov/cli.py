@@ -101,6 +101,14 @@ def _load_config(args) -> dict:
     return cfg
 
 
+def _int(cfg: dict, key: str, default: int) -> int:
+    """cfg[key], an integral JSON number: 16 or 16.0, not 16.9, true or "16"."""
+    x = cfg.get(key, default)
+    if not (type(x) is int or type(x) is float and x.is_integer()):
+        raise ValueError(f"{key} must be an integer, got {x!r}")
+    return int(x)
+
+
 def _measure_from_config(cfg: dict):
     src = cfg.get("measure")
     if src is None:
@@ -123,8 +131,8 @@ def _measure_from_config(cfg: dict):
 def _cmd_wiener_scan(cfg, out: Path, plot: bool):
     mu = _measure_from_config(cfg)
     nrm = normalize(mu, mu.domain)
-    k, N = int(cfg.get("k", 1)), int(cfg.get("N", 1000))
-    refinement = int(cfg.get("refinement", fourier.DEFAULT_REFINEMENT))
+    k, N = _int(cfg, "k", 1), _int(cfg, "N", 1000)
+    refinement = _int(cfg, "refinement", fourier.DEFAULT_REFINEMENT)
     absv, errs, running = fourier.wiener_scan(nrm, k, N, refinement)
     rows = [(n, k, absv[n], errs[n], running[n]) for n in range(N + 1)]
     _write_csv(out / "wiener_scan.csv",
@@ -140,9 +148,9 @@ def _cmd_mset_limit(cfg, out: Path, plot: bool):
     interval = tuple(cfg.get("I", list(mu.domain)))
     sigma, tau = float(cfg["sigma"]), float(cfg["tau"])
     msets.MSetSpec(interval, 1, sigma, tau)  # refuse bad sigma, tau up front
-    J, K = int(cfg.get("J", 3)), int(cfg.get("K", 3))
-    m, N_max = int(cfg.get("m", 1)), int(cfg.get("N_max", 1000))
-    refinement = int(cfg.get("refinement", fourier.DEFAULT_REFINEMENT))
+    J, K = _int(cfg, "J", 3), _int(cfg, "K", 3)
+    m, N_max = _int(cfg, "m", 1), _int(cfg, "N_max", 1000)
+    refinement = _int(cfg, "refinement", fourier.DEFAULT_REFINEMENT)
     nrm = normalize(mu, interval)
     lam = fourier.build_lambda(nrm, K=K, J=J, N_max=N_max, m=m,
                                refinement=refinement)
@@ -167,8 +175,8 @@ def _cmd_corrector(cfg, out: Path, plot: bool):
     c, d = float(cfg.get("c", 0.0)), float(cfg.get("d", 2.0 * np.pi))
     gamma = float(cfg.get("gamma", 1.0))
     eps = float(cfg.get("eps", 0.1))
-    nu = int(cfg.get("nu", 16))
-    r = int(cfg.get("r", 0)) or corrector.choose_r(c, d, gamma, eps, nu)
+    nu = _int(cfg, "nu", 16)
+    r = _int(cfg, "r", 0) or corrector.choose_r(c, d, gamma, eps, nu)
     params = corrector.CorrectorParams(c, d, gamma, eps, nu, r)
     lay = corrector.layout(params)
     psi = corrector.build_psi(lay, gamma, nu)
@@ -176,8 +184,8 @@ def _cmd_corrector(cfg, out: Path, plot: bool):
     checks["running_integral_sup"] = corrector.running_integral_sup(psi)
     checks["lebesgue_E_measure"] = lay.lebesgue_e()
     if cfg.get("kernel", False):
-        j_max = int(cfg.get("j_max", 16))
-        x_grid = int(cfg.get("x_grid", 64))
+        j_max = _int(cfg, "j_max", 16)
+        x_grid = _int(cfg, "x_grid", 64)
         sup, b_hat = corrector.kernel_sup(psi, j_max, x_grid, nu, gamma)
         checks["kernel_sup"] = sup
         checks["kernel_b_hat"] = b_hat
@@ -196,14 +204,14 @@ def _cmd_corrector(cfg, out: Path, plot: bool):
 
 def _cmd_claim(cfg, out: Path, plot: bool):
     mu = _measure_from_config(cfg)
-    nu = int(cfg.get("nu", 16))
+    nu = _int(cfg, "nu", 16)
     phi = StepFunction(mu.domain, cfg.get("phi", [1.0, -1.0]))
     eps_seq = cfg.get("eps_seq")
     result = assembly.claim_run(
         phi, mu, nu, eps_seq,
-        kappa_cap=int(cfg.get("kappa_cap", assembly.SEARCH_CAP)),
-        r_cap=int(cfg.get("r_cap", assembly.SEARCH_CAP)),
-        refinement=int(cfg.get("refinement", fourier.DEFAULT_REFINEMENT)))
+        kappa_cap=_int(cfg, "kappa_cap", assembly.SEARCH_CAP),
+        r_cap=_int(cfg, "r_cap", assembly.SEARCH_CAP),
+        refinement=_int(cfg, "refinement", fourier.DEFAULT_REFINEMENT))
     _write_json(out / "claim_result.json", result.to_json_dict(), cfg)
     _write_csv(out / "claim_e_intervals.csv", ["left", "right"],
                result.e_intervals.tolist(), cfg)
@@ -231,8 +239,8 @@ def _cmd_demo(cfg, out: Path, plot: bool):
     gap = float(cfg.get("uniform_gap", 0.5))
     result = assembly.theorem_demo(
         f, mu, eps, gap,
-        kappa_cap=int(cfg.get("kappa_cap", assembly.SEARCH_CAP)),
-        r_cap=int(cfg.get("r_cap", assembly.SEARCH_CAP)))
+        kappa_cap=_int(cfg, "kappa_cap", assembly.SEARCH_CAP),
+        r_cap=_int(cfg, "r_cap", assembly.SEARCH_CAP))
     report = result.report()
     if "partial_sums" in cfg:  # refused before any file is written
         report["partial_sums"] = assembly.partial_sum_diagnostics(

@@ -2,10 +2,10 @@
 
 A measure is stored as a continuous CDF part (a vectorized monotone
 function vanishing at the left endpoint) plus an explicit finite list of
-atoms.  Closed-interval masses are computed as cdf(b) - cdf(a-), so atoms
-sitting on interval endpoints are always included.  Each continuous part
-is an elementwise kernel on one chunk (`Measure._kernel`); `_chunked` is
-the single chunking point, run once per `Measure.cont` or `cantor_cdf` call.
+atoms.  It answers two queries: `Measure.cont(x)`, the continuous CDF part,
+and `Measure.interval_mass(a, b)`, the mass of the closed interval [a, b]
+with atoms on either end included.  Each continuous part is an elementwise
+kernel on one chunk (`Measure._kernel`), which `cont` runs chunk by chunk.
 """
 
 from __future__ import annotations
@@ -28,13 +28,16 @@ __all__ = [
     "build_measure",
     "normalize",
     "atomic_part",
-    "cantor_cdf",
 ]
 
 ATOM_TOL_FACTOR = 1e-9  # default jump-detection tolerance, relative to total mass
 _CDF_CHUNK = 1 << 16  # CDF points per chunk; keeps each chunk's temporaries in cache
 _WORKER_CHUNKS = 8  # a CDF call gets one worker thread per this many chunks, up to the cores
 MASS_ROUNDING = 1e-12  # a mass down to -this * total mass is rounding and reads 0
+# How far an interval end may pass the domain.  With sigma + tau = 1 the last
+# M-set end a + (n - 1 + sigma + tau) * (b - a) / n rounds past b: by up to
+# 8.9e-16 on I = [0, b] for b in {1, 3.7, 5, 2 pi} and n < 3000.
+DOMAIN_SLACK = 1e-12
 _in_pool = threading.local()  # .share is set in the threads that run a share
 # A point off every plateau takes every level; past 53 levels the level
 # steps 2^-levels fall below a double's resolution at 1.
@@ -193,7 +196,7 @@ class MeasureSpec:
 
 
 # ---------------------------------------------------------------------------
-# Chunked CDF evaluation
+# The thread pool
 
 def _cores():
     """Number of cores this process may run on."""
@@ -212,11 +215,14 @@ def _pool():
 
 
 def _fan_out(run, items):
-    """run(share) over items, the single fan-out point (_chunked and
-    msets.mset_masses): min(cores, len(items) // _WORKER_CHUNKS) shares, each
-    every workers-th item, on _pool(), so at most 1/_WORKER_CHUNKS of the
-    items are in flight on any number of cores.  Inline below two shares and
-    inside a share, so no pool task waits on the pool."""
+    """run(share) over items in min(cores, len(items) // _WORKER_CHUNKS)
+    shares, each every workers-th item, on _pool(): at most 1/_WORKER_CHUNKS
+    of the items are in flight on any number of cores.  Inline below two
+    shares and inside a share, so no pool task waits on the pool."""
+    # The two users: Measure.cont fans out the chunks of a CDF call of 2^20
+    # points or more (a large wiener-scan or spectrum grid); mset_masses fans
+    # out its M-set groups (31 in the criterion-2 scan), whose cont calls
+    # then run inline.
     workers = min(_cores(), len(items) // _WORKER_CHUNKS)
     if workers < 2 or getattr(_in_pool, "share", False):
         return run(items)
@@ -227,38 +233,10 @@ def _fan_out(run, items):
     list(_pool().map(share, [items[i::workers] for i in range(workers)]))
 
 
-def _chunked(kernel, x):
-    """kernel over x in _CDF_CHUNK-point pieces through _fan_out (numpy
-    releases the GIL): the single chunking point, called by Measure.cont and
-    cantor_cdf.  An elementwise kernel gives bitwise one pass over all of x,
-    with chunk-sized temporaries.  Shape kept; 0-d input gives a scalar."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape)
-    flat_x, flat_out = x.reshape(-1), out.reshape(-1)
-
-    def run(starts):
-        for start in starts:
-            piece = slice(start, start + _CDF_CHUNK)
-            flat_out[piece] = kernel(flat_x[piece])
-
-    _fan_out(run, range(0, flat_x.size, _CDF_CHUNK))
-    return out[()]
-
-
-def cantor_cdf(x, levels: int):
-    """Level-`levels` self-similar approximation of the Cantor CDF on [0,1].
-
-    Exact on the removed (plateau) intervals of every level <= levels;
-    linear inside the level-`levels` construction intervals.  Chunk by
-    chunk (see _chunked), only the points not yet on a plateau (a fraction
-    (2/3)^l after level l) are updated at each level, each by the same float
-    operations as a full pass over all levels.
-    """
-    return _chunked(lambda piece: _cantor_kernel(piece, levels), x)
-
-
 def _cantor_kernel(x, levels: int):
-    """cantor_cdf on one 1-d chunk: the active-set loop."""
+    """Level-`levels` Cantor CDF on one 1-d chunk of [0, 1]: exact on the
+    plateaus of every level <= levels, linear inside the level-`levels`
+    intervals.  Each level updates only the points not yet on a plateau."""
     t = np.clip(x, 0.0, 1.0)
     y = np.zeros_like(t)
     out = np.empty_like(t)
@@ -320,36 +298,38 @@ class Measure:
         return self._cont_cdf(np.clip(x, u, v))
 
     def cont(self, x):
-        """Continuous CDF part, clamped to the domain: _kernel over chunks
-        (see _chunked), bitwise equal to one pass of _kernel over all of x."""
-        return _chunked(self._kernel, x)
+        """Continuous CDF part, clamped to the domain: _kernel on chunks of
+        _CDF_CHUNK points through _fan_out (numpy releases the GIL), bitwise
+        one pass over all of x.  Shape kept; 0-d input gives a scalar."""
+        x = np.asarray(x, dtype=float)
+        out = np.empty(x.shape)
+        flat_x, flat_out = x.reshape(-1), out.reshape(-1)
 
-    def _with_atoms(self, x, side: str):
-        c = self.cont(x)
-        if self.atom_positions.size == 0:  # no atom term to add
-            return c
-        return c + self._atom_cum[np.searchsorted(self.atom_positions, x,
-                                                  side=side)]
+        def run(starts):
+            for start in starts:
+                piece = slice(start, start + _CDF_CHUNK)
+                flat_out[piece] = self._kernel(flat_x[piece])
 
-    def cdf(self, x):
-        """Right-continuous CDF: mass of [u, x]."""
-        return self._with_atoms(x, "right")
-
-    def cdf_left(self, x):
-        """Left limit of the CDF at x: mass of [u, x)."""
-        return self._with_atoms(x, "left")
+        _fan_out(run, range(0, flat_x.size, _CDF_CHUNK))
+        return out[()]
 
     def interval_mass(self, a, b):
-        """Mass of the closed interval [a, b], endpoint atoms included."""
+        """Mass of the closed interval [a, b]: F(b) - F(a-) of the
+        right-continuous CDF F, so atoms on either end are included."""
         u, v = self.domain
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         # negated comparisons, so non-finite (NaN) endpoints are refused too
-        if not (np.all(a >= u - 1e-12) and np.all(b <= v + 1e-12)
+        if not (np.all(a >= u - DOMAIN_SLACK) and np.all(b <= v + DOMAIN_SLACK)
                 and np.all(a <= b)):
             raise DomainError(f"interval outside domain [{u}, {v}], reversed "
                               "or non-finite endpoints")
-        out = self.cdf(b) - self.cdf_left(a)
+        hi, lo = self.cont(b), self.cont(a)
+        if self.atom_positions.size:  # atoms in [u, b] and in [u, a)
+            pos, cum = self.atom_positions, self._atom_cum
+            hi = hi + cum[np.searchsorted(pos, b, side="right")]
+            lo = lo + cum[np.searchsorted(pos, a, side="left")]
+        out = hi - lo
         if np.any(out < -MASS_ROUNDING * self.total_mass):
             raise DomainError(f"negative mass {np.min(out):.17g}: CDF not monotone")
         return np.maximum(out, 0.0)
@@ -408,7 +388,7 @@ def normalize(m: Measure, interval) -> Measure:
     """Probability measure on [0,1]: mass of E is m(affine(E) ∩ I) / m(I)."""
     a, b = float(interval[0]), float(interval[1])
     u, v = m.domain
-    if not (u - 1e-12 <= a < b <= v + 1e-12):
+    if not (u - DOMAIN_SLACK <= a < b <= v + DOMAIN_SLACK):
         raise DomainError(f"normalization interval [{a}, {b}] not inside [{u}, {v}]")
     M = float(m.interval_mass(a, b))
     if M <= 0:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DomainError
 from .fourier import IndexSet
-from .measures import _CDF_CHUNK, Measure, _fan_out
+from .measures import _CDF_CHUNK, DOMAIN_SLACK, Measure, _fan_out
 
 __all__ = [
     "MSetSpec",
@@ -100,7 +100,7 @@ def mset_masses(mu: Measure, specs: list[MSetSpec]) -> np.ndarray:
     the spec's own slice, which adds in the order of that spec evaluated alone.
     """
     u, v = mu.domain
-    if any(s.interval[0] < u - 1e-12 or s.interval[1] > v + 1e-12
+    if any(s.interval[0] < u - DOMAIN_SLACK or s.interval[1] > v + DOMAIN_SLACK
            for s in specs):
         raise DomainError("M-set interval outside measure domain")
     ends = np.cumsum([0] + [s.n for s in specs])  # interval offset per spec

@@ -25,10 +25,21 @@ def brute_force_atoms(measure, refinement=2**20, tol=None):
     if tol is None:
         tol = 1e-6 * measure.total_mass
     xs = np.linspace(u, v, refinement + 1)
-    F = measure.cdf(xs)
+    F = measure.interval_mass(u, xs)
     jumps = np.diff(F)
     idx = np.flatnonzero(jumps > tol)
     return [(float((xs[i] + xs[i + 1]) / 2.0), float(jumps[i])) for i in idx]
+
+
+# one measure of each kind; three of them have atoms
+FIVE_KINDS = [
+    MeasureSpec.lebesgue((0.0, 1.0), 2.0),
+    MeasureSpec.atomic([(0.25, 0.5), (0.5, 1.0), (0.6, 0.25)]),
+    MeasureSpec.cantor(40),
+    MeasureSpec.cdf_table([(0.0, 0.0), (0.3, 0.2), (0.3, 0.5), (1.0, 1.0)]),
+    MeasureSpec.mixture([(0.7, MeasureSpec.cantor(40)),
+                         (0.3, MeasureSpec.atomic([(0.5, 1.0)]))]),
+]
 
 
 @pytest.fixture(scope="session")

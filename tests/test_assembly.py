@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from menshov import assembly
 from menshov import (AtomicMeasureError, MeasureSpec, MSetSpec,
                      PiecewiseLinearFn, QuadratureError, StepFunction,
                      build_lambda, build_measure, claim_run, mset_masses,
@@ -110,6 +111,20 @@ def test_claim_rejects_bad_inputs():
     ]))
     with pytest.raises(AtomicMeasureError):
         claim_run(phi, atom, 16)
+
+
+@pytest.mark.parametrize("caps", [{"kappa_cap": -1}, {"kappa_cap": 0},
+                                  {"r_cap": 0}])
+def test_claim_and_demo_refuse_caps_below_one(monkeypatch, caps):
+    def no_work(*args, **kwargs):
+        raise AssertionError("claim_run built an index set")
+
+    monkeypatch.setattr(assembly, "build_lambda", no_work)
+    phi = StepFunction((0.0, TWO_PI), [1.0, -1.0])
+    with pytest.raises(ValueError, match="kappa_cap and r_cap"):
+        claim_run(phi, cantor_full(), 16, **caps)
+    with pytest.raises(ValueError, match="kappa_cap and r_cap"):
+        theorem_demo(phi, cantor_full(), 0.5, 0.5, **caps)
 
 
 def test_claim_uncertified_on_tiny_caps():

@@ -342,6 +342,42 @@ def test_bad_set_syntax_is_config_error(tmp_path):
         EXIT_CONFIG
 
 
+@pytest.mark.parametrize("sub, cfg, key, value", [
+    ("claim", {"measure": CANTOR, "phi": [1.0, -1.0]}, "nu", 16.9),
+    ("wiener-scan", {"measure": LEBESGUE}, "N", 200.7),
+    ("mset-limit", {"measure": CANTOR, "sigma": 0.2, "tau": 0.3},
+     "N_max", 300.9),
+    ("wiener-scan", {"measure": LEBESGUE, "N": 20}, "k", True),
+    ("corrector", {}, "r", "16"),
+], ids=["nu=16.9", "N=200.7", "N_max=300.9", "k=true", "r='16'"])
+def test_non_integer_config_value_is_precondition_violation(
+        tmp_path, capsys, sub, cfg, key, value):
+    code, out = run_cli(tmp_path, sub, {**cfg, key: value})
+    assert code == EXIT_PRECONDITION
+    assert f"{key} must be an integer, got {value!r}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_integral_float_config_value_is_read_as_integer(tmp_path):
+    cfg = {"measure": CANTOR, "sigma": 0.2, "tau": 0.3, "N_max": 300}
+    code, out = run_cli(tmp_path / "int", "mset-limit", cfg)
+    code_f, out_f = run_cli(tmp_path / "float", "mset-limit",
+                            {**cfg, "N_max": 300.0, "J": 3.0})
+    assert code == code_f == EXIT_OK
+    rows = (out / "mset_limit.csv").read_text().splitlines()[1:]
+    assert (out_f / "mset_limit.csv").read_text().splitlines()[1:] == rows
+
+
+@pytest.mark.parametrize("key, value", [("kappa_cap", -1), ("r_cap", 0)])
+def test_claim_cap_below_one_is_precondition_violation(tmp_path, capsys, key,
+                                                        value):
+    cfg = {"measure": CANTOR, "nu": 16, "phi": [1.0, -1.0], key: value}
+    code, out = run_cli(tmp_path, "claim", cfg)
+    assert code == EXIT_PRECONDITION
+    assert "kappa_cap and r_cap must be at least 1" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_precondition_violation_exit_three(tmp_path):
     # nu = 8 violates the hypothesis of the construction
     code, _ = run_cli(tmp_path, "claim",

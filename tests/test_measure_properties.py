@@ -62,7 +62,7 @@ measure_docs = st.one_of(simple_docs, mixture_docs)
 def test_interval_additivity_across_split_points(doc, points):
     m = build_measure(MeasureSpec.from_dict(doc))
     a, b, c = sorted(points)
-    atom_b = m.cdf(b) - m.cdf_left(b)  # counted by both closed halves
+    atom_b = m.interval_mass(b, b)  # counted by both closed halves
     whole = m.interval_mass(a, c)
     halves = m.interval_mass(a, b) + m.interval_mass(b, c) - atom_b
     assert whole == pytest.approx(halves, rel=1e-12, abs=1e-12 * m.total_mass)

@@ -9,12 +9,17 @@ import pytest
 
 import menshov.measures as measures
 from menshov import (DomainError, MeasureSpec, MeasureSpecError, atomic_part,
-                     build_measure, cantor_cdf, normalize)
+                     build_measure, normalize)
 from menshov.measures import MAX_CANTOR_LEVELS, _CDF_CHUNK, _WORKER_CHUNKS
-from conftest import brute_force_atoms
+from conftest import FIVE_KINDS, brute_force_atoms
 
 TWO_PI = 2.0 * np.pi
 TWO_WORKERS = 2 * _WORKER_CHUNKS * _CDF_CHUNK  # points: enough for two workers
+
+
+def unit_cantor_cont(x, levels):
+    """The level-`levels` Cantor CDF: the unit Cantor measure's cont."""
+    return build_measure(MeasureSpec.cantor(levels)).cont(x)
 
 
 def cantor_cdf_oracle(x, levels):
@@ -62,10 +67,10 @@ def _oracle_inputs():
         yield f"size {n}", rng.uniform(0.0, 1.0, n)
 
 
-@pytest.mark.parametrize("levels", [1, 2, 5, 12, 40])
+@pytest.mark.parametrize("levels", [1, 2, 5, 12, 40, MAX_CANTOR_LEVELS])
 def test_cantor_cdf_bitwise_equals_full_loop_oracle(levels):
     for name, x in _oracle_inputs():
-        got, want = cantor_cdf(x, levels), cantor_cdf_oracle(x, levels)
+        got, want = unit_cantor_cont(x, levels), cantor_cdf_oracle(x, levels)
         assert got.shape == want.shape, name
         assert np.array_equal(got, want, equal_nan=True), name
         # bitwise, so +0.0 and -0.0 would count as different values
@@ -74,10 +79,10 @@ def test_cantor_cdf_bitwise_equals_full_loop_oracle(levels):
 
 def test_cantor_cdf_scalar_input_gives_numpy_scalar():
     for x in (0.0, 0.15, 1.0 / 3.0, 0.7, 1.0, -0.0, np.float64(0.4)):
-        got = cantor_cdf(x, 40)
+        got = unit_cantor_cont(x, 40)
         assert type(got) is np.float64
         assert got == cantor_cdf_oracle(x, 40)
-    assert np.isnan(cantor_cdf(np.nan, 40))
+    assert np.isnan(unit_cantor_cont(np.nan, 40))
 
 
 def test_cantor_measure_masses_bitwise_equal_oracle_path(monkeypatch):
@@ -87,17 +92,6 @@ def test_cantor_measure_masses_bitwise_equal_oracle_path(monkeypatch):
     got = m.interval_mass(a[0], a[1])
     monkeypatch.setattr(measures, "_cantor_kernel", cantor_cdf_oracle)
     assert np.array_equal(got, m.interval_mass(a[0], a[1]))
-
-
-def test_cantor_cdf_peak_memory_near_output_size():
-    x = np.linspace(0.0, 1.0, 2**20 + 1)
-    tracemalloc.start()
-    try:
-        cantor_cdf(x, 40)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * x.nbytes
 
 
 STREAM_SPECS = {
@@ -130,7 +124,8 @@ def _stream_input(m, shape, seed):
 
 @pytest.fixture
 def cores(monkeypatch):
-    """set_cores(n): _chunked sees n cores and a fresh pool of n workers."""
+    """set_cores(n): Measure.cont sees n cores and a fresh pool of n
+    workers."""
     pools = []
 
     def set_cores(n):
@@ -183,7 +178,6 @@ def test_normalized_cantor_cont_peak_memory(cantor40_norm):
 def test_cdf_peak_memory_bounds_hold_on_many_cores(n, cantor40_norm, cores):
     cores(16)  # a 2**22-point call then runs on 8 workers
     x = np.linspace(0.0, 1.0, n)
-    assert _peak_memory(lambda x: cantor_cdf(x, 40), x) <= 2 * x.nbytes
     assert _peak_memory(cantor40_norm.cont, x) <= 3 * x.nbytes
 
 
@@ -214,22 +208,32 @@ def test_cdf_threads_start_only_for_large_calls():
     assert proc.returncode == 0, proc.stderr
 
 
+def _cdf_oracle(m, x, side):
+    """F(x) on side "right", F(x-) on "left": cont plus, when m has atoms,
+    the atoms up to x."""
+    c = m.cont(x)
+    if m.atom_positions.size == 0:
+        return c
+    return c + m._atom_cum[np.searchsorted(m.atom_positions, x, side=side)]
+
+
 def _interval_mass_oracle(m, a, b):
-    """interval_mass with the atom term always gathered."""
-    def with_atoms(x, side):
-        idx = np.searchsorted(m.atom_positions, x, side=side)
-        return m.cont(x) + m._atom_cum[idx]
-
-    return np.maximum(with_atoms(b, "right") - with_atoms(a, "left"), 0.0)
+    """Mass of [a, b] as F(b) - F(a-) of the right-continuous CDF."""
+    return np.maximum(_cdf_oracle(m, b, "right") - _cdf_oracle(m, a, "left"),
+                      0.0)
 
 
-@pytest.mark.parametrize("name", STREAM_SPECS)
-def test_interval_mass_bitwise_equals_atom_gather(name):
-    m = _stream_measure(name)
+@pytest.mark.parametrize("spec", FIVE_KINDS, ids=lambda s: s.kind)
+def test_interval_mass_bitwise_equals_atom_gather(spec):
+    m = build_measure(spec)
     u, v = m.domain
     ab = np.sort(np.random.default_rng(4).uniform(u, v, (2, 5000)), axis=0)
-    pairs = [(ab[0], ab[1]), (u, v), (0.5 * (u + v), v), (u, u),
-             (np.array([u, u, -0.0, 0.0]), np.array([u, v, -0.0, -0.0]))]
+    atoms = m.atom_positions
+    pairs = [(ab[0], ab[1]), (u, v), (0.5 * (u + v), v), (u, u), (v, v),
+             (np.array([u, u, -0.0, 0.0]), np.array([u, v, -0.0, -0.0])),
+             (atoms, atoms), (atoms[:-1], atoms[1:])]  # [b, b]; atom ends
+    if atoms.size:
+        pairs += [(atoms[0], atoms[-1]), (u, atoms[0]), (atoms[-1], v)]
     for a, b in pairs:
         got, want = m.interval_mass(a, b), _interval_mass_oracle(m, a, b)
         assert np.shape(got) == np.shape(want)
@@ -245,8 +249,8 @@ def test_lebesgue_total_mass():
 
 def test_atomic_cdf_jump():
     m = build_measure(MeasureSpec.atomic([(1.0, 0.3)], (0.0, 2.0)))
-    assert m.cdf_left(1.0) == 0.0
-    assert m.cdf(1.0) == 0.3
+    assert m.interval_mass(0.0, np.nextafter(1.0, 0.0)) == 0.0
+    assert m.interval_mass(1.0, 1.0) == 0.3
     assert m.interval_mass(0.5, 1.5) == pytest.approx(0.3)
     # endpoint atoms are included in closed intervals
     assert m.interval_mass(1.0, 1.5) == pytest.approx(0.3)
@@ -254,7 +258,7 @@ def test_atomic_cdf_jump():
 
 
 def test_cantor_symmetry_and_self_similarity(cantor40):
-    assert cantor40.cdf(0.5) == pytest.approx(0.5, abs=1e-12)
+    assert cantor40.interval_mass(0.0, 0.5) == pytest.approx(0.5, abs=1e-12)
     assert cantor40.interval_mass(0.0, 1.0 / 3.0) == pytest.approx(0.5, abs=1e-12)
     # removed middle-third intervals carry zero mass at every level <= 40
     assert cantor40.interval_mass(1.0 / 3.0 + 1e-9, 2.0 / 3.0 - 1e-9) == 0.0
@@ -264,11 +268,11 @@ def test_cantor_symmetry_and_self_similarity(cantor40):
 def test_cantor_cdf_plateau_exactness():
     # exact on complementary-interval plateaus, all levels up to L
     for L in (3, 10, 40):
-        assert cantor_cdf(0.4, L) == 0.5
-        assert cantor_cdf(1.0 / 3.0, L) == 0.5
-        assert cantor_cdf(0.15, L) == 0.25
-    assert cantor_cdf(0.0, 40) == 0.0
-    assert cantor_cdf(1.0, 40) == 1.0
+        assert unit_cantor_cont(0.4, L) == 0.5
+        assert unit_cantor_cont(1.0 / 3.0, L) == 0.5
+        assert unit_cantor_cont(0.15, L) == 0.25
+    assert unit_cantor_cont(0.0, 40) == 0.0
+    assert unit_cantor_cont(1.0, 40) == 1.0
 
 
 def test_additivity_on_adjacent_intervals():
@@ -284,7 +288,7 @@ def test_additivity_on_adjacent_intervals():
         for _ in range(50):
             a, b, c = np.sort(rng.uniform(0.0, 1.0, size=3))
             lhs = m.interval_mass(a, c)
-            jump = m.cdf(b) - m.cdf_left(b)
+            jump = m.interval_mass(b, b)
             rhs = m.interval_mass(a, b) + m.interval_mass(b, c) - jump
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
@@ -310,7 +314,7 @@ def test_normalize_affine_invariance(lebesgue_2pi):
     nrm = normalize(lebesgue_2pi, (np.pi, TWO_PI))
     # normalized Lebesgue: mass of [0, t] is t
     for t in (0.1, 0.5, 0.9):
-        assert nrm.cdf(t) == pytest.approx(t, abs=1e-12)
+        assert nrm.interval_mass(0.0, t) == pytest.approx(t, abs=1e-12)
 
 
 def test_normalize_degenerate_interval(cantor40):
@@ -349,7 +353,7 @@ def test_cdf_table_with_jump_rows():
                                   (1.0, 1.0)])
     m = build_measure(spec)
     assert m.total_mass == pytest.approx(1.0)
-    assert m.cdf(0.5) - m.cdf_left(0.5) == pytest.approx(0.5)
+    assert m.interval_mass(0.5, 0.5) == pytest.approx(0.5)
     assert m.interval_mass(0.0, 0.25) == pytest.approx(0.125)
     assert atomic_part(m) == [(0.5, 0.5)]
 

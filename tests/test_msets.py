@@ -16,6 +16,7 @@ from menshov import (ArcSpec, DomainError, Measure, MeasureSpec, MSetSpec,
                      build_lambda, build_measure, msets, mset_intervals,
                      mset_masses, normalize, proposition_scan,
                      pushforward_arc_mass)
+from conftest import FIVE_KINDS
 
 TWO_PI = 2.0 * np.pi
 
@@ -77,16 +78,6 @@ def test_mset_mass_monotone_in_tau(cantor40):
     masses = mset_masses(cantor40, [MSetSpec((0.0, 1.0), 9, 0.2, t)
                                     for t in (0.1, 0.3, 0.5, 0.7)])
     assert all(m2 >= m1 - 1e-15 for m1, m2 in zip(masses, masses[1:]))
-
-
-FIVE_KINDS = [
-    MeasureSpec.lebesgue((0.0, 1.0), 2.0),
-    MeasureSpec.atomic([(0.25, 0.5), (0.5, 1.0), (0.6, 0.25)]),
-    MeasureSpec.cantor(40),
-    MeasureSpec.cdf_table([(0.0, 0.0), (0.3, 0.2), (0.3, 0.5), (1.0, 1.0)]),
-    MeasureSpec.mixture([(0.7, MeasureSpec.cantor(40)),
-                         (0.3, MeasureSpec.atomic([(0.5, 1.0)]))]),
-]
 
 
 def batched_specs():
@@ -171,6 +162,16 @@ def test_mset_masses_empty_and_out_of_domain(cantor40):
     with pytest.raises(DomainError):
         mset_masses(cantor40, [MSetSpec((0.0, 1.0), 3, 0.2, 0.3),
                                MSetSpec((0.5, 1.2), 1, 0.0, 0.5)])
+
+
+def test_mset_whose_last_end_rounds_past_the_domain_is_measured(lebesgue_2pi):
+    # sigma + tau = 1: the last end (24 + 1) * (2 pi / 25) rounds past 2 pi
+    spec = MSetSpec((0.0, TWO_PI), 25, 0.5, 0.5)
+    assert mset_intervals(spec)[-1, 1] > TWO_PI
+    mass, = mset_masses(lebesgue_2pi, [spec])
+    assert mass == pytest.approx(np.pi, rel=1e-14)
+    with pytest.raises(DomainError):  # a slack for rounding only
+        lebesgue_2pi.interval_mass(0.0, TWO_PI + 1e-11)
 
 
 def test_mset_masses_fan_out_inside_a_pooled_group_runs_inline():

@@ -27,6 +27,8 @@ CANTOR = {"kind": "cantor", "levels": 40, "total": 1.0,
 LEBESGUE = {"kind": "lebesgue", "domain": [0.0, TWO_PI]}
 MIXTURE = {"kind": "mixture", "components": [
     {"weight": 0.6, "spec": CANTOR}, {"weight": 0.4, "spec": LEBESGUE}]}
+JUMP_TABLE = {"kind": "cdf_table", "table": [
+    [0, 0], [0, 0.2], [0.5, 0.5], [0.5, 0.7], [1, 0.9], [1, 1]]}
 
 WORKERS = 4  # CLI processes at a time; the largest run peaks near 200 MB
 RUN_TIMEOUT = 300  # seconds; a run past it is killed and the check fails
@@ -64,6 +66,9 @@ CONFIGS = {
         "J": 3, "K": 3, "N_max": 3000}, []),
     "wiener-scan-criterion-9": ("wiener-scan", {"measure": CANTOR, "k": 1,
                                                 "N": 200}, ["--plot"]),
+    # atoms at both ends of the domain and at 0.5
+    "wiener-scan-jump-table": ("wiener-scan", {"measure": JUMP_TABLE, "k": 1,
+                                               "N": 200}, []),
 }
 
 
