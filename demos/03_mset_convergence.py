@@ -8,8 +8,8 @@ tau * mu(I) -- equidistribution in action for a measure with no density.
 
 import numpy as np
 
-from menshov import (MeasureSpec, MSetSpec, build_lambda, build_measure,
-                     mset_masses, normalize, proposition_scan)
+from menshov import (MeasureSpec, build_lambda, build_measure, mset_masses,
+                     normalize, proposition_scan)
 
 
 def main():
@@ -19,8 +19,7 @@ def main():
 
     print("raw masses (no frequency selection): mu(A_n) for the Cantor measure")
     ns = (1, 3, 9, 27, 81, 100, 1000)
-    masses = mset_masses(mu, [MSetSpec((0.0, 1.0), n, sigma, tau)
-                              for n in ns])
+    masses = mset_masses(mu, (0.0, 1.0), ns, sigma, tau)
     for n, m in zip(ns, masses):
         print(f"  n={n:5d}  mass {m:.5f}   |mass - 0.3| = {abs(m - 0.3):.5f}")
     print("  (powers of 3 resonate with the Cantor construction and refuse"

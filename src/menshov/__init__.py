@@ -14,8 +14,8 @@ from .fourier import (IndexSet, Spectrum, build_lambda, spectrum,
                       wiener_average, wiener_scan)
 from .measures import (Measure, MeasureSpec, atomic_part, build_measure,
                        normalize)
-from .msets import (ArcSpec, ConvergenceScan, MSetSpec, mset_intervals,
-                    mset_masses, proposition_scan, pushforward_arc_mass)
+from .msets import (ConvergenceScan, MSetSpec, mset_intervals, mset_masses,
+                    proposition_scan, pushforward_arc_mass)
 from .piecewise import PiecewiseLinearFn, StepFunction
 
 __version__ = "0.1.0"

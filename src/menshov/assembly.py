@@ -23,7 +23,7 @@ from .corrector import (MAX_LAYOUT_NODES, CorrectorLayout, CorrectorParams,
 from .errors import AtomicMeasureError, QuadratureError
 from .fourier import DEFAULT_REFINEMENT, build_lambda
 from .measures import Measure, atomic_part, normalize
-from .msets import MSetSpec, mset_masses
+from .msets import mset_masses
 from .piecewise import PiecewiseLinearFn, StepFunction
 
 __all__ = [
@@ -154,8 +154,7 @@ def claim_run(phi: StepFunction, mu: Measure, nu: int,
         lam = build_lambda(nrm, K=LAMBDA_K, J=LAMBDA_J, N_max=N_max, m=rho,
                            refinement=refinement)
         ns = lam.members[lam.members >= max(rho, prev + 1)]
-        masses = mset_masses(
-            mu, [MSetSpec((lo, hi), int(n), sigma_u, tau_u) for n in ns])
+        masses = mset_masses(mu, (lo, hi), ns, sigma_u, tau_u)
         hit = np.flatnonzero(masses >= target_union)
         stop = hit[0] + 1 if hit.size else ns.size
         tried += zip((ns[:stop] // rho).tolist(), masses[:stop].tolist())
@@ -167,8 +166,7 @@ def claim_run(phi: StepFunction, mu: Measure, nu: int,
     kappa, union_mass = tried[-1] if stage1_certified else max(
         tried, key=lambda t: t[1], default=(1, None))
     if union_mass is None:  # no member in range: kappa = 1, measured
-        union_mass, = mset_masses(
-            mu, [MSetSpec((lo, hi), rho, sigma_u, tau_u)])
+        union_mass, = mset_masses(mu, (lo, hi), [rho], sigma_u, tau_u)
 
     part = StepFunction(phi.domain, np.repeat(phi.values, kappa))
     cells_lr = np.column_stack([part.breakpoints[:-1], part.breakpoints[1:]])

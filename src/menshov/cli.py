@@ -16,7 +16,7 @@ import numpy as np
 
 from . import assembly, corrector, fourier, msets
 from .errors import AtomicMeasureError, QuadratureError
-from .measures import MeasureSpec, build_measure, normalize
+from .measures import MeasureSpec, _real, build_measure, normalize
 from .piecewise import StepFunction
 
 EXIT_OK = 0
@@ -109,6 +109,15 @@ def _int(cfg: dict, key: str, default: int) -> int:
     return int(x)
 
 
+def _float(cfg: dict, key: str, default: float | None = None) -> float:
+    """cfg[key], a JSON number a double can hold: 0.5 or 2, not true or
+    "0.5"; required when there is no default."""
+    x = cfg[key] if default is None else cfg.get(key, default)
+    if not _real(x):
+        raise ValueError(f"{key} must be a number, got {x!r}")
+    return float(x)
+
+
 def _measure_from_config(cfg: dict):
     src = cfg.get("measure")
     if src is None:
@@ -146,7 +155,7 @@ def _cmd_wiener_scan(cfg, out: Path, plot: bool):
 def _cmd_mset_limit(cfg, out: Path, plot: bool):
     mu = _measure_from_config(cfg)
     interval = tuple(cfg.get("I", list(mu.domain)))
-    sigma, tau = float(cfg["sigma"]), float(cfg["tau"])
+    sigma, tau = _float(cfg, "sigma"), _float(cfg, "tau")
     msets.MSetSpec(interval, 1, sigma, tau)  # refuse bad sigma, tau up front
     J, K = _int(cfg, "J", 3), _int(cfg, "K", 3)
     m, N_max = _int(cfg, "m", 1), _int(cfg, "N_max", 1000)
@@ -172,9 +181,8 @@ def _cmd_mset_limit(cfg, out: Path, plot: bool):
 
 
 def _cmd_corrector(cfg, out: Path, plot: bool):
-    c, d = float(cfg.get("c", 0.0)), float(cfg.get("d", 2.0 * np.pi))
-    gamma = float(cfg.get("gamma", 1.0))
-    eps = float(cfg.get("eps", 0.1))
+    c, d = _float(cfg, "c", 0.0), _float(cfg, "d", 2.0 * np.pi)
+    gamma, eps = _float(cfg, "gamma", 1.0), _float(cfg, "eps", 0.1)
     nu = _int(cfg, "nu", 16)
     r = _int(cfg, "r", 0) or corrector.choose_r(c, d, gamma, eps, nu)
     params = corrector.CorrectorParams(c, d, gamma, eps, nu, r)
@@ -235,8 +243,8 @@ def _cmd_demo(cfg, out: Path, plot: bool):
     else:
         raise KeyError(f"unknown demo function {fname!r}")
     mu_total = float(mu.interval_mass(*mu.domain))
-    eps = float(cfg.get("eps", 0.05)) * mu_total
-    gap = float(cfg.get("uniform_gap", 0.5))
+    eps = _float(cfg, "eps", 0.05) * mu_total
+    gap = _float(cfg, "uniform_gap", 0.5)
     result = assembly.theorem_demo(
         f, mu, eps, gap,
         kappa_cap=_int(cfg, "kappa_cap", assembly.SEARCH_CAP),

@@ -34,10 +34,6 @@ ATOM_TOL_FACTOR = 1e-9  # default jump-detection tolerance, relative to total ma
 _CDF_CHUNK = 1 << 16  # CDF points per chunk; keeps each chunk's temporaries in cache
 _WORKER_CHUNKS = 8  # a CDF call gets one worker thread per this many chunks, up to the cores
 MASS_ROUNDING = 1e-12  # a mass down to -this * total mass is rounding and reads 0
-# How far an interval end may pass the domain.  With sigma + tau = 1 the last
-# M-set end a + (n - 1 + sigma + tau) * (b - a) / n rounds past b: by up to
-# 8.9e-16 on I = [0, b] for b in {1, 3.7, 5, 2 pi} and n < 3000.
-DOMAIN_SLACK = 1e-12
 _in_pool = threading.local()  # .share is set in the threads that run a share
 # A point off every plateau takes every level; past 53 levels the level
 # steps 2^-levels fall below a double's resolution at 1.
@@ -320,8 +316,7 @@ class Measure:
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         # negated comparisons, so non-finite (NaN) endpoints are refused too
-        if not (np.all(a >= u - DOMAIN_SLACK) and np.all(b <= v + DOMAIN_SLACK)
-                and np.all(a <= b)):
+        if not (np.all(a >= u) and np.all(b <= v) and np.all(a <= b)):
             raise DomainError(f"interval outside domain [{u}, {v}], reversed "
                               "or non-finite endpoints")
         hi, lo = self.cont(b), self.cont(a)
@@ -388,7 +383,7 @@ def normalize(m: Measure, interval) -> Measure:
     """Probability measure on [0,1]: mass of E is m(affine(E) ∩ I) / m(I)."""
     a, b = float(interval[0]), float(interval[1])
     u, v = m.domain
-    if not (u - DOMAIN_SLACK <= a < b <= v + DOMAIN_SLACK):
+    if not (u <= a < b <= v):
         raise DomainError(f"normalization interval [{a}, {b}] not inside [{u}, {v}]")
     M = float(m.interval_mass(a, b))
     if M <= 0:

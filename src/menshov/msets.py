@@ -13,11 +13,10 @@ import numpy as np
 
 from .errors import DomainError
 from .fourier import IndexSet
-from .measures import _CDF_CHUNK, DOMAIN_SLACK, Measure, _fan_out
+from .measures import _CDF_CHUNK, Measure, _fan_out
 
 __all__ = [
     "MSetSpec",
-    "ArcSpec",
     "mset_intervals",
     "mset_masses",
     "pushforward_arc_mass",
@@ -44,77 +43,67 @@ class MSetSpec:
         if self.n < 1:
             raise ValueError("n must be a positive integer")
         if not (self.sigma >= 0 and self.tau > 0
-                and self.sigma + self.tau <= 1 + 1e-15):  # refuses NaN too
+                and self.sigma + self.tau <= 1):  # refuses NaN too
             raise ValueError("need finite sigma >= 0, tau > 0, sigma + tau <= 1")
-
-
-@dataclass(frozen=True)
-class ArcSpec:
-    """Circle arc {exp(2 pi i t) : t in [sigma, sigma + tau]}."""
-
-    sigma: float
-    tau: float
-
-    def __post_init__(self):
-        if not (0 <= self.sigma and self.tau > 0 and self.sigma + self.tau <= 1):
-            raise ValueError("need 0 <= sigma < sigma + tau <= 1")
 
 
 def mset_intervals(spec: MSetSpec) -> np.ndarray:
     """The n disjoint closed intervals of the M-set, as an (n, 2) array."""
-    return np.column_stack(_interval_ends([spec]))
+    return np.column_stack(_interval_ends(spec.interval, [spec.n], spec.sigma,
+                                          spec.tau))
 
 
-def _interval_ends(specs: list[MSetSpec]):
-    """Left and right ends of every interval of specs, spec by spec.
+def _interval_ends(interval, ns, sigma: float, tau: float):
+    """Left and right ends of every interval of the A_n of I, n by n in ns.
 
-    Interval k of a spec is [a + (k + sigma) * w, a + ((k + sigma) + tau) * w]
-    with w = (b - a) / n.  One vectorized pass over all specs; in-place
-    steps keep the temporaries to one repeated per-spec column at a time.
+    Interval k of A_n is [a + (k + sigma) * w, a + ((k + sigma) + tau) * w]
+    with w = (b - a) / n, both ends clamped to b: with sigma + tau = 1 the
+    last end can round past b.  One vectorized pass over all of ns; in-place
+    steps keep the temporaries to one repeated per-n column at a time.
     """
-    ns = np.array([s.n for s in specs])
-    a, w, sigma, tau = np.array(
-        [(s.interval[0], (s.interval[1] - s.interval[0]) / s.n, s.sigma,
-          s.tau) for s in specs]).T
-    left = np.arange(ns.sum(), dtype=float)
-    left -= np.repeat(np.cumsum(ns) - ns, ns)  # k, the block within its spec
-    left += np.repeat(sigma, ns)
-    right = np.repeat(tau, ns)
-    right += left
-    w = np.repeat(w, ns)
+    a, b = float(interval[0]), float(interval[1])
+    left = np.arange(np.sum(ns), dtype=float)
+    left -= np.repeat(np.cumsum(ns) - ns, ns)  # k, the block within its A_n
+    left += sigma
+    right = left + tau
+    w = np.repeat((b - a) / np.asarray(ns), ns)
     left *= w
     right *= w
     del w
-    a = np.repeat(a, ns)
     left += a
     right += a
+    np.minimum(left, b, out=left)
+    np.minimum(right, b, out=right)
     return left, right
 
 
-def mset_masses(mu: Measure, specs: list[MSetSpec]) -> np.ndarray:
-    """Total mu-mass of each M-set in specs, in order.
+def mset_masses(mu: Measure, interval, ns, sigma: float,
+                tau: float) -> np.ndarray:
+    """Total mu-mass of A_n of (interval, n, sigma, tau) for each n in ns.
 
-    Consecutive specs are cut into groups of at most MAX_BATCH_INTERVALS
-    intervals (a larger spec is a group on its own), each one interval_mass
+    Consecutive A_n are cut into groups of at most MAX_BATCH_INTERVALS
+    intervals (a larger A_n is a group on its own), each one interval_mass
     call; the groups run through measures._fan_out.  Each mass is np.sum over
-    the spec's own slice, which adds in the order of that spec evaluated alone.
+    the A_n's own slice, which adds in the order of that A_n evaluated alone.
     """
+    ns = np.asarray(ns)
+    MSetSpec(interval, int(ns.min(initial=1)), sigma, tau)  # any n < 1 too
     u, v = mu.domain
-    if any(s.interval[0] < u - DOMAIN_SLACK or s.interval[1] > v + DOMAIN_SLACK
-           for s in specs):
+    if not (u <= interval[0] and interval[1] <= v):
         raise DomainError("M-set interval outside measure domain")
-    ends = np.cumsum([0] + [s.n for s in specs])  # interval offset per spec
+    ends = np.concatenate([[0], np.cumsum(ns)])  # interval offset per A_n
     groups, i = [], 0
-    while i < len(specs):
-        # the longest run from spec i within the cap, at least spec i
+    while i < ns.size:
+        # the longest run from A_n i within the cap, at least A_n i
         j = max(i + 1, int(np.searchsorted(
             ends, ends[i] + MAX_BATCH_INTERVALS, side="right")) - 1)
         groups.append(slice(i, j))
         i = j
-    masses = np.empty(len(specs))
+    masses = np.empty(ns.size)
     def run(share):
         for g in share:
-            cell = mu.interval_mass(*_interval_ends(specs[g]))
+            cell = mu.interval_mass(*_interval_ends(interval, ns[g], sigma,
+                                                    tau))
             off = ends[g.start:g.stop + 1] - ends[g.start]
             masses[g] = [np.sum(cell[a:b]) for a, b in zip(off[:-1], off[1:])]
 
@@ -122,17 +111,20 @@ def mset_masses(mu: Measure, specs: list[MSetSpec]) -> np.ndarray:
     return masses
 
 
-def pushforward_arc_mass(nu: Measure, n: int, arc: ArcSpec) -> float:
-    """Mass of the arc under the distribution of x -> exp(2 pi i n x).
+def pushforward_arc_mass(nu: Measure, n: int, sigma: float,
+                         tau: float) -> float:
+    """Mass of the arc {exp(2 pi i t) : t in [sigma, sigma + tau]} under the
+    distribution of x -> exp(2 pi i n x).
 
     Equals nu({x : frac(n x) in [sigma, sigma + tau]}), computed as the sum
     of nu([(k + sigma)/n, (k + sigma + tau)/n]) over k = 0..n-1.
     """
+    MSetSpec((0.0, 1.0), n, sigma, tau)  # refuses bad n, sigma, tau
     if nu.domain != (0.0, 1.0):
         raise ValueError("pushforward expects a measure on [0, 1]")
     k = np.arange(n)
-    left = (k + arc.sigma) / n
-    right = (k + arc.sigma + arc.tau) / n
+    left = (k + sigma) / n
+    right = (k + sigma + tau) / n
     return float(np.sum(nu.interval_mass(left, np.minimum(right, 1.0))))
 
 
@@ -164,8 +156,7 @@ def proposition_scan(mu: Measure, interval, sigma: float, tau: float,
         raise ValueError("index set has no usable members (n >= 1)")
     a, b = float(interval[0]), float(interval[1])
     target = tau * float(mu.interval_mass(a, b))
-    masses = mset_masses(
-        mu, [MSetSpec((a, b), int(n), sigma, tau) for n in ns])
+    masses = mset_masses(mu, (a, b), ns, sigma, tau)
     errors = np.abs(masses - target)
     tail = errors[ns >= 0.75 * lam.horizon]
     if tail.size == 0:

@@ -8,10 +8,10 @@ import time
 import numpy as np
 import pytest
 
-from menshov import (ArcSpec, CorrectorParams, MeasureSpec, MSetSpec,
-                     StepFunction, build_lambda, build_measure, build_psi,
-                     choose_r, claim_run, kernel_sup, layout, mset_masses,
-                     normalize, partial_sum_diagnostics, proposition_scan,
+from menshov import (CorrectorParams, MeasureSpec, StepFunction,
+                     build_lambda, build_measure, build_psi, choose_r,
+                     claim_run, kernel_sup, layout, mset_masses, normalize,
+                     partial_sum_diagnostics, proposition_scan,
                      pushforward_arc_mass, running_integral_sup, theorem_demo,
                      wiener_average)
 from menshov.piecewise import PiecewiseLinearFn
@@ -37,7 +37,7 @@ def test_criterion_1_lebesgue_mset_exactness():
         n = int(rng.integers(1, 5001))
         sigma = rng.uniform(0.0, 0.8)
         tau = rng.uniform(0.01, 1.0 - sigma - 0.005)
-        got = mset_masses(mu, [MSetSpec((a, b), n, sigma, tau)])[0]
+        got, = mset_masses(mu, (a, b), [n], sigma, tau)
         worst = max(worst, abs(got - tau * (b - a)))
     dt = time.perf_counter() - t0
     ok = worst <= 1e-10 and dt < 5.0
@@ -80,9 +80,9 @@ def test_criterion_3_pushforward_identity():
         n = int(rng.integers(1, 400))
         sigma = rng.uniform(0.0, 0.7)
         tau = rng.uniform(0.02, 1.0 - sigma - 0.01)
-        m1 = mset_masses(mu, [MSetSpec((a, b), n, sigma, tau)])[0]
+        m1, = mset_masses(mu, (a, b), [n], sigma, tau)
         m2 = mu.interval_mass(a, b) * pushforward_arc_mass(
-            normalize(mu, (a, b)), n, ArcSpec(sigma, tau))
+            normalize(mu, (a, b)), n, sigma, tau)
         worst = max(worst, abs(m1 - m2))
         done += 1
     ok = worst <= 1e-9

@@ -9,9 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from menshov import assembly
-from menshov import (AtomicMeasureError, MeasureSpec, MSetSpec,
-                     PiecewiseLinearFn, QuadratureError, StepFunction,
-                     build_lambda, build_measure, claim_run, mset_masses,
+from menshov import (AtomicMeasureError, MeasureSpec, PiecewiseLinearFn,
+                     QuadratureError, StepFunction, build_lambda,
+                     build_measure, claim_run, mset_masses,
                      partial_sum_diagnostics, theorem_demo)
 
 TWO_PI = 2.0 * np.pi
@@ -192,9 +192,10 @@ def test_claim_stage1_without_members_measures_kappa_one():
     res = claim_run(phi, mu, 16, kappa_cap=1)
     assert res.diagnostics["kappa_search"] == []
     assert not res.diagnostics["stage1_certified"] and not res.certified
-    spec = MSetSpec((0.0, TWO_PI), 1, 2.0 / 16, 1.0 - 4.0 / 16)
     assert res.kappa == 1
-    assert res.union_inner_mass == mset_masses(mu, [spec])[0] >= 0.0
+    union_mass, = mset_masses(mu, (0.0, TWO_PI), [1], 2.0 / 16,
+                              1.0 - 4.0 / 16)
+    assert res.union_inner_mass == union_mass >= 0.0
 
 
 def r_schedule_loop(r_min, r_cap):

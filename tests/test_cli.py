@@ -358,6 +358,21 @@ def test_non_integer_config_value_is_precondition_violation(
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("sub, cfg, key, value", [
+    ("corrector", {}, "eps", True),
+    ("corrector", {}, "gamma", "2"),
+    ("corrector", {}, "c", False),
+    ("demo", {"measure": CANTOR}, "eps", "0.5"),
+    ("corrector", {}, "d", 10 ** 400),
+], ids=["eps=true", "gamma='2'", "c=false", "demo-eps='0.5'", "d=1e400"])
+def test_non_number_float_config_value_is_precondition_violation(
+        tmp_path, capsys, sub, cfg, key, value):
+    code, out = run_cli(tmp_path, sub, {**cfg, key: value})
+    assert code == EXIT_PRECONDITION
+    assert f"{key} must be a number, got {value!r}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_integral_float_config_value_is_read_as_integer(tmp_path):
     cfg = {"measure": CANTOR, "sigma": 0.2, "tau": 0.3, "N_max": 300}
     code, out = run_cli(tmp_path / "int", "mset-limit", cfg)
@@ -366,6 +381,18 @@ def test_integral_float_config_value_is_read_as_integer(tmp_path):
     assert code == code_f == EXIT_OK
     rows = (out / "mset_limit.csv").read_text().splitlines()[1:]
     assert (out_f / "mset_limit.csv").read_text().splitlines()[1:] == rows
+
+
+def test_integer_float_config_value_is_read_as_float(tmp_path):
+    code, out = run_cli(tmp_path / "float", "corrector", {"gamma": 2.0})
+    code_i, out_i = run_cli(tmp_path / "int", "corrector", {"gamma": 2})
+    assert code == code_i == EXIT_OK
+    rows = (out / "corrector_psi.csv").read_text().splitlines()[1:]
+    assert (out_i / "corrector_psi.csv").read_text().splitlines()[1:] == rows
+    for name in ("corrector_layout.json", "corrector_checks.json"):
+        doc, doc_i = (json.loads((o / name).read_text()) for o in (out, out_i))
+        assert doc_i.pop("config") == {"gamma": 2}
+        assert doc_i == {k: v for k, v in doc.items() if k != "config"}
 
 
 @pytest.mark.parametrize("key, value", [("kappa_cap", -1), ("r_cap", 0)])

@@ -301,6 +301,18 @@ def test_interval_mass_rejects_non_finite_endpoints(cantor40, a, b):
         cantor40.interval_mass(a, b)
 
 
+def test_interval_mass_and_normalize_refuse_ends_just_outside(cantor40):
+    # no slack: 1e-13 past either end of [0, 1] is outside the domain
+    with pytest.raises(DomainError):
+        cantor40.interval_mass(0.0, 1.0 + 1e-13)
+    with pytest.raises(DomainError):
+        cantor40.interval_mass(-1e-13, 1.0)
+    with pytest.raises(DomainError):
+        normalize(cantor40, (0.0 - 1e-13, 1.0))
+    with pytest.raises(DomainError):
+        normalize(cantor40, (0.0, 1.0 + 1e-13))
+
+
 def test_normalize_is_probability(cantor40, lebesgue_2pi):
     for m, iv in [(lebesgue_2pi, (0.0, TWO_PI)),
                   (lebesgue_2pi, (np.pi, TWO_PI)),

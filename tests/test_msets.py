@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import menshov.measures as measures
-from menshov import (ArcSpec, DomainError, Measure, MeasureSpec, MSetSpec,
+from menshov import (DomainError, Measure, MeasureSpec, MSetSpec,
                      build_lambda, build_measure, msets, mset_intervals,
                      mset_masses, normalize, proposition_scan,
                      pushforward_arc_mass)
@@ -57,48 +57,53 @@ def test_mset_intervals_disjoint_and_total_length():
 
 
 def test_mset_mass_lebesgue_exact(lebesgue_2pi):
-    spec = MSetSpec((1.0, 4.0), 17, 0.3, 0.25)
-    mass, = mset_masses(lebesgue_2pi, [spec])
+    mass, = mset_masses(lebesgue_2pi, (1.0, 4.0), [17], 0.3, 0.25)
     assert mass == pytest.approx(0.25 * 3.0, abs=1e-12)
 
 
 def test_mset_mass_cantor_self_similarity(cantor40):
     # x -> 27 x mod 1 preserves the Cantor measure: mass approximates
     # mu_C([sigma, sigma + tau]) = 1/2
-    spec = MSetSpec((0.0, 1.0), 27, 1e-9, 0.5)
-    assert mset_masses(cantor40, [spec])[0] == pytest.approx(0.5, abs=1e-3)
+    mass, = mset_masses(cantor40, (0.0, 1.0), [27], 1e-9, 0.5)
+    assert mass == pytest.approx(0.5, abs=1e-3)
 
 
 def test_mset_mass_atom_inside():
     m = build_measure(MeasureSpec.atomic([(0.5, 1.0)], (0.0, 1.0)))
-    assert mset_masses(m, [MSetSpec((0.0, 1.0), 1, 0.25, 0.5)])[0] == 1.0
+    assert mset_masses(m, (0.0, 1.0), [1], 0.25, 0.5)[0] == 1.0
 
 
 def test_mset_mass_monotone_in_tau(cantor40):
-    masses = mset_masses(cantor40, [MSetSpec((0.0, 1.0), 9, 0.2, t)
-                                    for t in (0.1, 0.3, 0.5, 0.7)])
+    masses = [mset_masses(cantor40, (0.0, 1.0), [9], 0.2, t)[0]
+              for t in (0.1, 0.3, 0.5, 0.7)]
     assert all(m2 >= m1 - 1e-15 for m1, m2 in zip(masses, masses[1:]))
 
 
+# several 100-interval groups, and one A_n larger than a group
+BATCHED_NS = [1, 37, 99, 100, 3, 250, 64, 64, 1, 80, 7]
+
+
 def batched_specs():
-    """Specs spanning several 100-interval batches, one larger than a batch."""
+    """Random (I, sigma, tau) families, each measured over BATCHED_NS."""
     rng = np.random.default_rng(5)
-    specs = []
-    for n in [1, 37, 99, 100, 3, 250, 64, 64, 1, 80, 7]:
+    families = []
+    for _ in range(4):
         a = rng.uniform(0.0, 0.4)
         s = rng.uniform(0.0, 0.6)
-        specs.append(MSetSpec((a, rng.uniform(a + 0.2, 1.0)), n, s,
-                              rng.uniform(0.05, 1.0 - s)))
-    return specs
+        families.append(((a, rng.uniform(a + 0.2, 1.0)), s,
+                         rng.uniform(0.05, 1.0 - s)))
+    return families
 
 
 @pytest.mark.parametrize("spec", FIVE_KINDS, ids=lambda s: s.kind)
 def test_mset_masses_bitwise_equal_per_spec_oracle(spec):
     mu = build_measure(spec)
-    specs = batched_specs()
-    oracle = [np.sum(mu.interval_mass(*mset_intervals(s).T)) for s in specs]
-    with pooled_groups(100):
-        assert np.array_equal(mset_masses(mu, specs), oracle)
+    for interval, sigma, tau in batched_specs():
+        oracle = [np.sum(mu.interval_mass(*mset_intervals(
+            MSetSpec(interval, n, sigma, tau)).T)) for n in BATCHED_NS]
+        with pooled_groups(100):
+            assert np.array_equal(
+                mset_masses(mu, interval, BATCHED_NS, sigma, tau), oracle)
 
 
 def _intervals_oracle(spec):
@@ -119,22 +124,28 @@ def test_interval_ends_bitwise_equal_per_spec_oracle(monkeypatch):
         return interval_mass(a, b)
 
     monkeypatch.setattr(mu, "interval_mass", spy)
-    specs = batched_specs()
-    with pooled_groups(100):
-        mset_masses(mu, specs)
-    want = [_intervals_oracle(s) for s in specs]
-    # groups run on pool workers in any order; each starts at a spec
-    first = {w[0][0]: k for k, w in enumerate(want)}
-    assert len(first) == len(specs)
-    seen.sort(key=lambda ends: first[ends[0][0]])
-    for col in (0, 1):
-        got = np.concatenate([ends[col] for ends in seen])
-        assert np.array_equal(got.view(np.int64),
-                              np.concatenate([w[col] for w in want])
-                              .view(np.int64))
-        for spec, w in zip(specs, want):
-            got = np.ascontiguousarray(mset_intervals(spec)[:, col])
-            assert np.array_equal(got.view(np.int64), w[col].view(np.int64))
+    for interval, sigma, tau in batched_specs():
+        seen.clear()
+        with pooled_groups(100):
+            mset_masses(mu, interval, BATCHED_NS, sigma, tau)
+        specs = [MSetSpec(interval, n, sigma, tau) for n in BATCHED_NS]
+        want = [_intervals_oracle(s) for s in specs]
+        # groups run on pool workers in any order; a group is known by the
+        # first A_n with its first end, and then by its size: of the two
+        # groups that start at an n = 64, the second is longer
+        first = {}
+        for k, w in enumerate(want):
+            first.setdefault(w[0][0], k)
+        seen.sort(key=lambda ends: (first[ends[0][0]], ends[0].size))
+        for col in (0, 1):
+            got = np.concatenate([ends[col] for ends in seen])
+            assert np.array_equal(got.view(np.int64),
+                                  np.concatenate([w[col] for w in want])
+                                  .view(np.int64))
+            for spec, w in zip(specs, want):
+                got = np.ascontiguousarray(mset_intervals(spec)[:, col])
+                assert np.array_equal(got.view(np.int64),
+                                      w[col].view(np.int64))
 
 
 def test_mset_masses_cdf_calls_stay_within_a_batch(monkeypatch):
@@ -147,31 +158,42 @@ def test_mset_masses_cdf_calls_stay_within_a_batch(monkeypatch):
         return cont(x)
 
     monkeypatch.setattr(mu, "cont", spy)
-    specs = batched_specs()
-    with pooled_groups(100):
-        mset_masses(mu, specs)
-    # only the 250-interval spec exceeds the cap, as a batch on its own
-    assert max(sizes) == 250 and sorted(sizes)[-3] <= 100
-    assert sum(sizes) == 2 * sum(s.n for s in specs)  # b, then a
-    assert len(sizes) < 2 * len(specs)
+    for interval, sigma, tau in batched_specs():
+        sizes.clear()
+        with pooled_groups(100):
+            mset_masses(mu, interval, BATCHED_NS, sigma, tau)
+        # only the 250-interval A_n exceeds the cap, as a batch on its own
+        assert max(sizes) == 250 and sorted(sizes)[-3] <= 100
+        assert sum(sizes) == 2 * sum(BATCHED_NS)  # b, then a
+        assert len(sizes) < 2 * len(BATCHED_NS)
 
 
 def test_mset_masses_empty_and_out_of_domain(cantor40):
-    assert mset_masses(cantor40, []).shape == (0,)
+    assert mset_masses(cantor40, (0.0, 1.0), [], 0.2, 0.3).shape == (0,)
     # I reaches past the domain although its one interval [0.5, 0.85] does not
     with pytest.raises(DomainError):
-        mset_masses(cantor40, [MSetSpec((0.0, 1.0), 3, 0.2, 0.3),
-                               MSetSpec((0.5, 1.2), 1, 0.0, 0.5)])
+        mset_masses(cantor40, (0.5, 1.2), [1], 0.0, 0.5)
+    with pytest.raises(ValueError):  # every n is checked, not only the first
+        mset_masses(cantor40, (0.0, 1.0), [3, 0], 0.2, 0.3)
 
 
 def test_mset_whose_last_end_rounds_past_the_domain_is_measured(lebesgue_2pi):
     # sigma + tau = 1: the last end (24 + 1) * (2 pi / 25) rounds past 2 pi
     spec = MSetSpec((0.0, TWO_PI), 25, 0.5, 0.5)
-    assert mset_intervals(spec)[-1, 1] > TWO_PI
-    mass, = mset_masses(lebesgue_2pi, [spec])
+    assert _intervals_oracle(spec)[1][-1] > TWO_PI
+    assert mset_intervals(spec)[-1, 1] == TWO_PI  # clamped where it is made
+    mass, = mset_masses(lebesgue_2pi, (0.0, TWO_PI), [25], 0.5, 0.5)
     assert mass == pytest.approx(np.pi, rel=1e-14)
-    with pytest.raises(DomainError):  # a slack for rounding only
-        lebesgue_2pi.interval_mass(0.0, TWO_PI + 1e-11)
+    with pytest.raises(DomainError):  # no end outside the domain is measured
+        lebesgue_2pi.interval_mass(0.0, np.nextafter(TWO_PI, 7.0))
+
+
+def test_mset_masses_on_a_wide_domain():
+    # for 49 of these n the unclamped last end passes b by more than 1e-12
+    mu = build_measure(MeasureSpec.lebesgue((0.0, 1e6)))
+    ns = np.arange(1, 400)
+    masses = mset_masses(mu, (0.0, 1e6), ns, 0.5, 0.5)
+    assert np.all(np.abs(masses - 5e5) <= 1e-14 * 5e5)
 
 
 def test_mset_masses_fan_out_inside_a_pooled_group_runs_inline():
@@ -183,11 +205,11 @@ def test_mset_masses_fan_out_inside_a_pooled_group_runs_inline():
         measures._CDF_CHUNK = 4  # a 100-interval group: 25 chunks, 3 shares
         msets.MAX_BATCH_INTERVALS = 100
         mu = build_measure(MeasureSpec.cantor(40))
-        specs = [MSetSpec((0.0, 1.0), n, 0.2, 0.3)
-                 for n in [37, 5000, 99, 64, 1001, 1, 80, 100, 7] * 3]
-        oracle = [np.sum(mu.interval_mass(*msets.mset_intervals(s).T))
-                  for s in specs]
-        assert np.array_equal(msets.mset_masses(mu, specs), oracle)
+        ns = [37, 5000, 99, 64, 1001, 1, 80, 100, 7] * 3
+        oracle = [np.sum(mu.interval_mass(*msets.mset_intervals(
+            MSetSpec((0.0, 1.0), n, 0.2, 0.3)).T)) for n in ns]
+        assert np.array_equal(msets.mset_masses(mu, (0.0, 1.0), ns, 0.2, 0.3),
+                              oracle)
     """)
     # 18 groups run on two pool workers, and each group's CDF calls would
     # fan out again; a pool task waiting on the pool would hang, and the
@@ -209,8 +231,7 @@ def test_decreasing_cdf_raises_also_from_a_pool_worker():
         mu.interval_mass(0.6, 0.9)
     threads.clear()
     with pooled_groups(100), pytest.raises(DomainError, match="negative mass"):
-        mset_masses(mu, [MSetSpec((0.0, 1.0), n, 0.2, 0.3)
-                         for n in (50, 60, 70)])  # three pooled groups
+        mset_masses(mu, (0.0, 1.0), [50, 60, 70], 0.2, 0.3)  # three groups
     assert threads and threading.get_ident() not in threads
 
 
@@ -220,8 +241,7 @@ def test_rounding_dips_of_a_table_cdf_read_zero():
         [(0.0, 0.0), (0.5, 0.1), (0.5, 0.7), (1.0, 0.7)]))
     assert jump.interval_mass(0.75, 1.0) == 0.0
     with pooled_groups(100):
-        masses = mset_masses(jump, [MSetSpec((0.5, 1.0), n, 0.2, 0.3)
-                                    for n in (1, 7, 50, 300)])
+        masses = mset_masses(jump, (0.5, 1.0), [1, 7, 50, 300], 0.2, 0.3)
     assert np.array_equal(masses, np.zeros(4))
     # np.interp steps back one ulp from just below the row at 0.22
     kink = build_measure(MeasureSpec.cdf_table(
@@ -270,31 +290,29 @@ def test_pushforward_identity_property(spec, a, length, ns, sigma, tau_frac):
     tau = 0.02 + tau_frac * (0.97 - sigma)  # sigma + tau <= 0.99
     ns = [33, 32, *ns]  # at least two pooled groups under a cap of 64
     with pooled_groups(64):
-        masses = mset_masses(mu, [MSetSpec((a, b), n, sigma, tau)
-                                  for n in ns])
+        masses = mset_masses(mu, (a, b), ns, sigma, tau)
     nu = normalize(mu, (a, b))
     for n, mass in zip(ns, masses):
-        arc = pushforward_arc_mass(nu, n, ArcSpec(sigma, tau))
+        arc = pushforward_arc_mass(nu, n, sigma, tau)
         assert abs(mass - mass_I * arc) < 1e-9  # criterion 3's tolerance
 
 
 def test_pushforward_lebesgue_equidistributed(lebesgue_unit_norm):
     for n in (1, 2, 17):
-        got = pushforward_arc_mass(lebesgue_unit_norm, n, ArcSpec(0.2, 0.3))
+        got = pushforward_arc_mass(lebesgue_unit_norm, n, 0.2, 0.3)
         assert got == pytest.approx(0.3, abs=1e-12)
 
 
 def test_pushforward_identity_case(cantor40_norm):
-    arc = ArcSpec(0.1, 0.45)
     direct = cantor40_norm.interval_mass(0.1, 0.55)
-    assert pushforward_arc_mass(cantor40_norm, 1, arc) == pytest.approx(direct)
+    got = pushforward_arc_mass(cantor40_norm, 1, 0.1, 0.45)
+    assert got == pytest.approx(direct)
 
 
 def test_pushforward_matches_mset_mass(cantor40, cantor40_norm):
     # change of variables: A_n = affine(B_n) within I
-    spec = MSetSpec((0.0, 1.0), 9, 0.25, 0.5)
-    m1 = mset_masses(cantor40, [spec])[0]
-    m2 = pushforward_arc_mass(cantor40_norm, 9, ArcSpec(0.25, 0.5))
+    m1, = mset_masses(cantor40, (0.0, 1.0), [9], 0.25, 0.5)
+    m2 = pushforward_arc_mass(cantor40_norm, 9, 0.25, 0.5)
     # rounding at Cantor plateau edges limits agreement to ~1e-10
     assert m1 == pytest.approx(m2, abs=1e-9)
 
@@ -312,8 +330,8 @@ def test_pushforward_mset_identity_random():
         s = rng.uniform(0.0, 0.6)
         t = rng.uniform(0.05, 1 - s - 0.01)
         mI = mix.interval_mass(a, b)
-        m1 = mset_masses(mix, [MSetSpec((a, b), n, s, t)])[0]
-        m2 = mI * pushforward_arc_mass(normalize(mix, (a, b)), n, ArcSpec(s, t))
+        m1, = mset_masses(mix, (a, b), [n], s, t)
+        m2 = mI * pushforward_arc_mass(normalize(mix, (a, b)), n, s, t)
         assert abs(m1 - m2) < 1e-9
 
 
@@ -361,6 +379,8 @@ def test_mset_spec_validation():
         MSetSpec((0.0, 1.0), 0, 0.2, 0.3)
     with pytest.raises(ValueError):
         MSetSpec((0.0, 1.0), 3, 0.5, 0.6)  # sigma + tau > 1
+    with pytest.raises(ValueError):  # one ulp past 1: no slack
+        MSetSpec((0.0, 1.0), 3, 0.5, 0.5000000000000002)
     # boundary-touching specs are accepted
     MSetSpec((0.0, 1.0), 3, 0.0, 0.5)
     MSetSpec((0.0, 1.0), 3, 0.5, 0.5)
@@ -369,8 +389,11 @@ def test_mset_spec_validation():
 @pytest.mark.parametrize("sigma, tau", [
     (np.nan, 0.3), (0.2, np.nan), (np.inf, 0.3), (-np.inf, 0.3),
     (0.2, np.inf), (0.2, -np.inf)])
-def test_specs_reject_non_finite_sigma_tau(sigma, tau):
+def test_specs_reject_non_finite_sigma_tau(sigma, tau, cantor40,
+                                          cantor40_norm):
     with pytest.raises(ValueError):
         MSetSpec((0.0, 1.0), 3, sigma, tau)
     with pytest.raises(ValueError):
-        ArcSpec(sigma, tau)
+        mset_masses(cantor40, (0.0, 1.0), [3], sigma, tau)
+    with pytest.raises(ValueError):
+        pushforward_arc_mass(cantor40_norm, 3, sigma, tau)

@@ -64,6 +64,10 @@ CONFIGS = {
     "mset-limit-mixture-sub-interval": ("mset-limit", {
         "measure": MIXTURE, "I": [1.0, 5.0], "sigma": 0.2, "tau": 0.3,
         "J": 3, "K": 3, "N_max": 3000}, []),
+    # sigma + tau = 1: for 107 of the n <= 1500 the last end rounds past 2 pi
+    "mset-limit-full-blocks": ("mset-limit", {
+        "measure": CANTOR, "sigma": 0.5, "tau": 0.5, "J": 3, "K": 3,
+        "N_max": 1500}, []),
     "wiener-scan-criterion-9": ("wiener-scan", {"measure": CANTOR, "k": 1,
                                                 "N": 200}, ["--plot"]),
     # atoms at both ends of the domain and at 0.5
