@@ -20,9 +20,9 @@ import numpy as np
 
 from .corrector import (MAX_LAYOUT_NODES, CorrectorLayout, CorrectorParams,
                         build_psi, check_corrector, choose_r, layout)
-from .errors import AtomicMeasureError, QuadratureError
+from .errors import QuadratureError
 from .fourier import DEFAULT_REFINEMENT, build_lambda
-from .measures import Measure, atomic_part, normalize
+from .measures import Measure, normalize
 from .msets import mset_masses
 from .piecewise import PiecewiseLinearFn, StepFunction
 
@@ -136,8 +136,6 @@ def claim_run(phi: StepFunction, mu: Measure, nu: int,
     if not (kappa_cap >= 1 and r_cap >= 1):
         raise ValueError("kappa_cap and r_cap must be at least 1")
     lo, hi = mu.domain
-    if atomic_part(mu):
-        raise AtomicMeasureError("claim_run requires a non-atomic measure")
     if phi.domain != (lo, hi):
         raise ValueError("step function and measure must share the domain")
     rho = phi.num_cells

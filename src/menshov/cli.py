@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import assembly, corrector, fourier, msets
-from .errors import AtomicMeasureError, QuadratureError
+from .errors import QuadratureError
 from .measures import MeasureSpec, _real, build_measure, normalize
 from .piecewise import StepFunction
 
@@ -118,6 +118,19 @@ def _float(cfg: dict, key: str, default: float | None = None) -> float:
     return float(x)
 
 
+def _floats(cfg: dict, key: str, default, size: int | None = None):
+    """cfg[key], a JSON list of numbers a double can hold, with `size`
+    entries when given: [0, 1], not 5, ["0", 1] or [false, 1]."""
+    x = cfg.get(key, default)
+    if x is default:  # absent, or null where the default is None
+        return default
+    if not (isinstance(x, list) and all(map(_real, x))
+            and size in (None, len(x))):
+        count = f"{size} " if size else ""
+        raise ValueError(f"{key} must be a list of {count}numbers, got {x!r}")
+    return [float(e) for e in x]
+
+
 def _measure_from_config(cfg: dict):
     src = cfg.get("measure")
     if src is None:
@@ -154,7 +167,7 @@ def _cmd_wiener_scan(cfg, out: Path, plot: bool):
 
 def _cmd_mset_limit(cfg, out: Path, plot: bool):
     mu = _measure_from_config(cfg)
-    interval = tuple(cfg.get("I", list(mu.domain)))
+    interval = tuple(_floats(cfg, "I", mu.domain, size=2))
     sigma, tau = _float(cfg, "sigma"), _float(cfg, "tau")
     msets.MSetSpec(interval, 1, sigma, tau)  # refuse bad sigma, tau up front
     J, K = _int(cfg, "J", 3), _int(cfg, "K", 3)
@@ -191,7 +204,10 @@ def _cmd_corrector(cfg, out: Path, plot: bool):
     checks = corrector.check_corrector(lay, psi, gamma, eps)
     checks["running_integral_sup"] = corrector.running_integral_sup(psi)
     checks["lebesgue_E_measure"] = lay.lebesgue_e()
-    if cfg.get("kernel", False):
+    kernel = cfg.get("kernel", False)
+    if not isinstance(kernel, bool):  # "no" would be truthy
+        raise ValueError(f"kernel must be true or false, got {kernel!r}")
+    if kernel:
         j_max = _int(cfg, "j_max", 16)
         x_grid = _int(cfg, "x_grid", 64)
         sup, b_hat = corrector.kernel_sup(psi, j_max, x_grid, nu, gamma)
@@ -213,10 +229,9 @@ def _cmd_corrector(cfg, out: Path, plot: bool):
 def _cmd_claim(cfg, out: Path, plot: bool):
     mu = _measure_from_config(cfg)
     nu = _int(cfg, "nu", 16)
-    phi = StepFunction(mu.domain, cfg.get("phi", [1.0, -1.0]))
-    eps_seq = cfg.get("eps_seq")
+    phi = StepFunction(mu.domain, _floats(cfg, "phi", [1.0, -1.0]))
     result = assembly.claim_run(
-        phi, mu, nu, eps_seq,
+        phi, mu, nu, _floats(cfg, "eps_seq", None),
         kappa_cap=_int(cfg, "kappa_cap", assembly.SEARCH_CAP),
         r_cap=_int(cfg, "r_cap", assembly.SEARCH_CAP),
         refinement=_int(cfg, "refinement", fourier.DEFAULT_REFINEMENT))
@@ -237,7 +252,7 @@ def _cmd_demo(cfg, out: Path, plot: bool):
     mu = _measure_from_config(cfg)
     fname = cfg.get("f", "identity")
     if isinstance(fname, list):
-        f = StepFunction(mu.domain, fname)
+        f = StepFunction(mu.domain, _floats(cfg, "f", None))
     elif fname in _DEMO_FUNCTIONS:
         f = _DEMO_FUNCTIONS[fname]
     else:
@@ -296,7 +311,7 @@ def main(argv=None) -> int:
     except (KeyError, json.JSONDecodeError, _ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (AtomicMeasureError, ValueError) as exc:  # spec and domain errors too
+    except ValueError as exc:  # spec and domain errors too
         print(f"precondition violation: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except QuadratureError as exc:

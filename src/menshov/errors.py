@@ -1,7 +1,6 @@
 """Exception types shared across the package."""
 
-__all__ = ["MeasureSpecError", "DomainError", "AtomicMeasureError",
-           "QuadratureError"]
+__all__ = ["MeasureSpecError", "DomainError", "QuadratureError"]
 
 
 class MeasureSpecError(ValueError):
@@ -10,10 +9,6 @@ class MeasureSpecError(ValueError):
 
 class DomainError(ValueError):
     """An interval or point falls outside a measure's domain."""
-
-
-class AtomicMeasureError(RuntimeError):
-    """An operation requiring a non-atomic measure was given atoms."""
 
 
 class QuadratureError(RuntimeError):

@@ -25,8 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AtomicMeasureError, QuadratureError
-from .measures import Measure, atomic_part
+from .errors import QuadratureError
+from .measures import Measure
 
 __all__ = [
     "IndexSet",
@@ -220,17 +220,13 @@ def build_lambda(nu: Measure, K: int, J: int, N_max: int, m: int = 1,
     n is *in* once all its K pairs are, *out* as soon as |v| - e > 1/J for
     one of them.  At the ceiling every pair left is certified or puts n
     out.  Each bound holds at every level, so a member's pairs may be
-    certified at different levels.  Refuses atomic measures, for which the
-    Wiener averages do not vanish.
+    certified at different levels.  Atoms keep the Wiener averages from
+    vanishing: the members stay certified, but `warnings` then says that
+    the M-set masses mu(A_n) need not tend to tau mu(I).
     """
     _check_probability(nu)
     if min(K, J, m) < 1:
         raise ValueError("K, J, m must be positive integers")
-    atoms = atomic_part(nu)
-    if atoms:
-        raise AtomicMeasureError(
-            f"measure has {len(atoms)} atom(s) above tolerance; "
-            "Wiener averages cannot vanish and no density-1 set is certifiable")
 
     _checked_grid(K * N_max, refinement)  # refuse from the ceiling grid
     undecided = np.arange(0, N_max + 1, m)
@@ -264,7 +260,10 @@ def build_lambda(nu: Measure, K: int, J: int, N_max: int, m: int = 1,
         spec = spec.refined(level)
     members = np.sort(np.concatenate(decided))
     density = members.size / (N_max + 1)
-    warnings = ()
+    warnings = []
     if density < DENSITY_FLOOR / m:
-        warnings = (f"density {density:.4f} below floor {DENSITY_FLOOR}/m",)
-    return IndexSet(members, N_max, density, tuple(levels), warnings)
+        warnings.append(f"density {density:.4f} below floor {DENSITY_FLOOR}/m")
+    if nu.atom_masses.size:
+        warnings.append(f"measure has {nu.atom_masses.size} atom(s): "
+                        "mu(A_n) need not tend to tau mu(I)")
+    return IndexSet(members, N_max, density, tuple(levels), tuple(warnings))

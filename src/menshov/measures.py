@@ -27,10 +27,8 @@ __all__ = [
     "Measure",
     "build_measure",
     "normalize",
-    "atomic_part",
 ]
 
-ATOM_TOL_FACTOR = 1e-9  # default jump-detection tolerance, relative to total mass
 _CDF_CHUNK = 1 << 16  # CDF points per chunk; keeps each chunk's temporaries in cache
 _WORKER_CHUNKS = 8  # a CDF call gets one worker thread per this many chunks, up to the cores
 MASS_ROUNDING = 1e-12  # a mass down to -this * total mass is rounding and reads 0
@@ -398,10 +396,3 @@ def normalize(m: Measure, interval) -> Measure:
     apos = (m.atom_positions[inside] - a) / (b - a)
     amas = m.atom_masses[inside] / M
     return Measure((0.0, 1.0), cdf, ctot, apos, amas)
-
-
-def atomic_part(m: Measure):
-    """Atoms of m whose mass exceeds ATOM_TOL_FACTOR * total mass."""
-    keep = m.atom_masses > ATOM_TOL_FACTOR * m.total_mass
-    return list(zip(m.atom_positions[keep].tolist(),
-                    m.atom_masses[keep].tolist()))

@@ -9,10 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from menshov import assembly
-from menshov import (AtomicMeasureError, MeasureSpec, PiecewiseLinearFn,
-                     QuadratureError, StepFunction, build_lambda,
-                     build_measure, claim_run, mset_masses,
-                     partial_sum_diagnostics, theorem_demo)
+from menshov import (MeasureSpec, PiecewiseLinearFn, QuadratureError,
+                     StepFunction, build_lambda, build_measure, claim_run,
+                     mset_masses, partial_sum_diagnostics, theorem_demo)
 
 TWO_PI = 2.0 * np.pi
 
@@ -109,8 +108,66 @@ def test_claim_rejects_bad_inputs():
         (0.5, MeasureSpec.lebesgue((0.0, TWO_PI))),
         (0.5, MeasureSpec.atomic([(1.0, 1.0)], (0.0, TWO_PI))),
     ]))
-    with pytest.raises(AtomicMeasureError):
-        claim_run(phi, atom, 16)
+    # an atom is no bad input: interval_mass counts it exactly
+    res = claim_run(phi, atom, 16)
+    assert res.certified and res.mu_total == pytest.approx(0.5 * TWO_PI + 0.5)
+
+
+def e_piece_mass(mu, e_intervals):
+    """Sum of mu over the closed pieces of E, which must be disjoint."""
+    e = e_intervals[np.argsort(e_intervals[:, 0])]
+    assert np.all(e[1:, 0] > e[:-1, 1])  # no atom is counted twice
+    return float(np.sum(mu.interval_mass(e[:, 0], e[:, 1])))
+
+
+def test_claim_counts_an_atom_on_a_layout_node_out_of_e():
+    phi = StepFunction((0.0, TWO_PI), [1.0])
+    lay = claim_run(phi, lebesgue_full(), 16).cells[0].layout
+    # removed[5, 1] opens a kept piece and removed[7, 0] closes one
+    nodes = [lay.removed[5, 1], lay.removed[7, 0]]
+    mu = build_measure(MeasureSpec.mixture([
+        (1.0, MeasureSpec.lebesgue((0.0, TWO_PI))),
+        (1.0, MeasureSpec.atomic([(x, 1e-4) for x in nodes], (0.0, TWO_PI))),
+    ]))
+    cell = claim_run(phi, mu, 16).cells[0]
+    assert np.array_equal(cell.layout.removed, lay.removed)
+    direct = e_piece_mass(mu, cell.layout.e_intervals)
+    # a removed interval shares each node with a kept piece and takes the
+    # atom out of mass_e, which stays a lower bound of mu(E_0)
+    assert cell.mass_e <= direct
+    assert direct - cell.mass_e == pytest.approx(2e-4, rel=1e-6)
+
+
+def test_theorem_demo_on_measures_with_atoms_leaves_less_than_eps():
+    ratios = []  # mu([0, 2 pi] minus E) / eps of each certified draw
+
+    @settings(max_examples=20, deadline=None, database=None, derandomize=True)
+    @given(base=st.sampled_from([MeasureSpec.cantor(40, 1.0, (0.0, TWO_PI)),
+                                 MeasureSpec.lebesgue((0.0, TWO_PI))]),
+           weight=st.floats(0.01, 0.5),
+           atoms=st.lists(st.tuples(
+               st.one_of(st.sampled_from([0.0, TWO_PI]), st.floats(0.0, TWO_PI)),
+               st.floats(0.05, 1.0)), min_size=1, max_size=3,
+               unique_by=lambda atom: atom[0]))
+    def check(base, weight, atoms):
+        mu = build_measure(MeasureSpec.mixture([
+            (1.0 - weight, base),
+            (weight, MeasureSpec.atomic(atoms, (0.0, TWO_PI)))]))
+        mu_total = float(mu.interval_mass(0.0, TWO_PI))
+        eps = 0.05 * mu_total
+        # uncapped, an uncertified draw walks kappa to 512
+        demo = theorem_demo(lambda x: x, mu, eps, 0.5, kappa_cap=32)
+        if not demo.claim.certified:
+            return
+        e = demo.claim.e_intervals
+        ratios.append((mu_total - e_piece_mass(mu, e)) / eps)
+        assert ratios[-1] < 1.0
+        # g is the step value on every piece of E
+        pts = e.ravel()
+        assert np.array_equal(demo.g(pts), demo.claim.partition(pts))
+
+    check()
+    assert len(ratios) >= 5
 
 
 @pytest.mark.parametrize("caps", [{"kappa_cap": -1}, {"kappa_cap": 0},

@@ -412,12 +412,63 @@ def test_precondition_violation_exit_three(tmp_path):
     assert code == EXIT_PRECONDITION
 
 
-def test_atomic_measure_rejected(tmp_path):
+def test_claim_on_atoms_is_uncertified_and_on_a_mixture_certified(tmp_path):
     atomic = {"kind": "atomic", "atoms": [[1.0, 1.0]],
               "domain": [0.0, 6.283185307179586]}
-    code, _ = run_cli(tmp_path, "claim",
-                      {"measure": atomic, "nu": 16, "phi": [1.0]})
+    mixture = {"kind": "mixture", "components": [
+        {"weight": 0.5, "spec": LEBESGUE}, {"weight": 0.5, "spec": atomic}]}
+    for nu in (16, 40):
+        # a pure atom: no kappa reaches the union target, an honest exit 4
+        code, out = run_cli(tmp_path / f"atom-{nu}", "claim",
+                            {"measure": atomic, "nu": nu, "phi": [1.0]})
+        assert code == EXIT_UNCERTIFIED
+        doc = json.loads((out / "claim_result.json").read_text())
+        assert doc["certified"] is False
+        code, _ = run_cli(tmp_path / f"mixture-{nu}", "claim",
+                          {"measure": mixture, "nu": nu, "phi": [1.0]})
+        assert code == EXIT_OK
+
+
+def test_mset_limit_writes_atom_warning_to_stderr(tmp_path, capsys):
+    mixture = {"kind": "mixture", "components": [
+        {"weight": 0.8, "spec": {"kind": "cantor", "levels": 40,
+                                 "domain": [0.0, 1.0]}},
+        {"weight": 0.2, "spec": {"kind": "atomic", "domain": [0.0, 1.0],
+                                 "atoms": [[0.15, 0.3], [0.4, 0.3],
+                                           [0.8, 0.4]]}}]}
+    code, out = run_cli(tmp_path, "mset-limit", {
+        "measure": mixture, "sigma": 0.2, "tau": 0.3, "N_max": 300})
+    assert code == EXIT_OK
+    assert (out / "mset_limit_summary.json").exists()
+    assert capsys.readouterr().err == ("warning: measure has 3 atom(s): "
+                                       "mu(A_n) need not tend to tau mu(I)\n")
+
+
+MSET = {"measure": CANTOR, "sigma": 0.2, "tau": 0.3, "N_max": 100}
+
+
+@pytest.mark.parametrize("sub, cfg, key, value, named", [
+    ("mset-limit", MSET, "I", "5", "I must be a list of 2 numbers"),
+    ("mset-limit", MSET, "I", '["0", 1]', "I must be a list of 2 numbers"),
+    ("mset-limit", MSET, "I", "[false, 1]", "I must be a list of 2 numbers"),
+    ("mset-limit", MSET, "I", "[0, 1, 2]", "I must be a list of 2 numbers"),
+    ("claim", {"measure": CANTOR}, "eps_seq", "5",
+     "eps_seq must be a list of numbers"),
+    ("claim", {"measure": CANTOR}, "eps_seq", "[true, 0.1]",
+     "eps_seq must be a list of numbers"),
+    ("claim", {"measure": CANTOR}, "phi", "[true, false]",
+     "phi must be a list of numbers"),
+    ("demo", {"measure": CANTOR}, "f", "[true, 2]",
+     "f must be a list of numbers"),
+    ("corrector", {}, "kernel", "no", "kernel must be true or false"),
+], ids=["I=5", "I=['0',1]", "I=[false,1]", "I=[0,1,2]", "eps_seq=5",
+        "eps_seq=[true,0.1]", "phi=[true,false]", "f=[true,2]", "kernel=no"])
+def test_bad_list_or_boolean_value_is_precondition_violation(
+        tmp_path, capsys, sub, cfg, key, value, named):
+    code, out = run_cli(tmp_path, sub, cfg, extra=("--set", f"{key}={value}"))
     assert code == EXIT_PRECONDITION
+    assert named in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_installed_entry_point():

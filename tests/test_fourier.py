@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from menshov import (AtomicMeasureError, ConvergenceScan, CorrectorParams,
-                     IndexSet, Measure, MeasureSpec, QuadratureError,
-                     StepFunction, build_lambda, build_measure, layout,
-                     normalize, spectrum, wiener_average, wiener_scan)
+from menshov import (ConvergenceScan, CorrectorParams, IndexSet, Measure,
+                     MeasureSpec, QuadratureError, StepFunction, build_lambda,
+                     build_measure, layout, normalize, spectrum,
+                     wiener_average, wiener_scan)
 from menshov.fourier import MAX_GRID_CELLS, START_REFINEMENT, _grid_cells
 from conftest import TWO_PI, cantor_coefficient_oracle
 
@@ -211,8 +211,12 @@ def test_build_lambda_lebesgue_multiples(lebesgue_unit_norm):
 
 
 def test_build_lambda_rejects_atomic():
-    with pytest.raises(AtomicMeasureError):
-        build_lambda(delta_measure(), K=2, J=2, N_max=100)
+    # |nu_hat| = 1 at every frequency: no n is a member, and the index set
+    # says why its M-set masses need not converge
+    lam = build_lambda(delta_measure(), K=2, J=2, N_max=100)
+    assert len(lam) == 0
+    assert ("measure has 1 atom(s): mu(A_n) need not tend to tau mu(I)"
+            in lam.warnings)
 
 
 def test_build_lambda_cantor_density(cantor40_norm):

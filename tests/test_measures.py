@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import menshov.measures as measures
-from menshov import (DomainError, MeasureSpec, MeasureSpecError, atomic_part,
-                     build_measure, normalize)
+from menshov import (DomainError, MeasureSpec, MeasureSpecError, build_measure,
+                     normalize)
 from menshov.measures import MAX_CANTOR_LEVELS, _CDF_CHUNK, _WORKER_CHUNKS
 from conftest import FIVE_KINDS, brute_force_atoms
 
@@ -334,22 +334,26 @@ def test_normalize_degenerate_interval(cantor40):
         normalize(cantor40, (0.4, 0.6))  # inside the big plateau, zero mass
 
 
-def test_atomic_part_lebesgue(lebesgue_2pi):
-    assert atomic_part(lebesgue_2pi) == []
+def atoms(m):
+    return list(zip(m.atom_positions.tolist(), m.atom_masses.tolist()))
 
 
-def test_atomic_part_recovers_atoms():
+def test_atom_list_lebesgue(lebesgue_2pi):
+    assert atoms(lebesgue_2pi) == []
+
+
+def test_atom_list_recovers_atoms():
     m = build_measure(MeasureSpec.atomic([(1.0, 0.3), (2.0, 0.2)], (0.0, 3.0)))
-    assert atomic_part(m) == [(1.0, 0.3), (2.0, 0.2)]
+    assert atoms(m) == [(1.0, 0.3), (2.0, 0.2)]
 
 
-def test_atomic_part_mixture_matches_brute_force_scan():
+def test_atom_list_mixture_matches_brute_force_scan():
     spec = MeasureSpec.mixture([
         (0.5, MeasureSpec.lebesgue((0.0, 2.0))),
         (0.5, MeasureSpec.atomic([(1.0, 1.0)], (0.0, 2.0))),
     ])
     m = build_measure(spec)
-    got = atomic_part(m)
+    got = atoms(m)
     oracle = brute_force_atoms(m)
     assert len(got) == len(oracle) == 1
     assert got[0][1] == pytest.approx(0.5, abs=1e-12)
@@ -367,7 +371,7 @@ def test_cdf_table_with_jump_rows():
     assert m.total_mass == pytest.approx(1.0)
     assert m.interval_mass(0.5, 0.5) == pytest.approx(0.5)
     assert m.interval_mass(0.0, 0.25) == pytest.approx(0.125)
-    assert atomic_part(m) == [(0.5, 0.5)]
+    assert atoms(m) == [(0.5, 0.5)]
 
 
 def test_spec_validation_errors():

@@ -30,6 +30,17 @@ MIXTURE = {"kind": "mixture", "components": [
 JUMP_TABLE = {"kind": "cdf_table", "table": [
     [0, 0], [0, 0.2], [0.5, 0.5], [0.5, 0.7], [1, 0.9], [1, 1]]}
 
+
+def cantor_atoms(width: float) -> dict:
+    """0.8 Cantor-40 + 0.2 on three atoms, over [0, width]."""
+    dom = [0.0, width]
+    return {"kind": "mixture", "components": [
+        {"weight": 0.8, "spec": {"kind": "cantor", "levels": 40,
+                                 "domain": dom}},
+        {"weight": 0.2, "spec": {"kind": "atomic", "domain": dom, "atoms": [
+            [0.15 * width, 0.3], [0.4 * width, 0.3], [0.8 * width, 0.4]]}}]}
+
+
 WORKERS = 4  # CLI processes at a time; the largest run peaks near 200 MB
 RUN_TIMEOUT = 300  # seconds; a run past it is killed and the check fails
 
@@ -44,6 +55,7 @@ CONFIGS = {
     "demo-steps-lebesgue": ("demo", {"measure": LEBESGUE,
                                      "f": [1.0, -0.5, 2.0, 1.0]}, []),
     "demo-thirds": ("demo", {"measure": CANTOR, "f": [1.0, -0.5, 2.0]}, []),
+    "demo-cantor-atoms": ("demo", {"measure": cantor_atoms(TWO_PI)}, []),
     "claim-16": ("claim", {"measure": CANTOR, "nu": 16,
                            "phi": [1.0, -1.0]}, []),
     "claim-16-half": ("claim", {"measure": CANTOR, "nu": 16,
@@ -61,6 +73,10 @@ CONFIGS = {
     "mset-limit-criterion-2": ("mset-limit", {
         "measure": {"kind": "cantor", "levels": 40, "domain": [0.0, 1.0]},
         "sigma": 0.2, "tau": 0.3, "J": 3, "K": 3, "N_max": 2000}, []),
+    # the atoms print a warning: mu(A_n) need not tend to tau mu(I)
+    "mset-limit-cantor-atoms": ("mset-limit", {
+        "measure": cantor_atoms(1.0), "sigma": 0.2, "tau": 0.3, "J": 3,
+        "K": 3, "N_max": 2000}, []),
     "mset-limit-mixture-sub-interval": ("mset-limit", {
         "measure": MIXTURE, "I": [1.0, 5.0], "sigma": 0.2, "tau": 0.3,
         "J": 3, "K": 3, "N_max": 3000}, []),
