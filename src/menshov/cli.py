@@ -253,7 +253,7 @@ def _cmd_demo(cfg, out: Path, plot: bool):
     fname = cfg.get("f", "identity")
     if isinstance(fname, list):
         f = StepFunction(mu.domain, _floats(cfg, "f", None))
-    elif fname in _DEMO_FUNCTIONS:
+    elif isinstance(fname, str) and fname in _DEMO_FUNCTIONS:
         f = _DEMO_FUNCTIONS[fname]
     else:
         raise KeyError(f"unknown demo function {fname!r}")

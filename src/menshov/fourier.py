@@ -8,14 +8,13 @@ Atoms are summed exactly; the continuous CDF part is integrated by a
 midpoint Riemann-Stieltjes rule whose certified error bound is the phase
 variation per cell times the continuous mass per cell, summed.  `spectrum`
 evaluates the CDF once on the power-of-two grid the highest frequency
-needs; each batch of frequencies then reads its cell masses from that one
-pass and gets all its coefficients from a single real FFT.
+needs; any batch of frequencies gets its coefficients from one real FFT.
 
 `build_lambda` decides index-set membership coarse to fine: it refines
 one `Spectrum` (`Spectrum.refined` evaluates the CDF only at the new
-points) until every frequency is decided, with its `refinement` argument
-as the ceiling.  A grid above MAX_GRID_CELLS is refused from the ceiling
-grid, before any CDF point is evaluated.
+points), one FFT per level, until every frequency is decided, with its
+`refinement` argument as the ceiling.  A grid above MAX_GRID_CELLS is
+refused from the ceiling grid, before any CDF point is evaluated.
 """
 
 from __future__ import annotations
@@ -65,7 +64,11 @@ def _grid_cells(f: int, refinement: int) -> int:
 
 
 def _checked_grid(f_max: int, refinement: int) -> int:
-    """_grid_cells(f_max, refinement); QuadratureError above MAX_GRID_CELLS."""
+    """_grid_cells(f_max, refinement); ValueError below refinement 2 (an
+    FFT up to f_max needs 2 * f_max cells), QuadratureError above
+    MAX_GRID_CELLS."""
+    if refinement < 2:
+        raise ValueError(f"refinement must be at least 2, got {refinement}")
     grid = _grid_cells(f_max, refinement)
     if grid > MAX_GRID_CELLS:
         raise QuadratureError(
@@ -78,42 +81,33 @@ def _checked_grid(f_max: int, refinement: int) -> int:
 class Spectrum:
     """Continuous CDF of a probability measure on the grid its f_max needs.
 
-    Every power-of-2 grid an f <= f_max needs has edges at every stride-th
-    fine edge; dyadic linspace edges are exact and every CDF is evaluated
-    point by point, so a coarser grid read from `cdf` has bitwise the cell
-    masses of a fresh pass on that grid.
+    Dyadic linspace edges are exact and every CDF is evaluated point by
+    point, so a refined `cdf` is bitwise that of a fresh pass.
     """
 
     measure: Measure
     f_max: int
-    refinement: int
     cdf: np.ndarray
 
-    def coefficients(self, freqs, top: int | None = None):
-        """(values, error_bounds) at nonnegative integer frequencies <= f_max.
-
-        Uses the grid frequency `top` (default max(freqs)) needs, so the
-        certified bound at each frequency f is 2*pi*f/grid * (continuous
-        mass).
+    def coefficients(self, freqs):
+        """(values, error_bounds) at nonnegative integer frequencies <= f_max,
+        from one real FFT of the grid's cell masses; the certified bound at
+        frequency f is 2*pi*f/grid * (continuous mass).
         """
         freqs = np.asarray(freqs, dtype=np.int64)
-        if top is None:
-            top = int(freqs.max()) if freqs.size else 0
-        if np.any(freqs < 0) or np.any(freqs > top) or top > self.f_max:
-            raise ValueError(f"frequencies must lie in [0, top] and top in "
-                             f"[0, {self.f_max}]; use conjugate symmetry "
-                             "for negative ones")
-        grid = _grid_cells(top, self.refinement)
-        stride = (self.cdf.size - 1) // grid
-        rfft = np.fft.rfft(np.diff(self.cdf[::stride]))
+        if np.any(freqs < 0) or np.any(freqs > self.f_max):
+            raise ValueError(f"frequencies must lie in [0, {self.f_max}]; use "
+                             "conjugate symmetry for negative ones")
+        grid = self.cdf.size - 1
+        rfft = np.fft.rfft(np.diff(self.cdf))
         vals = rfft[freqs] * np.exp(-1j * np.pi * freqs / grid)
         vals = vals + _atom_sum(self.measure, freqs)
         errs = 2.0 * np.pi * freqs / grid * self.measure.cont_total
         return vals, errs
 
     def refined(self, refinement: int) -> "Spectrum":
-        """This spectrum at a refinement at least its own: bitwise the `cdf`
-        of spectrum(measure, f_max, refinement), each point evaluated once.
+        """This spectrum on a grid at least as fine: bitwise the `cdf` of
+        spectrum(measure, f_max, refinement), each point evaluated once.
 
         Each doubling of the grid evaluates the CDF only at the new odd
         points (2i+1)/(2g) and interleaves them with the existing values,
@@ -130,7 +124,7 @@ class Spectrum:
             fine[1::2] = self.measure.cont(np.arange(1.0, 2 * g, 2.0) / (2 * g))
             cdf = fine
         cdf.setflags(write=False)
-        return Spectrum(self.measure, self.f_max, refinement, cdf)
+        return Spectrum(self.measure, self.f_max, cdf)
 
 
 def spectrum(nu: Measure, f_max: int,
@@ -145,7 +139,7 @@ def spectrum(nu: Measure, f_max: int,
     grid = _checked_grid(f_max, refinement)
     cdf = nu.cont(np.linspace(0.0, 1.0, grid + 1))
     cdf.setflags(write=False)
-    return Spectrum(nu, f_max, refinement, cdf)
+    return Spectrum(nu, f_max, cdf)
 
 
 def wiener_scan(nu: Measure, k: int, N: int,
@@ -154,6 +148,8 @@ def wiener_scan(nu: Measure, k: int, N: int,
     |nu_hat(n*k)|^2 for n = 0..N; QuadratureError past CERTIFY_LIMIT."""
     if k == 0:
         raise ValueError("k must be nonzero")
+    if N < 0:
+        raise ValueError(f"N must be nonnegative, got {N}")
     freqs = abs(k) * np.arange(N + 1)
     vals, errs = spectrum(nu, abs(k) * N, refinement).coefficients(freqs)
     if errs.max() > CERTIFY_LIMIT:
@@ -215,18 +211,20 @@ def build_lambda(nu: Measure, K: int, J: int, N_max: int, m: int = 1,
     |nu_hat(kn)| <= 1/J is certified for every k <= K.  Membership is
     decided coarse to fine, on levels from min(START_REFINEMENT, refinement)
     doubling up to the ceiling `refinement`.  Each level reads |v| and its
-    bound e on the grids _grid_cells(k * N_max, level), only for the pairs
-    (n, k) not yet certified: a pair is certified when |v| + e <= 1/J, and
-    n is *in* once all its K pairs are, *out* as soon as |v| - e > 1/J for
-    one of them.  At the ceiling every pair left is certified or puts n
-    out.  Each bound holds at every level, so a member's pairs may be
-    certified at different levels.  Atoms keep the Wiener averages from
-    vanishing: the members stay certified, but `warnings` then says that
-    the M-set masses mu(A_n) need not tend to tau mu(I).
+    bound e from one FFT of its grid, only for the pairs (n, k) not yet
+    certified: a pair is certified when |v| + e <= 1/J, and n is *in* once
+    all its K pairs are, *out* as soon as |v| - e > 1/J for one of them.
+    At the ceiling every pair left is certified or puts n out.  Each bound
+    holds at every level, so a member's pairs may be certified at
+    different levels.  Atoms keep the Wiener averages from vanishing: the
+    members stay certified, but `warnings` then says that the M-set masses
+    mu(A_n) need not tend to tau mu(I).
     """
     _check_probability(nu)
     if min(K, J, m) < 1:
         raise ValueError("K, J, m must be positive integers")
+    if N_max < 0:
+        raise ValueError(f"N_max must be nonnegative, got {N_max}")
 
     _checked_grid(K * N_max, refinement)  # refuse from the ceiling grid
     undecided = np.arange(0, N_max + 1, m)
@@ -235,18 +233,15 @@ def build_lambda(nu: Measure, K: int, J: int, N_max: int, m: int = 1,
     level = min(START_REFINEMENT, refinement)
     spec = spectrum(nu, K * N_max, level)
     while True:
-        out = np.zeros(undecided.size, dtype=bool)
         # |nu_hat(-f)| = |nu_hat(f)|: negative k give the same sets as positive k
-        for k in range(1, K + 1):
-            idx = np.flatnonzero(pending[k - 1])
-            if idx.size == 0:
-                continue  # no FFT for a k with every pair certified
-            vals, errs = spec.coefficients(k * undecided[idx], top=k * N_max)
-            absv = np.abs(vals)
-            small = absv + errs <= 1.0 / J
-            pending[k - 1, idx[small]] = False
-            large = ~small if level >= refinement else absv - errs > 1.0 / J
-            out[idx[large]] = True
+        k, idx = np.nonzero(pending)  # row k holds the pairs of k + 1
+        vals, errs = spec.coefficients((k + 1) * undecided[idx])
+        absv = np.abs(vals)
+        small = absv + errs <= 1.0 / J
+        pending[k[small], idx[small]] = False
+        large = ~small if level >= refinement else absv - errs > 1.0 / J
+        out = np.zeros(undecided.size, dtype=bool)
+        out[idx[large]] = True
         inside = ~pending.any(axis=0)
         decided.append(undecided[inside])
         keep = ~(inside | out)

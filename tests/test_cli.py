@@ -203,6 +203,41 @@ def test_wiener_scan_k_zero_is_precondition_violation(tmp_path):
     assert not (out / "wiener_scan.csv").exists()
 
 
+@pytest.mark.parametrize("sub, cfg, value", [
+    ("mset-limit", {"measure": CANTOR, "sigma": 0.2, "tau": 0.3}, 1),
+    ("wiener-scan", {"measure": CANTOR}, 0),
+    ("claim", {"measure": CANTOR, "nu": 16}, 1),
+], ids=["mset-limit", "wiener-scan", "claim"])
+def test_refinement_below_two_is_precondition_violation(tmp_path, capsys,
+                                                         sub, cfg, value):
+    # below 2 the grid can hold fewer cells than an FFT up to f_max needs
+    code, out = run_cli(tmp_path, sub, {**cfg, "refinement": value})
+    assert code == EXIT_PRECONDITION
+    assert (f"refinement must be at least 2, got {value}"
+            in capsys.readouterr().err)
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("sub, cfg, key", [
+    ("mset-limit", {"measure": CANTOR, "sigma": 0.2, "tau": 0.3}, "N_max"),
+    ("wiener-scan", {"measure": CANTOR}, "N"),
+], ids=["N_max", "N"])
+def test_negative_horizon_is_precondition_violation(tmp_path, capsys, sub,
+                                                    cfg, key):
+    code, out = run_cli(tmp_path, sub, {**cfg, key: -1})
+    assert code == EXIT_PRECONDITION
+    assert f"{key} must be nonnegative, got -1" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", [5, {}], ids=["5", "{}"])
+def test_unknown_demo_function_is_config_error(tmp_path, capsys, value):
+    code, out = run_cli(tmp_path, "demo", {"measure": CANTOR, "f": value})
+    assert code == EXIT_CONFIG
+    assert f"unknown demo function {value!r}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("key, value", [("sigma", "NaN"),
                                         ("tau", "Infinity")])
 def test_mset_limit_non_finite_is_precondition_violation(tmp_path, key, value):

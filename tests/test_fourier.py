@@ -30,11 +30,12 @@ def lambda_jk(nu, j, k, N_max, refinement=512):
 
 def pair_bounds(nu, K, N_max, refinement):
     """|v| - e and |v| + e of nu_hat(k n), rows k = 1..K, columns
-    n = 0..N_max, each row from a fresh pass on the grid k * N_max needs."""
+    n = 0..N_max, every row from one pass on the grid K * N_max needs."""
     ns = np.arange(N_max + 1)
+    spec = spectrum(nu, K * N_max, refinement)
     lo, hi = [], []
     for k in range(1, K + 1):
-        vals, errs = spectrum(nu, k * N_max, refinement).coefficients(k * ns)
+        vals, errs = spec.coefficients(k * ns)
         lo.append(np.abs(vals) - errs)
         hi.append(np.abs(vals) + errs)
     return np.array(lo), np.array(hi)
@@ -42,7 +43,7 @@ def pair_bounds(nu, K, N_max, refinement):
 
 def build_lambda_oracle(nu, K, J, N_max, m=1, refinement=512):
     """Members of the single-level build_lambda that coarse-to-fine
-    replaced: every multiple of m tested on the ceiling grids alone."""
+    replaced: every multiple of m tested on the ceiling grid alone."""
     _, hi = pair_bounds(nu, K, N_max, refinement)
     keep = np.all(hi <= 1.0 / J, axis=0) & (np.arange(N_max + 1) % m == 0)
     return np.flatnonzero(keep)
@@ -101,24 +102,29 @@ def test_batch_agrees_with_direct(cantor40_norm):
                          (0.5, MeasureSpec.lebesgue((0.0, 1.0)))]),
 ], ids=["lebesgue", "atomic", "cantor-unit", "cantor", "cdf_table", "mixture"])
 def test_spectrum_coarse_reads_match_fresh_pass(spec):
-    # build_lambda reads every k from one pass at K*N, refined level by
-    # level; its members rest on each read being bitwise the coefficients
-    # of a pass at k*N, and on a refined CDF being bitwise a fresh pass
+    # build_lambda refines one pass at K*N level by level; its members rest
+    # on a refined CDF being bitwise a fresh pass on the finer grid
     mu = build_measure(spec)
     nu = normalize(mu, mu.domain)
-    K, N = 3, 700
-    ns = np.arange(N + 1)
-    fine = spectrum(nu, K * N, refinement=64)
-    for k in range(1, K + 1):
-        got = fine.coefficients(k * ns)
-        fresh = spectrum(nu, k * N, refinement=64).coefficients(k * ns)
-        assert np.array_equal(got[0], fresh[0])
-        assert np.array_equal(got[1], fresh[1])
-    coarse = spectrum(nu, K * N, refinement=8)
+    f_max = 3 * 700
+    coarse = spectrum(nu, f_max, refinement=8)
     for r in (16, 64, 100):  # one doubling, two, and a non-power-of-two
         refined = coarse.refined(r)
-        assert refined.refinement == r
-        assert np.array_equal(refined.cdf, spectrum(nu, K * N, r).cdf)
+        assert refined.cdf.size == _grid_cells(f_max, r) + 1
+        assert np.array_equal(refined.cdf, spectrum(nu, f_max, r).cdf)
+
+
+@pytest.mark.parametrize("refinement", [8, 16, 32, 64])
+def test_single_grid_bounds_cover_cantor_oracle(cantor40_norm, refinement):
+    # build_lambda reads every k <= 3 from the grid 3 * N_max needs: each
+    # bound must cover the product formula, also for k < 3, whose grid is
+    # finer than its own frequencies need
+    spec = spectrum(cantor40_norm, 6000, refinement)
+    ns = np.arange(2001)
+    for k in (1, 2, 3):
+        vals, errs = spec.coefficients(k * ns)
+        oracle = cantor_coefficient_oracle(k * ns)
+        assert np.all(np.abs(vals - oracle) <= errs + 1e-12)
 
 
 def test_spectrum_grid_guard_fires_before_evaluation():
@@ -140,9 +146,25 @@ def test_spectrum_grid_guard_fires_before_evaluation():
 
 
 def test_refined_grid_guard_fires_before_evaluation(lebesgue_unit_norm):
-    coarse = spectrum(lebesgue_unit_norm, MAX_GRID_CELLS // 1024 + 1, 1)
+    coarse = spectrum(lebesgue_unit_norm, MAX_GRID_CELLS // 1024 + 1, 2)
     with pytest.raises(QuadratureError, match="above the"):
         coarse.refined(1024)
+
+
+def test_refinement_below_two_and_negative_horizons_are_refused(
+        lebesgue_unit_norm):
+    nu = lebesgue_unit_norm
+    # below refinement 2 the grid can hold fewer than 2 * f_max cells
+    for call in (lambda: spectrum(nu, 5, 1),
+                 lambda: spectrum(nu, 5).refined(1),
+                 lambda: wiener_scan(nu, 1, 100, refinement=0),
+                 lambda: build_lambda(nu, K=1, J=2, N_max=100, refinement=1)):
+        with pytest.raises(ValueError, match="refinement must be at least 2"):
+            call()
+    with pytest.raises(ValueError, match="N_max must be nonnegative, got -1"):
+        build_lambda(nu, K=1, J=2, N_max=-1)
+    with pytest.raises(ValueError, match="N must be nonnegative, got -1"):
+        wiener_scan(nu, 1, -1)
 
 
 def test_wiener_average_is_mean_of_wiener_scan(cantor40_norm):
@@ -222,8 +244,8 @@ def test_build_lambda_rejects_atomic():
 def test_build_lambda_cantor_density(cantor40_norm):
     lam = build_lambda(cantor40_norm, K=3, J=3, N_max=2000, m=1)
     assert lam.density >= 0.8
-    # criterion 2 is decided by refinement 128, below the 512 ceiling
-    assert [lv.refinement for lv in lam.levels] == [8, 16, 32, 64, 128]
+    # criterion 2 is decided by refinement 64, below the 512 ceiling
+    assert [lv.refinement for lv in lam.levels] == [8, 16, 32, 64]
     # members are a subset of every constituent Lambda_{j,k}
     sub = set(lambda_jk(cantor40_norm, 3, 2, 2000).tolist())
     assert set(lam.members.tolist()) <= sub
@@ -238,9 +260,9 @@ MIXTURE = MeasureSpec.mixture([(0.5, MeasureSpec.cantor(12)),
     (MeasureSpec.cantor(40), dict(K=5, J=5, N_max=2000)),
     (MIXTURE, dict(K=3, J=3, N_max=500)),
     (MeasureSpec.lebesgue(), dict(K=5, J=5, N_max=300, m=3)),
-    (MeasureSpec.cantor(40), dict(K=3, J=3, N_max=2000, refinement=100)),
+    (MeasureSpec.cantor(40), dict(K=3, J=3, N_max=2000, refinement=40)),
     (MeasureSpec.cantor(40), dict(K=3, J=3, N_max=2000, refinement=4)),
-], ids=["criterion2", "J5K5", "mixture", "lebesgue-m3", "ceiling100",
+], ids=["criterion2", "J5K5", "mixture", "lebesgue-m3", "ceiling40",
         "ceiling4"])
 def test_build_lambda_members_match_single_level_oracle(spec, kw):
     nu = normalize(build_measure(spec), (0.0, 1.0))
@@ -261,8 +283,8 @@ def test_build_lambda_criterion2_evaluates_one_refined_pass(cantor40,
     monkeypatch.setattr(nu, "cont",
                         lambda x: points.append(np.size(x)) or cont(x))
     build_lambda(nu, K=3, J=3, N_max=2000)
-    # each point of the 2^20-cell grid once, not the 2^22-cell ceiling grid
-    assert sum(points) == 2**20 + 1
+    # each point of the 2^19-cell grid once, not the 2^22-cell ceiling grid
+    assert sum(points) == 2**19 + 1
 
 
 @st.composite

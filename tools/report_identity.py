@@ -73,6 +73,12 @@ CONFIGS = {
     "mset-limit-criterion-2": ("mset-limit", {
         "measure": {"kind": "cantor", "levels": 40, "domain": [0.0, 1.0]},
         "sigma": 0.2, "tau": 0.3, "J": 3, "K": 3, "N_max": 2000}, []),
+    # a ceiling below the level that decides criterion 2: every n left
+    # there gets the ceiling test, so the members depend on its grid
+    "mset-limit-ceiling-16": ("mset-limit", {
+        "measure": {"kind": "cantor", "levels": 40, "domain": [0.0, 1.0]},
+        "sigma": 0.2, "tau": 0.3, "J": 3, "K": 3, "N_max": 2000,
+        "refinement": 16}, []),
     # the atoms print a warning: mu(A_n) need not tend to tau mu(I)
     "mset-limit-cantor-atoms": ("mset-limit", {
         "measure": cantor_atoms(1.0), "sigma": 0.2, "tau": 0.3, "J": 3,
