@@ -94,10 +94,17 @@ class Spectrum:
         from one real FFT of the grid's cell masses; the certified bound at
         frequency f is 2*pi*f/grid * (continuous mass).
         """
-        freqs = np.asarray(freqs, dtype=np.int64)
+        freqs = np.asarray(freqs)
+        if freqs.dtype.kind not in "iu":  # 2.0 is a frequency, 0.9 is not
+            freqs = freqs.astype(float)
+            whole = np.isfinite(freqs) & (np.floor(freqs) == freqs)
+            if not np.all(whole):
+                raise ValueError("frequencies must be integers, got "
+                                 f"{float(freqs[~whole].flat[0])!r}")
         if np.any(freqs < 0) or np.any(freqs > self.f_max):
             raise ValueError(f"frequencies must lie in [0, {self.f_max}]; use "
                              "conjugate symmetry for negative ones")
+        freqs = freqs.astype(np.int64)
         grid = self.cdf.size - 1
         rfft = np.fft.rfft(np.diff(self.cdf))
         vals = rfft[freqs] * np.exp(-1j * np.pi * freqs / grid)

@@ -82,6 +82,18 @@ def test_coefficient_invariants(cantor40_norm):
             spec.coefficients(bad)
 
 
+def test_coefficients_refuse_non_integer_frequencies():
+    spec = spectrum(build_measure(MeasureSpec.lebesgue()), 5)
+    for bad in ([0.9], [1, 2.5], [np.nan], [np.inf], np.array([[3.0, 1e-300]])):
+        with pytest.raises(ValueError, match="frequencies must be integers"):
+            spec.coefficients(bad)
+    with pytest.raises(ValueError, match="got 0.9"):
+        spec.coefficients([0.9])
+    # an integral float is its integer
+    for got, want in zip(spec.coefficients([3.0, 0.0]), spec.coefficients([3, 0])):
+        assert np.array_equal(got, want)
+
+
 def test_batch_agrees_with_direct(cantor40_norm):
     freqs = np.array([0, 1, 2, 3, 10, 50])
     vals, errs = spectrum(cantor40_norm, 50).coefficients(freqs)

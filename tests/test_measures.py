@@ -3,6 +3,7 @@ import sys
 import textwrap
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,11 +23,26 @@ def unit_cantor_cont(x, levels):
     return build_measure(MeasureSpec.cantor(levels)).cont(x)
 
 
-def cantor_cdf_oracle(x, levels):
-    """Full-array loop: every point takes all `levels` passes."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    t = np.clip(np.atleast_1d(x), 0.0, 1.0).copy()
+def cantor_exact(x, levels):
+    """The level-`levels` Cantor CDF at the double x, clamped to [0, 1], as
+    an exact Fraction: x = p/q, one ternary digit per level in integers."""
+    p, q = Fraction(min(max(x, 0.0), 1.0)).as_integer_ratio()
+    y = 0  # the binary digits so far
+    for k in range(1, levels + 1):
+        p *= 3
+        d = min(p // q, 2)
+        p -= d * q
+        y = 2 * y + (d > 0)
+        if d == 1:  # a plateau
+            return Fraction(y, 2**k)
+    return Fraction(y * q + p, q * 2**levels)
+
+
+def float_loop_cdf(x, levels):
+    """The level-`levels` Cantor CDF by a float loop over all levels, which
+    rounds t *= 3 at every level; the error the exact kernel must not exceed
+    below 2^-11."""
+    t = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
     y = np.zeros_like(t)
     done = np.zeros(t.shape, dtype=bool)
     f = 0.5
@@ -42,56 +58,82 @@ def cantor_cdf_oracle(x, levels):
         f *= 0.5
     rem = ~done
     y[rem] += 2.0 * f * t[rem]
-    return y[0] if scalar else y
+    return y
 
 
-def _oracle_inputs():
+def _ulps(got, x, levels):
+    """|got - F(x)| in ulps of the double nearest F(x), exactly."""
+    out = []
+    for g, xi in zip(got, x):
+        e = cantor_exact(float(xi), levels)
+        out.append(float(abs(Fraction(float(g)) - e)
+                         / Fraction(float(np.spacing(float(e))))))
+    return np.array(out)
+
+
+def _exact_oracle_points():
     rng = np.random.default_rng(11)
-    edges = np.array([k / 3.0**m for m in range(1, 9)
-                      for k in range(3**m + 1)])
-    yield "uniform", rng.uniform(0.0, 1.0, 50_000)
-    for k in (1, 4, 10, 17):
-        yield f"dyadic 2^{k}", np.linspace(0.0, 1.0, 2**k + 1)
-    yield "triadic edges", edges
-    yield "below edges", np.nextafter(edges, -np.inf)
-    yield "above edges", np.nextafter(edges, np.inf)
-    yield "outside", np.array([-2.0, -1e-300, 1.0 + 1e-16, 1.5, 7.0,
-                               np.inf, -np.inf])
-    yield "signed zeros and nan", np.array([0.0, -0.0, np.nan, 0.5, np.nan])
-    yield "all on a level-1 plateau", rng.uniform(0.34, 0.66, 1_000)
-    yield "never settle, mixed", np.array([0.25, 0.5, 0.75, 0.4, 0.25])
-    yield "empty", np.empty(0)
-    yield "0-d", np.array(0.7)
-    yield "2-d", rng.uniform(-0.1, 1.1, (37, 53))
-    for n in (_CDF_CHUNK - 1, _CDF_CHUNK, _CDF_CHUNK + 1):
-        yield f"size {n}", rng.uniform(0.0, 1.0, n)
+    edges = np.array([k / 3.0**m for m in range(1, 7) for k in range(3**m + 1)])
+    # ends of random level-40 intervals: 40 ternary digits 0 or 2, and + 3^-40
+    digits = 2 * rng.integers(0, 2, (300, 40))
+    lefts = [sum(Fraction(int(d), 3**k) for k, d in enumerate(row, 1))
+             for row in digits]
+    ends = [float(e) for a in lefts for e in (a, a + Fraction(1, 3**40))]
+    thirds = 3.0 ** -np.arange(6, 60)  # 3^-6 > 2^-11 > 3^-7
+    below = np.concatenate([
+        thirds, np.nextafter(thirds, 0.0), np.nextafter(thirds, 1.0),
+        [5e-324, 7 * 5e-324, 1e-310, 2.0**-1022, 1e-300, 2.0**-75,
+         np.nextafter(2.0**-75, 0.0), np.nextafter(2.0**-11, 0.0)],
+        2.0 ** -rng.uniform(11.0, 90.0, 400)])
+    inside = np.concatenate([
+        rng.uniform(0.0, 1.0, 2000), edges, np.nextafter(edges, 0.0),
+        np.nextafter(edges, 1.0), ends, np.linspace(0.0, 1.0, 2**10 + 1),
+        [0.25, 0.75, 2.0**-11, 1.0 / 3.0, 1.0]])  # 0.25 never settles
+    return inside, below[below < 2.0**-11]
 
 
-@pytest.mark.parametrize("levels", [1, 2, 5, 12, 40, MAX_CANTOR_LEVELS])
-def test_cantor_cdf_bitwise_equals_full_loop_oracle(levels):
-    for name, x in _oracle_inputs():
-        got, want = unit_cantor_cont(x, levels), cantor_cdf_oracle(x, levels)
-        assert got.shape == want.shape, name
-        assert np.array_equal(got, want, equal_nan=True), name
-        # bitwise, so +0.0 and -0.0 would count as different values
-        assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+@pytest.mark.parametrize("levels", [1, 2, 5, 8, 9, 12, 16, 17, 40,
+                                    MAX_CANTOR_LEVELS])
+def test_cantor_cdf_within_one_ulp_of_exact_oracle(levels):
+    inside, below = _exact_oracle_points()
+    got = unit_cantor_cont(inside, levels)
+    want = np.array([float(cantor_exact(x, levels)) for x in inside])
+    ok = (np.nextafter(want, -np.inf) <= got) & (got <= np.nextafter(want, np.inf))
+    assert ok.all(), inside[~ok][:5]
+    # below 2^-11: under 2 ulps (the linear part past 33 levels rounds
+    # twice) and no worse than the float loop
+    err = _ulps(unit_cantor_cont(below, levels), below, levels).max()
+    assert err < 2.0
+    assert err <= _ulps(float_loop_cdf(below, levels), below, levels).max()
+    for x in (0.0, -0.0, -1.0, -np.inf, 2.0, np.inf):  # -0.0 reads 0.0
+        edge = unit_cantor_cont(np.array([x]), levels)
+        assert edge.view(np.int64) == np.float64(x >= 1.0).view(np.int64)
+    assert np.isnan(unit_cantor_cont(np.array([np.nan, 0.5]), levels)[0])
+    assert unit_cantor_cont(np.empty(0), levels).shape == (0,)
+    # 0-d and 2-d inputs take the values of the 1-d ones
+    one_third = unit_cantor_cont(np.array(1.0 / 3.0), levels)
+    assert type(one_third) is np.float64
+    assert one_third == unit_cantor_cont(np.array([1.0 / 3.0]), levels)[0]
+    square = unit_cantor_cont(inside[:2000].reshape(40, 50), levels)
+    assert np.array_equal(square, got[:2000].reshape(40, 50))
 
 
 def test_cantor_cdf_scalar_input_gives_numpy_scalar():
     for x in (0.0, 0.15, 1.0 / 3.0, 0.7, 1.0, -0.0, np.float64(0.4)):
         got = unit_cantor_cont(x, 40)
         assert type(got) is np.float64
-        assert got == cantor_cdf_oracle(x, 40)
+        assert got == unit_cantor_cont(np.array([x]), 40)[0]
     assert np.isnan(unit_cantor_cont(np.nan, 40))
 
 
-def test_cantor_measure_masses_bitwise_equal_oracle_path(monkeypatch):
+def test_cantor_measure_masses_bitwise_equal_oracle_path():
+    # the oracle path: the kernel on all of each array, not chunk by chunk
     m = build_measure(MeasureSpec.cantor(40, 1.0, (0.0, TWO_PI)))
     rng = np.random.default_rng(3)
-    a = np.sort(rng.uniform(0.0, TWO_PI, (2, 20_000)), axis=0)
-    got = m.interval_mass(a[0], a[1])
-    monkeypatch.setattr(measures, "_cantor_kernel", cantor_cdf_oracle)
-    assert np.array_equal(got, m.interval_mass(a[0], a[1]))
+    a, b = np.sort(rng.uniform(0.0, TWO_PI, (2, 2 * _CDF_CHUNK + 5)), axis=0)
+    got = m.interval_mass(a, b)
+    want = np.maximum(m._kernel(b) - m._kernel(a), 0.0)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 STREAM_SPECS = {
@@ -139,7 +181,7 @@ def cores(monkeypatch):
 
 
 @pytest.mark.parametrize("name", [*STREAM_SPECS, "normalized cantor"])
-def test_streamed_cont_bitwise_equals_one_pass(name, monkeypatch, cores):
+def test_streamed_cont_bitwise_equals_one_pass(name, cores):
     cores(4)  # fan out on any host
     m = _stream_measure(name)
     u, v = m.domain
@@ -149,8 +191,7 @@ def test_streamed_cont_bitwise_equals_one_pass(name, monkeypatch, cores):
     got = [m.cont(x) for x in inputs]
     scalars = [0.5 * (u + v), u, v]
     got_scalar = [m.cont(x) for x in scalars]
-    # one pass: the kernel on all of x, through the 40-pass Cantor loop
-    monkeypatch.setattr(measures, "_cantor_kernel", cantor_cdf_oracle)
+    # one pass: the kernel on all of x
     for x, g in zip(inputs, got):
         want = m._kernel(np.ravel(x)).reshape(np.shape(x))
         assert g.shape == want.shape == x.shape
@@ -189,10 +230,12 @@ def test_cdf_threads_start_only_for_large_calls():
         import menshov
         from menshov import measures
         assert threading.active_count() == n0, "import started a thread"
+        assert measures._cantor_tables.cache_info().currsize == 0
         measures._cores = lambda: 2  # fan out on a one-core host too
         mu = menshov.build_measure(menshov.MeasureSpec.cantor(40))
         mu.cont(np.linspace(0.0, 1.0, {TWO_WORKERS - _CDF_CHUNK}))
         assert threading.active_count() == n0, "small call started a thread"
+        assert measures._cantor_tables.cache_info().currsize == 1  # 40 = 5 * 8
         mu.cont(np.linspace(0.0, 1.0, {TWO_WORKERS}))
         n1 = threading.active_count()
         pool = measures._pool()
@@ -259,7 +302,11 @@ def test_atomic_cdf_jump():
 
 def test_cantor_symmetry_and_self_similarity(cantor40):
     assert cantor40.interval_mass(0.0, 0.5) == pytest.approx(0.5, abs=1e-12)
-    assert cantor40.interval_mass(0.0, 1.0 / 3.0) == pytest.approx(0.5, abs=1e-12)
+    # double(1/3) lies 1.9e-17 below 1/3, in the left third, so its mass is
+    # below 0.5 by F(1/3) - F(double(1/3)); the next double is on the plateau
+    assert cantor40.interval_mass(0.0, 1.0 / 3.0) == float(
+        cantor_exact(1.0 / 3.0, 40))
+    assert cantor40.interval_mass(0.0, np.nextafter(1.0 / 3.0, 1.0)) == 0.5
     # removed middle-third intervals carry zero mass at every level <= 40
     assert cantor40.interval_mass(1.0 / 3.0 + 1e-9, 2.0 / 3.0 - 1e-9) == 0.0
     assert cantor40.interval_mass(1.0 / 9.0 + 1e-9, 2.0 / 9.0 - 1e-9) == 0.0
@@ -269,8 +316,10 @@ def test_cantor_cdf_plateau_exactness():
     # exact on complementary-interval plateaus, all levels up to L
     for L in (3, 10, 40):
         assert unit_cantor_cont(0.4, L) == 0.5
-        assert unit_cantor_cont(1.0 / 3.0, L) == 0.5
+        assert unit_cantor_cont(np.nextafter(1.0 / 3.0, 1.0), L) == 0.5
         assert unit_cantor_cont(0.15, L) == 0.25
+        # double(1/3) is just left of the plateau: the exact value there
+        assert unit_cantor_cont(1.0 / 3.0, L) == float(cantor_exact(1.0 / 3.0, L))
     assert unit_cantor_cont(0.0, 40) == 0.0
     assert unit_cantor_cont(1.0, 40) == 1.0
 
