@@ -28,6 +28,9 @@ __all__ = [
 ]
 
 MAX_LAYOUT_NODES = 1 << 24  # q = r nu; larger layouts' node arrays need GBs
+# kernel_sup's x points; one omega block's temporaries hold about 63 doubles
+# per point (0.5 GB at this limit, one sub-block), so larger grids need GBs
+MAX_X_GRID = 1 << 20
 
 
 def choose_r(c: float, d: float, gamma: float, eps: float, nu: int) -> int:
@@ -211,13 +214,16 @@ def kernel_sup(psi: PiecewiseLinearFn, j_max: int, x_grid: int,
                nu: int | None = None, gamma: float | None = None):
     """Sup of |integral psi(t) sin(j (t - x)) / (t - x) dt| over j and x.
 
-    j in 1..j_max, x on a uniform x_grid-point grid in [0, 2 pi]; the rows
-    come from _kernel_rows, within j_max * 1.3e-19 * integral |psi|.
+    j in 1..j_max, x on a uniform grid of x_grid <= MAX_X_GRID points in
+    [0, 2 pi]; the rows come from _kernel_rows, within j_max * 1.3e-19 *
+    integral |psi|.
     Returns (sup, b_hat), b_hat = sup / (nu |gamma|) or None when nu/gamma
     are not supplied or gamma is 0.
     """
     if j_max < 1 or x_grid < 1:
         raise ValueError("kernel_sup needs j_max >= 1 and x_grid >= 1")
+    if x_grid > MAX_X_GRID:
+        raise ValueError(f"x_grid={x_grid} exceeds the {MAX_X_GRID}-point limit")
     xs = np.linspace(0.0, 2.0 * np.pi, x_grid)
     sup = max(float(np.abs(r).max()) for r in _kernel_rows(psi, j_max, xs))
     if nu is None or gamma in (None, 0, 0.0):

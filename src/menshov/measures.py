@@ -5,14 +5,15 @@ function vanishing at the left endpoint) plus an explicit finite list of
 atoms.  It answers two queries: `Measure.cont(x)`, the continuous CDF part,
 and `Measure.interval_mass(a, b)`, the mass of the closed interval [a, b]
 with atoms on either end included.  Each continuous part is an elementwise
-kernel on one chunk (`Measure._kernel`), which `cont` runs chunk by chunk.
+kernel on one chunk (`Measure._kernel`), which `cont` runs chunk by chunk
+in the calling thread: a CDF call gains from threads only at 2^20 points or
+more, which no benchmark workload makes.  Threads run only in
+`msets.mset_masses`.
 """
 
 from __future__ import annotations
 
-import os
 import sys
-import threading
 from dataclasses import dataclass
 from functools import cache
 from numbers import Real
@@ -30,9 +31,7 @@ __all__ = [
 ]
 
 _CDF_CHUNK = 1 << 16  # CDF points per chunk; keeps each chunk's temporaries in cache
-_WORKER_CHUNKS = 8  # a CDF call gets one worker thread per this many chunks, up to the cores
 MASS_ROUNDING = 1e-12  # a mass down to -this * total mass is rounding and reads 0
-_in_pool = threading.local()  # .share is set in the threads that run a share
 # Past 53 levels the level steps 2^-levels fall below a double's resolution
 # at 1; a point off every plateau takes one kernel step per _CANTOR_DIGITS
 # levels.
@@ -194,42 +193,7 @@ class MeasureSpec:
 
 
 # ---------------------------------------------------------------------------
-# The thread pool
-
-def _cores():
-    """Number of cores this process may run on."""
-    if hasattr(os, "sched_getaffinity"):  # Linux: honours the CPU affinity
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-@cache
-def _pool():
-    """One worker per core, made by the first call that fans out."""
-    # imported here: concurrent.futures imports logging, which would add
-    # to the start-up time and memory of every process importing menshov
-    from concurrent.futures import ThreadPoolExecutor
-    return ThreadPoolExecutor(max_workers=_cores())
-
-
-def _fan_out(run, items):
-    """run(share) over items in min(cores, len(items) // _WORKER_CHUNKS)
-    shares, each every workers-th item, on _pool(): at most 1/_WORKER_CHUNKS
-    of the items are in flight on any number of cores.  Inline below two
-    shares and inside a share, so no pool task waits on the pool."""
-    # The two users: Measure.cont fans out the chunks of a CDF call of 2^20
-    # points or more (a large wiener-scan or spectrum grid); mset_masses fans
-    # out its M-set groups (31 in the criterion-2 scan), whose cont calls
-    # then run inline.
-    workers = min(_cores(), len(items) // _WORKER_CHUNKS)
-    if workers < 2 or getattr(_in_pool, "share", False):
-        return run(items)
-
-    def share(part):
-        _in_pool.share = True  # a pool thread only ever runs shares
-        run(part)
-    list(_pool().map(share, [items[i::workers] for i in range(workers)]))
-
+# The Cantor kernel
 
 @cache
 def _cantor_tables(b: int):
@@ -381,18 +345,14 @@ class Measure:
 
     def cont(self, x):
         """Continuous CDF part, clamped to the domain: _kernel on chunks of
-        _CDF_CHUNK points through _fan_out (numpy releases the GIL), bitwise
-        one pass over all of x.  Shape kept; 0-d input gives a scalar."""
+        _CDF_CHUNK points, bitwise one pass over all of x.  Shape kept; 0-d
+        input gives a scalar."""
         x = np.asarray(x, dtype=float)
         out = np.empty(x.shape)
         flat_x, flat_out = x.reshape(-1), out.reshape(-1)
-
-        def run(starts):
-            for start in starts:
-                piece = slice(start, start + _CDF_CHUNK)
-                flat_out[piece] = self._kernel(flat_x[piece])
-
-        _fan_out(run, range(0, flat_x.size, _CDF_CHUNK))
+        for start in range(0, flat_x.size, _CDF_CHUNK):
+            piece = slice(start, start + _CDF_CHUNK)
+            flat_out[piece] = self._kernel(flat_x[piece])
         return out[()]
 
     def interval_mass(self, a, b):

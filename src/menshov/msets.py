@@ -7,13 +7,15 @@ each occupying the width fraction tau at offset sigma inside its block.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .errors import DomainError
 from .fourier import IndexSet
-from .measures import _CDF_CHUNK, Measure, _fan_out
+from .measures import _CDF_CHUNK, Measure
 
 __all__ = [
     "MSetSpec",
@@ -25,6 +27,7 @@ __all__ = [
 ]
 
 MAX_BATCH_INTERVALS = _CDF_CHUNK  # intervals of one group
+_GROUPS_PER_WORKER = 8  # one worker per this many groups, up to the cores
 
 
 @dataclass(frozen=True)
@@ -45,6 +48,22 @@ class MSetSpec:
         if not (self.sigma >= 0 and self.tau > 0
                 and self.sigma + self.tau <= 1):  # refuses NaN too
             raise ValueError("need finite sigma >= 0, tau > 0, sigma + tau <= 1")
+
+
+def _cores():
+    """Number of cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):  # Linux: honours the CPU affinity
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@cache
+def _pool():
+    """One worker per core, made by the first mset_masses that fans out."""
+    # imported here: concurrent.futures imports logging, which would add
+    # to the start-up time and memory of every process importing menshov
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(max_workers=_cores())
 
 
 def mset_intervals(spec: MSetSpec) -> np.ndarray:
@@ -83,8 +102,13 @@ def mset_masses(mu: Measure, interval, ns, sigma: float,
 
     Consecutive A_n are cut into groups of at most MAX_BATCH_INTERVALS
     intervals (a larger A_n is a group on its own), each one interval_mass
-    call; the groups run through measures._fan_out.  Each mass is np.sum over
-    the A_n's own slice, which adds in the order of that A_n evaluated alone.
+    call; each mass is np.sum over the A_n's own slice, which adds in the
+    order of that A_n evaluated alone.  The groups run on min(cores, groups
+    // _GROUPS_PER_WORKER) threads (inline below two), each taking every
+    workers-th group, so at most 1/_GROUPS_PER_WORKER of them are in flight.
+    This is menshov's one fan-out: numpy releases the GIL in the CDF kernels,
+    and only an index-set scan makes many chunk-sized CDF calls (31 groups
+    in the criterion-2 scan).
     """
     ns = np.asarray(ns)
     MSetSpec(interval, int(ns.min(initial=1)), sigma, tau)  # any n < 1 too
@@ -107,7 +131,11 @@ def mset_masses(mu: Measure, interval, ns, sigma: float,
             off = ends[g.start:g.stop + 1] - ends[g.start]
             masses[g] = [np.sum(cell[a:b]) for a, b in zip(off[:-1], off[1:])]
 
-    _fan_out(run, groups)  # re-raises a worker's exception
+    workers = min(_cores(), len(groups) // _GROUPS_PER_WORKER)
+    if workers < 2:
+        run(groups)
+    else:  # map re-raises a worker's exception
+        list(_pool().map(run, [groups[i::workers] for i in range(workers)]))
     return masses
 
 

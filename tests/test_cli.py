@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from menshov import cli
+from menshov import cli, corrector
 from menshov.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK,
                          EXIT_PRECONDITION, EXIT_UNCERTIFIED, main)
 
@@ -179,6 +179,17 @@ def test_corrector_kernel_empty_range_is_precondition_violation(tmp_path,
     code, out = run_cli(tmp_path, "corrector", cfg)
     assert code == EXIT_PRECONDITION
     assert not (out / "corrector_checks.json").exists()
+
+
+def test_corrector_huge_x_grid_is_refused_before_allocating(tmp_path, capsys):
+    # 10^12 points would ask for 7.28 TiB; the limit refuses it first
+    code = main(["corrector", "--set", "kernel=true",
+                 "--set", "x_grid=1000000000000", "--out", str(tmp_path)])
+    assert code == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert err.startswith("precondition violation: x_grid=1000000000000")
+    assert str(corrector.MAX_X_GRID) in err
+    assert not (tmp_path / "corrector_checks.json").exists()
 
 
 def test_claim_r_cap_below_r_min_reports_measured_masses(tmp_path):

@@ -179,6 +179,22 @@ def test_refinement_below_two_and_negative_horizons_are_refused(
         wiener_scan(nu, 1, -1)
 
 
+def test_spectrum_and_build_lambda_refuse_what_is_not_a_probability():
+    off_by = Measure((0.0, 1.0), lambda x: (1.0 + 1e-6) * x, 1.0 + 1e-6)
+    elsewhere = Measure((0.0, 2.0), lambda x: 0.5 * x, 1.0)
+    for nu in (off_by, elsewhere):
+        for call in (lambda: spectrum(nu, 5),
+                     lambda: build_lambda(nu, K=1, J=2, N_max=10)):
+            with pytest.raises(ValueError, match="expected a probability"):
+                call()
+    rng = np.random.default_rng(8)
+    atoms = zip(rng.uniform(0.0, TWO_PI, 200), rng.uniform(0.01, 5.0, 200))
+    nu = normalize(build_measure(MeasureSpec.atomic(atoms, (0.0, TWO_PI))),
+                   (0.5, 6.0))
+    assert nu.atom_positions.size > 150 and nu.total_mass != 1.0
+    assert spectrum(nu, 5).coefficients([0])[0][0] == pytest.approx(1.0)
+
+
 def test_wiener_average_is_mean_of_wiener_scan(cantor40_norm):
     absv, errs, running = wiener_scan(cantor40_norm, -2, 300)
     assert absv.shape == errs.shape == running.shape == (301,)

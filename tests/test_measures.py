@@ -2,7 +2,6 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -11,11 +10,11 @@ import pytest
 import menshov.measures as measures
 from menshov import (DomainError, MeasureSpec, MeasureSpecError, build_measure,
                      normalize)
-from menshov.measures import MAX_CANTOR_LEVELS, _CDF_CHUNK, _WORKER_CHUNKS
+from menshov.measures import MAX_CANTOR_LEVELS, _CDF_CHUNK
 from conftest import FIVE_KINDS, brute_force_atoms
 
 TWO_PI = 2.0 * np.pi
-TWO_WORKERS = 2 * _WORKER_CHUNKS * _CDF_CHUNK  # points: enough for two workers
+LARGE_CALL = 16 * _CDF_CHUNK  # 2^20 points: the cells of a wiener-scan to N = 2048
 
 
 def unit_cantor_cont(x, levels):
@@ -164,29 +163,12 @@ def _stream_input(m, shape, seed):
     return x
 
 
-@pytest.fixture
-def cores(monkeypatch):
-    """set_cores(n): Measure.cont sees n cores and a fresh pool of n
-    workers."""
-    pools = []
-
-    def set_cores(n):
-        pools.append(ThreadPoolExecutor(max_workers=n))
-        monkeypatch.setattr(measures, "_cores", lambda: n)
-        monkeypatch.setattr(measures, "_pool", lambda: pools[-1])
-
-    yield set_cores
-    for pool in pools:
-        pool.shutdown()
-
-
 @pytest.mark.parametrize("name", [*STREAM_SPECS, "normalized cantor"])
-def test_streamed_cont_bitwise_equals_one_pass(name, cores):
-    cores(4)  # fan out on any host
+def test_streamed_cont_bitwise_equals_one_pass(name):
     m = _stream_measure(name)
     u, v = m.domain
     inputs = [_stream_input(m, n, n) for n in
-              (1, _CDF_CHUNK, _CDF_CHUNK + 1, TWO_WORKERS + 3)]
+              (1, _CDF_CHUNK, _CDF_CHUNK + 1, LARGE_CALL + 3)]
     inputs.append(_stream_input(m, (257, 300), 9))  # 2-D, several chunks
     got = [m.cont(x) for x in inputs]
     scalars = [0.5 * (u + v), u, v]
@@ -211,18 +193,12 @@ def _peak_memory(f, x):
 
 
 def test_normalized_cantor_cont_peak_memory(cantor40_norm):
-    x = np.linspace(0.0, 1.0, TWO_WORKERS + 3)
-    assert _peak_memory(cantor40_norm.cont, x) <= 3 * x.nbytes
+    for n in (LARGE_CALL + 3, 4 * LARGE_CALL + 1):
+        x = np.linspace(0.0, 1.0, n)
+        assert _peak_memory(cantor40_norm.cont, x) <= 3 * x.nbytes
 
 
-@pytest.mark.parametrize("n", [2**20 + 1, 2**22 + 1])
-def test_cdf_peak_memory_bounds_hold_on_many_cores(n, cantor40_norm, cores):
-    cores(16)  # a 2**22-point call then runs on 8 workers
-    x = np.linspace(0.0, 1.0, n)
-    assert _peak_memory(cantor40_norm.cont, x) <= 3 * x.nbytes
-
-
-def test_cdf_threads_start_only_for_large_calls():
+def test_cdf_calls_start_no_thread():
     code = textwrap.dedent(f"""
         import threading
         n0 = threading.active_count()
@@ -231,21 +207,11 @@ def test_cdf_threads_start_only_for_large_calls():
         from menshov import measures
         assert threading.active_count() == n0, "import started a thread"
         assert measures._cantor_tables.cache_info().currsize == 0
-        measures._cores = lambda: 2  # fan out on a one-core host too
         mu = menshov.build_measure(menshov.MeasureSpec.cantor(40))
-        mu.cont(np.linspace(0.0, 1.0, {TWO_WORKERS - _CDF_CHUNK}))
-        assert threading.active_count() == n0, "small call started a thread"
+        mu.cont(np.linspace(0.0, 1.0, {LARGE_CALL}))
+        assert threading.active_count() == n0, "a CDF call started a thread"
         assert measures._cantor_tables.cache_info().currsize == 1  # 40 = 5 * 8
-        mu.cont(np.linspace(0.0, 1.0, {TWO_WORKERS}))
-        n1 = threading.active_count()
-        pool = measures._pool()
-        assert n0 < n1 <= n0 + 2
-        for _ in range(3):
-            mu.cont(np.linspace(0.0, 1.0, {TWO_WORKERS}))
-            assert measures._pool() is pool
-            assert threading.active_count() == n1, "a new pool per call"
     """)
-    # a worker waiting on the pool would hang; the timeout makes that a failure
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,3 @@
-import subprocess
-import sys
-import textwrap
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -27,9 +24,9 @@ def pooled_groups(cap):
     or more on a pool of two workers, on any host."""
     with pytest.MonkeyPatch.context() as mp, ThreadPoolExecutor(2) as pool:
         mp.setattr(msets, "MAX_BATCH_INTERVALS", cap)
-        mp.setattr(measures, "_cores", lambda: 2)
-        mp.setattr(measures, "_WORKER_CHUNKS", 1)
-        mp.setattr(measures, "_pool", lambda: pool)
+        mp.setattr(msets, "_cores", lambda: 2)
+        mp.setattr(msets, "_GROUPS_PER_WORKER", 1)
+        mp.setattr(msets, "_pool", lambda: pool)
         yield
 
 
@@ -196,27 +193,17 @@ def test_mset_masses_on_a_wide_domain():
     assert np.all(np.abs(masses - 5e5) <= 1e-14 * 5e5)
 
 
-def test_mset_masses_fan_out_inside_a_pooled_group_runs_inline():
-    code = textwrap.dedent("""
-        import numpy as np
-        import menshov.measures as measures
-        from menshov import MeasureSpec, MSetSpec, build_measure, msets
-        measures._cores = lambda: 2  # fan out on a one-core host too
-        measures._CDF_CHUNK = 4  # a 100-interval group: 25 chunks, 3 shares
-        msets.MAX_BATCH_INTERVALS = 100
-        mu = build_measure(MeasureSpec.cantor(40))
-        ns = [37, 5000, 99, 64, 1001, 1, 80, 100, 7] * 3
-        oracle = [np.sum(mu.interval_mass(*msets.mset_intervals(
-            MSetSpec((0.0, 1.0), n, 0.2, 0.3)).T)) for n in ns]
-        assert np.array_equal(msets.mset_masses(mu, (0.0, 1.0), ns, 0.2, 0.3),
-                              oracle)
-    """)
-    # 18 groups run on two pool workers, and each group's CDF calls would
-    # fan out again; a pool task waiting on the pool would hang, and the
-    # timeout makes that a failure
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+def test_mset_masses_pooled_with_an_a_n_past_the_cap(cantor40, monkeypatch):
+    # 22 groups, six of them one A_n past the cap (5000 and 1001); each
+    # group's CDF calls run in many chunks inside its pool worker
+    monkeypatch.setattr(measures, "_CDF_CHUNK", 4)
+    ns = [37, 5000, 99, 64, 1001, 1, 80, 100, 7] * 3
+    oracle = [np.sum(cantor40.interval_mass(*mset_intervals(
+        MSetSpec((0.0, 1.0), n, 0.2, 0.3)).T)) for n in ns]
+    with pooled_groups(100):
+        masses = mset_masses(cantor40, (0.0, 1.0), ns, 0.2, 0.3)
+    assert np.array_equal(masses.view(np.int64),
+                          np.array(oracle).view(np.int64))
 
 
 def test_decreasing_cdf_raises_also_from_a_pool_worker():
@@ -258,8 +245,8 @@ def test_criterion_2_scan_peak_memory(n_cores, cantor40, cantor40_norm,
     # 31 groups of at most one CDF chunk run on min(cores, 31 // 8) workers
     # of this pool, whatever its size
     pool = ThreadPoolExecutor(max_workers=n_cores)
-    monkeypatch.setattr(measures, "_cores", lambda: n_cores)
-    monkeypatch.setattr(measures, "_pool", lambda: pool)
+    monkeypatch.setattr(msets, "_cores", lambda: n_cores)
+    monkeypatch.setattr(msets, "_pool", lambda: pool)
     tracemalloc.start()
     try:
         scan = proposition_scan(cantor40, (0.0, 1.0), 0.2, 0.3, lam)

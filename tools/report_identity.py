@@ -92,6 +92,9 @@ CONFIGS = {
         "N_max": 1500}, []),
     "wiener-scan-criterion-9": ("wiener-scan", {"measure": CANTOR, "k": 1,
                                                 "N": 200}, ["--plot"]),
+    # its spectrum grid is one CDF call of 2^20 + 1 points
+    "wiener-scan-2048": ("wiener-scan", {"measure": CANTOR, "k": 1,
+                                         "N": 2048}, []),
     # atoms at both ends of the domain and at 0.5
     "wiener-scan-jump-table": ("wiener-scan", {"measure": JUMP_TABLE, "k": 1,
                                                "N": 200}, []),
