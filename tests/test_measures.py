@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import menshov.measures as measures
+import menshov.msets as msets
 from menshov import (DomainError, MeasureSpec, MeasureSpecError, build_measure,
                      normalize)
 from menshov.measures import MAX_CANTOR_LEVELS, _CDF_CHUNK
@@ -193,9 +194,17 @@ def _peak_memory(f, x):
 
 
 def test_normalized_cantor_cont_peak_memory(cantor40_norm):
-    for n in (LARGE_CALL + 3, 4 * LARGE_CALL + 1):
-        x = np.linspace(0.0, 1.0, n)
-        assert _peak_memory(cantor40_norm.cont, x) <= 3 * x.nbytes
+    x = np.linspace(0.0, 1.0, LARGE_CALL + 3)
+    assert _peak_memory(cantor40_norm.cont, x) <= 3 * x.nbytes
+
+
+@pytest.mark.parametrize("n", [2**20 + 1, 2**22 + 1])
+def test_cdf_peak_memory_bounds_hold_on_many_cores(n, cantor40_norm,
+                                                   monkeypatch):
+    # the pool of msets sees 16 cores; cont stays serial and chunked anyway
+    monkeypatch.setattr(msets, "_cores", lambda: 16)
+    x = np.linspace(0.0, 1.0, n)
+    assert _peak_memory(cantor40_norm.cont, x) <= 3 * x.nbytes
 
 
 def test_cdf_calls_start_no_thread():
