@@ -298,14 +298,14 @@ def main(argv=None) -> int:
     parser.add_argument("--plot", action="store_true", help="emit SVG plots")
     args = parser.parse_args(argv)
 
+    out = Path(args.out)
     try:
         cfg = _load_config(args)
+        out.mkdir(parents=True, exist_ok=True)  # an --out naming a file fails
     except (OSError, ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         return _COMMANDS[args.subcommand](cfg, out, args.plot)
     except (KeyError, json.JSONDecodeError, _ConfigError) as exc:

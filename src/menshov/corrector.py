@@ -158,8 +158,7 @@ def running_integral_sup(psi: PiecewiseLinearFn) -> float:
     Candidates are the breakpoints plus the interior extrema of each
     quadratic piece of the antiderivative; no grids involved.
     """
-    _, vals = psi.running_integral_extrema()
-    return float(np.max(np.abs(vals)))
+    return float(np.max(np.abs(psi.running_integral_extrema())))
 
 
 def check_corrector(lay: CorrectorLayout, psi: PiecewiseLinearFn,

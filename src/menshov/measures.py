@@ -431,16 +431,19 @@ def normalize(m: Measure, interval) -> Measure:
     u, v = m.domain
     if not (u <= a < b <= v):
         raise DomainError(f"normalization interval [{a}, {b}] not inside [{u}, {v}]")
-    M = float(m.interval_mass(a, b))
+    base = float(m.cont(a))
+    cmass = float(m.cont(b)) - base
+    # I's atoms summed on their own, in the order of m's prefix sums: a
+    # difference of prefix sums cancels when atoms left of I outweigh I
+    inside = (m.atom_positions >= a) & (m.atom_positions <= b)
+    M = cmass + float(np.cumsum(np.append(0.0, m.atom_masses[inside]))[-1])
     if M <= 0:
         raise MeasureSpecError("degenerate normalization: interval has zero mass")
-    base = float(m.cont(a))
-    ctot = (float(m.cont(b)) - base) / M
+    ctot = cmass / M
 
     def cdf(t):  # composes m's kernel: no second chunking pass
         return (m._kernel(a + t * (b - a)) - base) / M
 
-    inside = (m.atom_positions >= a) & (m.atom_positions <= b)
     apos = (m.atom_positions[inside] - a) / (b - a)
     amas = m.atom_masses[inside] / M
     return Measure((0.0, 1.0), cdf, ctot, apos, amas)

@@ -34,9 +34,6 @@ class PiecewiseLinearFn:
     def __call__(self, x):
         return np.interp(x, self.xs, self.ys, left=0.0, right=0.0)
 
-    def integral(self) -> float:
-        return float(self.antideriv[-1])
-
     def integral_to(self, xi):
         """Exact running integral from -inf (equivalently 0) to xi."""
         xi = np.asarray(xi, dtype=float)
@@ -51,21 +48,17 @@ class PiecewiseLinearFn:
         return val if val.ndim else float(val)
 
     def running_integral_extrema(self):
-        """Candidate (xi, integral) pairs for extrema of the running integral.
+        """Candidate values of the running integral at its extrema.
 
         The antiderivative is piecewise quadratic, so it suffices to check
-        the breakpoints and the interior zero crossings of the function.
+        0 (left of the support), the breakpoints and the interior zero
+        crossings of the function.
         """
-        x0, x1, y0, y1 = self.xs[:-1], self.xs[1:], self.ys[:-1], self.ys[1:]
-        cross = y0 * y1 < 0  # interior zero crossing -> quadratic extremum
-        xc = x0 + y0 / np.where(cross, y0 - y1, 1.0) * (x1 - x0)
-        vc = self.antideriv[:-1] + y0 * (xc - x0) / 2.0
-        # per segment: its crossing, if any, then its right breakpoint
-        keep = np.column_stack([cross, np.ones_like(cross)])
-        cand_x = np.column_stack([xc, x1])[keep]
-        cand_v = np.column_stack([vc, self.antideriv[1:]])[keep]
-        return (np.concatenate([[self.xs[0]], cand_x]),
-                np.concatenate([[0.0], cand_v]))
+        i = np.flatnonzero(self.ys[:-1] * self.ys[1:] < 0)  # quadratic extrema
+        x0, x1, y0, y1 = self.xs[i], self.xs[i + 1], self.ys[i], self.ys[i + 1]
+        xc = x0 + y0 / (y0 - y1) * (x1 - x0)
+        vc = self.antideriv[i] + y0 * (xc - x0) / 2.0
+        return np.concatenate([[0.0], vc, self.antideriv[1:]])
 
     def transform(self, omega):
         """Psi(w) = integral f(t) e^{iwt} dt at every w of the 1-d omega.
@@ -73,20 +66,24 @@ class PiecewiseLinearFn:
         Exact on a segment [a, a + h] with end values y0, y1:
         e^{iwa} h [y0 phi2(iwh) + y1 (phi1 - phi2)(iwh)]; phi1 and phi2
         take their Taylor series on short segments, where the closed forms
-        would cancel.
+        would cancel.  Runs on slices of _CHUNK_ELEMS // segments w, so its
+        temporaries stay small; a row does not depend on its slice.
         """
-        w = np.asarray(omega, dtype=float)[:, None]
+        w = np.asarray(omega, dtype=float)
         a, h = self.xs[:-1], np.diff(self.xs)
         hy1, hdy = h * self.ys[1:], h * (self.ys[:-1] - self.ys[1:])
-        phi1, phi2 = _phi12(1j * w * h)
-        return (np.exp(1j * w * a) * (hy1 * phi1 + hdy * phi2)).sum(axis=1)
+        out = np.empty(w.size, dtype=complex)
+        step = max(1, _CHUNK_ELEMS // h.size)
+        for i in range(0, w.size, step):
+            wi = w[i:i + step, None]
+            phi1, phi2 = _phi12(1j * wi * h)
+            out[i:i + step] = (np.exp(1j * wi * a)
+                               * (hy1 * phi1 + hdy * phi2)).sum(axis=1)
+        return out
 
     def fourier_coefficients(self, N: int):
         """c_n = (1/2 pi) integral f(t) e^{-int} dt, n = 0..N; period 2 pi."""
-        n = -np.arange(N + 1)
-        step = max(1, _CHUNK_ELEMS // (self.xs.size - 1))
-        return np.concatenate([self.transform(n[i:i + step])
-                               for i in range(0, N + 1, step)]) / (2.0 * np.pi)
+        return self.transform(-np.arange(N + 1)) / (2.0 * np.pi)
 
 
 _INV_FACT = 1.0 / np.cumprod([1.0, *range(1, 19)])  # 1/k!, k = 0..18

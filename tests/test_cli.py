@@ -65,6 +65,20 @@ def test_mset_limit_oversized_grid_is_numeric_failure(tmp_path):
     assert not (out / "mset_limit.csv").exists()
 
 
+def test_mset_limit_runs_when_atoms_left_of_interval_outweigh_it(tmp_path):
+    # I holds 6e-9 of the mass: m(I) as a difference of prefix sums over
+    # all atoms would miss a total of 1 by 9.5e-9 and fail the run
+    atoms = {"kind": "atomic", "atoms": [[0.1, 1.0], [0.5, 1e-12]]}
+    cfg = {"measure": {"kind": "mixture", "components": [
+        {"weight": 1e-7, "spec": {"kind": "lebesgue"}},
+        {"weight": 1.0, "spec": atoms}]},
+        "I": [0.4, 0.6], "N_max": 200, "sigma": 0.2, "tau": 0.3}
+    code, out = run_cli(tmp_path, "mset-limit", cfg)
+    assert code == EXIT_OK
+    summary = json.loads((out / "mset_limit_summary.json").read_text())
+    assert summary["target"] == pytest.approx(0.3 * (0.2e-7 + 1e-12))
+
+
 def test_mset_limit_writes_density_warning_to_stderr(tmp_path, capsys):
     cantor01 = {"kind": "cantor", "levels": 40, "total": 1.0,
                 "domain": [0.0, 1.0]}
@@ -190,6 +204,21 @@ def test_corrector_huge_x_grid_is_refused_before_allocating(tmp_path, capsys):
     assert err.startswith("precondition violation: x_grid=1000000000000")
     assert str(corrector.MAX_X_GRID) in err
     assert not (tmp_path / "corrector_checks.json").exists()
+
+
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_out_naming_a_file_is_config_error(tmp_path, capsys, monkeypatch,
+                                           sub):
+    monkeypatch.setitem(cli._COMMANDS, "corrector",
+                        lambda *args: pytest.fail("the command ran"))
+    target = tmp_path / "report.txt"
+    target.write_text("kept\n")
+    out = target / sub if sub else target
+    code = main(["corrector", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(out) in err
+    assert target.read_text() == "kept\n"
 
 
 def test_claim_r_cap_below_r_min_reports_measured_masses(tmp_path):

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -399,6 +400,21 @@ def test_kernel_rows_agree_for_every_chunking(monkeypatch):
     monkeypatch.setattr(corrector, "_CHUNK_ELEMS", 1)
     blocks = list(_kernel_rows(psi, 20, xs))
     assert len(blocks) == 20 and np.array_equal(np.vstack(blocks), ref)
+
+
+def test_kernel_sup_memory_does_not_grow_with_support():
+    # 4,539 breakpoints: one unsliced Psi block over all 4,538 segments
+    # peaks at 43.7 MB under tracemalloc
+    r = choose_r(0.0, 50.0, 1.0, 0.1, 16)
+    _, psi = make_psi(d=50.0, nu=16, r=r, eps=0.1)
+    tracemalloc.start()
+    try:
+        sup, _ = kernel_sup(psi, 16, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
+    assert sup == 0.1909576017151824  # bitwise the sup of one Psi block
 
 
 def test_kernel_sup_rejects_empty_ranges():

@@ -8,7 +8,7 @@ from menshov import (ConvergenceScan, CorrectorParams, IndexSet, Measure,
                      build_measure, layout, normalize, spectrum,
                      wiener_average, wiener_scan)
 from menshov.fourier import MAX_GRID_CELLS, START_REFINEMENT, _grid_cells
-from conftest import TWO_PI, cantor_coefficient_oracle
+from conftest import TWO_PI, cantor_coefficient_oracle, exact_hat
 
 
 def delta_measure(x0=0.25):
@@ -137,6 +137,64 @@ def test_single_grid_bounds_cover_cantor_oracle(cantor40_norm, refinement):
         vals, errs = spec.coefficients(k * ns)
         oracle = cantor_coefficient_oracle(k * ns)
         assert np.all(np.abs(vals - oracle) <= errs + 1e-12)
+
+
+weights = st.floats(0.1, 4.0)
+domains = st.sampled_from([(0.0, 1.0), (0.0, TWO_PI), (-1.0, 3.0)])
+
+
+@st.composite
+def simple_specs(draw, domain):
+    """A Lebesgue, atomic, Cantor or cdf_table spec over domain."""
+    u, v = domain
+    points = st.floats(u, v)
+    kind = draw(st.sampled_from(["lebesgue", "atomic", "cantor",
+                                 "cdf_table"]))
+    if kind == "lebesgue":
+        return MeasureSpec.lebesgue(domain, draw(weights))
+    if kind == "atomic":
+        return MeasureSpec.atomic(draw(st.lists(st.tuples(points, weights),
+                                                min_size=1, max_size=4)),
+                                  domain)
+    if kind == "cantor":
+        return MeasureSpec.cantor(draw(st.integers(1, 53)), draw(weights),
+                                  domain)
+    inner = draw(st.lists(points, unique=True, max_size=4))
+    rows, F = [], 0.0
+    for x in [u, *sorted(set(inner) - {u, v}), v]:
+        if rows:
+            F += draw(weights)
+        rows.append((x, F))
+        if draw(st.booleans()):  # a repeated x: a jump, an atom
+            F += draw(weights)
+            rows.append((x, F))
+    return MeasureSpec.cdf_table(rows)
+
+
+@st.composite
+def measure_specs(draw):
+    """A spec of any of the five kinds; mixtures of the other four."""
+    domain = draw(domains)
+    parts = draw(st.lists(simple_specs(domain), min_size=1, max_size=3))
+    if len(parts) == 1:
+        return parts[0]
+    return MeasureSpec.mixture([(draw(weights), p) for p in parts])
+
+
+# the rounding of the FFT and of the atom sums, where the quadrature
+# bound is 0 or below it (at f = 0, or without a continuous part)
+ROUNDING = 64 * 2.0**-52
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(spec=measure_specs(), f_max=st.integers(1, 400),
+       refinement=st.sampled_from([2, 8, 64]))
+def test_certified_bounds_cover_exact_transforms(spec, f_max, refinement):
+    mu = build_measure(spec)
+    freqs = np.arange(f_max + 1)
+    vals, errs = spectrum(normalize(mu, mu.domain), f_max,
+                          refinement).coefficients(freqs)
+    assert np.all(np.abs(vals - exact_hat(spec, freqs)) <= errs + ROUNDING)
 
 
 def test_spectrum_grid_guard_fires_before_evaluation():

@@ -103,6 +103,25 @@ def test_normalize_round_trip(doc, ends, sub):
         back, rel=1e-12, abs=1e-12 * m.total_mass / M)
 
 
+@PROPERTY
+@given(cont=st.one_of(lebesgue_docs, cantor_docs),
+       weight=st.floats(-9.0, 0.0).map(lambda e: 10.0**e),
+       left=st.lists(st.tuples(st.floats(0.0, 0.24), weights), min_size=1,
+                     max_size=3),
+       inside=st.lists(st.tuples(st.floats(0.4, 0.6),
+                                 st.floats(-13.0, -3.0).map(lambda e: 10.0**e)),
+                       max_size=3))
+def test_normalize_total_is_one_when_atoms_left_of_interval_outweigh_it(
+        cont, weight, left, inside):
+    # m(I) as a difference of prefix sums over all atoms would cancel here
+    # (by up to 6.6e-8 of the total in 300 random atom mixtures)
+    doc = {"kind": "mixture", "components": [
+        {"weight": weight, "spec": cont},
+        {"weight": 1.0, "spec": {"kind": "atomic", "atoms": left + inside}}]}
+    n = normalize(build_measure(MeasureSpec.from_dict(doc)), (0.25, 0.75))
+    assert abs(n.total_mass - 1.0) <= 16 * 2.0**-52  # a few ulps per term
+
+
 def _numeric_paths(doc, path=()):
     """Paths to every number in a spec document."""
     if isinstance(doc, dict):

@@ -20,7 +20,7 @@ def test_evaluation_and_compact_support():
     assert f(1.5) == pytest.approx(2.0)
     assert f(0.5) == 0.0 and f(3.5) == 0.0
     assert (f.xs[0], f.xs[-1]) == (1.0, 3.0)
-    assert f.integral() == pytest.approx(4.0)
+    assert f.integral_to(3.5) == pytest.approx(4.0)
 
 
 def test_integral_to_matches_dense_riemann():
@@ -39,8 +39,7 @@ def test_integral_to_matches_dense_riemann():
 
 def test_running_integral_extrema_cover_true_sup():
     f = PiecewiseLinearFn([0.0, 1.0, 2.0, 3.0], [1.0, -1.0, 1.0, -1.0])
-    cand_x, cand_v = f.running_integral_extrema()
-    sup = np.max(np.abs(cand_v))
+    sup = np.max(np.abs(f.running_integral_extrema()))
     grid = np.linspace(-0.5, 3.5, 400_001)
     dense = np.max(np.abs(f.integral_to(grid)))
     assert sup == pytest.approx(dense, abs=1e-8)
@@ -48,17 +47,15 @@ def test_running_integral_extrema_cover_true_sup():
 
 
 def extrema_loop(f):
-    """Per-segment candidate loop: reference for running_integral_extrema."""
-    cand_x, cand_v = [f.xs[0]], [0.0]
+    """Per-segment candidate loop: reference for running_integral_extrema,
+    in its order: 0, then the zero crossings, then the breakpoints."""
+    crossings = []
     for i in range(f.xs.size - 1):
         x0, x1, y0, y1 = f.xs[i], f.xs[i + 1], f.ys[i], f.ys[i + 1]
         if y0 * y1 < 0:
             xc = x0 + y0 / (y0 - y1) * (x1 - x0)
-            cand_x.append(xc)
-            cand_v.append(f.antideriv[i] + y0 * (xc - x0) / 2.0)
-        cand_x.append(x1)
-        cand_v.append(f.antideriv[i + 1])
-    return np.array(cand_x), np.array(cand_v)
+            crossings.append(f.antideriv[i] + y0 * (xc - x0) / 2.0)
+    return np.array([0.0, *crossings, *f.antideriv[1:]])
 
 
 def test_running_integral_extrema_match_segment_loop():
@@ -68,8 +65,7 @@ def test_running_integral_extrema_match_segment_loop():
         ys = rng.normal(size=xs.size)
         ys[rng.random(xs.size) < 0.2] = 0.0  # zeros: touching, not crossing
         f = PiecewiseLinearFn(xs, ys)
-        got, want = f.running_integral_extrema(), extrema_loop(f)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert np.array_equal(f.running_integral_extrema(), extrema_loop(f))
 
 
 def test_fourier_coefficients_triangle_oracle():
@@ -95,15 +91,22 @@ def test_fourier_coefficients_match_dense_quadrature():
 
 
 def test_fourier_coefficients_chunks_equal_one_transform(monkeypatch):
-    f = PiecewiseLinearFn([0.5, 1.5, 2.0, 5.0], [0.0, 2.0, -1.0, 0.0])
-    step = piecewise._CHUNK_ELEMS // 3  # n per chunk: f has 3 segments
-    for N in (3 * step + 5, 20):  # three chunks and a part; one chunk
-        one = f.transform(-np.arange(N + 1)) / TWO_PI
-        assert np.array_equal(f.fourier_coefficients(N).view(np.uint64),
+    # transform slices w; each row is bitwise the same in any slice
+    default = piecewise._CHUNK_ELEMS
+    rng = np.random.default_rng(3)
+    xs = np.cumsum(rng.uniform(0.01, 0.3, 40))  # 39 segments, some short
+    f = PiecewiseLinearFn(xs, rng.normal(size=xs.size))
+    w = np.concatenate([-np.arange(500.0), rng.uniform(-80.0, 80.0, 300)])
+    monkeypatch.setattr(piecewise, "_CHUNK_ELEMS", 1 << 30)  # one slice
+    one = f.transform(w)
+    coeffs = f.transform(-np.arange(501)) / TWO_PI
+    for elems in (1, 2 * 39, 64 * 39 + 5, default):  # 1, 2, 64, 420 w
+        monkeypatch.setattr(piecewise, "_CHUNK_ELEMS", elems)
+        assert np.array_equal(f.transform(w).view(np.uint64),
                               one.view(np.uint64))
-    monkeypatch.setattr(piecewise, "_CHUNK_ELEMS", 7)  # two n per chunk
-    assert np.array_equal(f.fourier_coefficients(N).view(np.uint64),
-                          one.view(np.uint64))
+        assert np.array_equal(f.fourier_coefficients(500).view(np.uint64),
+                              coeffs.view(np.uint64))
+    assert f.transform([]).shape == (0,)
 
 
 def test_partial_sums_converge_uniformly_for_triangle():

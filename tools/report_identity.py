@@ -70,6 +70,8 @@ CONFIGS = {
     "claim-400": ("claim", {"measure": CANTOR, "nu": 400, "phi": [1.0] * 4,
                             "eps_seq": [10.0] * 100}, []),
     "corrector-kernel": ("corrector", {"kernel": True}, []),
+    # 4,539 breakpoints: the transform runs on slices of its frequencies
+    "corrector-kernel-wide": ("corrector", {"kernel": True, "d": 50.0}, []),
     "mset-limit-criterion-2": ("mset-limit", {
         "measure": {"kind": "cantor", "levels": 40, "domain": [0.0, 1.0]},
         "sigma": 0.2, "tau": 0.3, "J": 3, "K": 3, "N_max": 2000}, []),
@@ -83,6 +85,13 @@ CONFIGS = {
     "mset-limit-cantor-atoms": ("mset-limit", {
         "measure": cantor_atoms(1.0), "sigma": 0.2, "tau": 0.3, "J": 3,
         "K": 3, "N_max": 2000}, []),
+    # I holds 6e-9 of the mass, the atom at 0.1 almost all the rest
+    "mset-limit-atoms-left-of-I": ("mset-limit", {
+        "measure": {"kind": "mixture", "components": [
+            {"weight": 1e-7, "spec": {"kind": "lebesgue"}},
+            {"weight": 1.0, "spec": {"kind": "atomic",
+                                     "atoms": [[0.1, 1.0], [0.5, 1e-12]]}}]},
+        "I": [0.4, 0.6], "sigma": 0.2, "tau": 0.3, "N_max": 200}, []),
     "mset-limit-mixture-sub-interval": ("mset-limit", {
         "measure": MIXTURE, "I": [1.0, 5.0], "sigma": 0.2, "tau": 0.3,
         "J": 3, "K": 3, "N_max": 3000}, []),
