@@ -31,6 +31,7 @@ MAX_LAYOUT_NODES = 1 << 24  # q = r nu; larger layouts' node arrays need GBs
 # kernel_sup's x points; one omega block's temporaries hold about 63 doubles
 # per point (0.5 GB at this limit, one sub-block), so larger grids need GBs
 MAX_X_GRID = 1 << 20
+_U = np.finfo(float).eps / 2  # unit roundoff: |fl(x) - x| <= _U |x|
 
 
 def choose_r(c: float, d: float, gamma: float, eps: float, nu: int) -> int:
@@ -161,14 +162,41 @@ def running_integral_sup(psi: PiecewiseLinearFn) -> float:
     return float(np.max(np.abs(psi.running_integral_extrema())))
 
 
+def _running_integral_rounding(psi: PiecewiseLinearFn) -> float:
+    """A-priori bound on the rounding of running_integral_extrema's values.
+
+    With n segments, X = max |x| and Y = max |y|, the sum of the segments'
+    h (|y0| + |y1|) / 2 is at most T = 2 X Y:
+    - a trapezoid h (y0 + y1) / 2 rounds in h, the sum and the product,
+      so within 3 _U of its share of T; np.cumsum adds them in order, so
+      every breakpoint value is within (n + 3) _U T;
+    - an interior extremum adds y0 (xc - x0) / 2 to one of them, with
+      xc = x0 + y0 / (y0 - y1) (x1 - x0).  The ratio and product round xc -
+      x0 <= h by 4 _U of it, the sum by _U |xc|, the difference xc - x0 by
+      _U h: |y0| (5 h + |xc|) _U / 2 <= 6 X Y _U with h <= 2 X.  The term's
+      own product and the sum with the breakpoint value add 3 _U T.
+    So every candidate is within _U ((n + 9) T + 6 X Y) = (2 n + 24) _U X Y,
+    the spare _U T covering the products of two roundings.
+    """
+    xs, ys = psi.xs, psi.ys
+    x_max = max(-xs[0], xs[-1])  # xs is increasing
+    y_max = max(-ys.min(), ys.max())
+    return float((2 * xs.size + 22) * _U * x_max * y_max)
+
+
 def check_corrector(lay: CorrectorLayout, psi: PiecewiseLinearFn,
                     gamma: float, eps: float) -> dict[str, bool]:
-    """Numerical checks of the corrector properties, with nu = lay.nu."""
+    """Numerical checks of the corrector properties, with nu = lay.nu.
+
+    The running integral's sup is compared with eps after adding the
+    a-priori bound on its rounding, the sum rounded up by one ulp.
+    """
     nu = lay.nu
+    bound = running_integral_sup(psi) + _running_integral_rounding(psi)
     checks = {
         "sup_bound": np.max(np.abs(psi.ys)) <= 2 * nu * abs(gamma),
         "equals_gamma_on_E": np.all(psi(lay.e_samples()) == gamma),
-        "running_integral": running_integral_sup(psi) < eps,
+        "running_integral": np.nextafter(bound, np.inf) < eps,
         "removed_count": lay.removed.shape[0] == (nu - 4) * lay.r,
         "lebesgue_E": lay.lebesgue_e() >= (lay.d - lay.c) * (1 - 5.0 / nu),
     }

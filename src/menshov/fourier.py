@@ -5,10 +5,12 @@ Coefficients of a probability measure nu on [0,1] are
     nu_hat(j) = integral over [0,1] of exp(-2*pi*i*j*t) dnu(t).
 
 Atoms are summed exactly; the continuous CDF part is integrated by a
-midpoint Riemann-Stieltjes rule whose certified error bound is the phase
-variation per cell times the continuous mass per cell, summed.  `spectrum`
-evaluates the CDF once on the power-of-two grid the highest frequency
-needs; any batch of frequencies gets its coefficients from one real FFT.
+midpoint Riemann-Stieltjes rule.  Its certified error bound at frequency f
+is pi*f/grid times the continuous mass, the midpoint rule's own bound,
+plus an a-priori bound on floating-point rounding, evaluated rounded up
+(see `Spectrum.coefficients`).  `spectrum` evaluates the CDF once on the
+power-of-two grid the highest frequency needs; any batch of frequencies
+gets its coefficients from one real FFT.
 
 `build_lambda` decides index-set membership coarse to fine: it refines
 one `Spectrum` (`Spectrum.refined` evaluates the CDF only at the new
@@ -41,6 +43,11 @@ START_REFINEMENT = 8  # build_lambda's first level, when the ceiling is higher
 CERTIFY_LIMIT = 0.5  # an error bound above this makes a coefficient unusable
 MAX_GRID_CELLS = 1 << 24  # larger grids' CDF and FFT temporaries need GBs
 DENSITY_FLOOR = 0.5  # build_lambda warns below DENSITY_FLOOR / m
+_U = np.finfo(float).eps / 2  # unit roundoff: |fl(x) - x| <= _U |x|
+_PI_UP = np.nextafter(np.pi, 4.0)  # np.pi is below pi; this is above it
+# e is a sum of products of nonnegative doubles, at most 10 roundings deep;
+# one more product by 1 + 16 _U puts it above its exact value
+_ROUND_UP = 1.0 + 16 * _U
 
 
 def _check_probability(nu: Measure):
@@ -95,8 +102,41 @@ class Spectrum:
 
     def coefficients(self, freqs):
         """(values, error_bounds) at nonnegative integer frequencies <= f_max,
-        from one real FFT of the grid's cell masses; the certified bound at
-        frequency f is 2*pi*f/grid * (continuous mass).
+        from one real FFT of the grid's cell masses.
+
+        The bound at frequency f is e(f) = pi f h C + rho(f), h = 1/grid
+        and C the continuous mass, evaluated rounded up (_PI_UP, _ROUND_UP).
+
+        Midpoint term: cell j's mass is weighted by w_j = e^{-2 pi i f t_j}
+        at its midpoint t_j.  A point of the cell is within h/2 of t_j and
+        |e^{ia} - e^{ib}| <= |a - b|, so the cell's error is at most
+        pi f h times its mass, pi f h C over all cells.
+
+        rho(f) bounds the rounding, with d = measure.cdf_rounding, A the
+        atom mass, n the atom count, L = grid.bit_length() and
+        S = C + (2 grid + 1) d, a bound on the sum of |cell mass| as
+        computed:
+        - CDF values F_j + d_j, |d_j| <= d: by summation by parts their
+          error is d_grid w_last - d_0 w_0 - sum d_j (w_j - w_{j-1}), and
+          |w_j - w_{j-1}| <= 2 pi f h: at most (2 + 2 pi f) d;
+        - C is the CDF at 1 as computed, within d of the exact mass, which
+          moves the midpoint term by at most pi f h d <= pi f d;
+        - the cell masses round once each: _U S;
+        - the real FFT: each of its L - 1 butterfly levels holds partial
+          DFTs of subsequences, each at most the subsequence's sum of
+          |cell mass|, and feeds an output from disjoint ones; a level's
+          twiddle (within 2 _U), complex product (sqrt(2) 2 _U) and sum
+          (_U) add at most 6 _U S, and the spare 2 _U S a level covers
+          the products of two roundings and the twiddles' growth: 8 L _U S;
+        - the shift e^{-i pi f / grid}: its argument rounds by at most
+          1.5 pi _U (f <= grid / 2), exp by 2 _U, the product by 3 _U: 10 _U S;
+        - the atom sum: 2 pi f p rounds by at most 5 pi f _U (p in [0, 1]),
+          exp by 2 _U, the dot product of n terms by 2 (n + 2) _U:
+          (5 pi f + 2 n + 6) _U A;
+        - the sum of the two parts: _U (S + A).
+        So rho(f) = (2 + 3 pi f) d + _U (S (8 L + 12) + A (5 pi f + 2 n + 7)).
+        The rounding of the CDF's input maps is not counted (see
+        `Measure`); it is none on [0, 1].
         """
         freqs = np.asarray(freqs)
         if freqs.dtype.kind not in "iu":  # 2.0 is a frequency, 0.9 is not
@@ -109,11 +149,16 @@ class Spectrum:
             raise ValueError(f"frequencies must lie in [0, {self.f_max}]; use "
                              "conjugate symmetry for negative ones")
         freqs = freqs.astype(np.int64)
-        grid = self.cdf.size - 1
+        nu, grid = self.measure, self.cdf.size - 1
         rfft = np.fft.rfft(np.diff(self.cdf))
         vals = rfft[freqs] * np.exp(-1j * np.pi * freqs / grid)
-        vals = vals + _atom_sum(self.measure, freqs)
-        errs = 2.0 * np.pi * freqs / grid * self.measure.cont_total
+        vals = vals + _atom_sum(nu, freqs)
+        d, f = nu.cdf_rounding, _PI_UP * freqs
+        S, A = nu.cont_total + (2 * grid + 1) * d, float(nu.atom_masses.sum())
+        rho = (2.0 + 3.0 * f) * d + _U * (
+            S * (8 * grid.bit_length() + 12)
+            + A * (5.0 * f + 2 * nu.atom_masses.size + 7))
+        errs = (f / grid * nu.cont_total + rho) * _ROUND_UP
         return vals, errs
 
     def refined(self, refinement: int) -> "Spectrum":

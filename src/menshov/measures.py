@@ -39,6 +39,7 @@ MAX_CANTOR_LEVELS = 53
 _CANTOR_DIGITS = 8  # ternary digits per step of the Cantor kernel
 _ONE_WORD = 2.0**-10  # x * 2^63 is an integer for every double x >= this
 _LOW32, _S32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+_U = np.finfo(float).eps / 2  # unit roundoff: |fl(x) - x| <= _U |x|
 
 
 # ---------------------------------------------------------------------------
@@ -312,11 +313,17 @@ class Measure:
     """A finite positive Borel measure on [u, v]: continuous CDF part + atoms.
 
     Immutable after construction; all operations are pure.  cont_cdf is
-    elementwise on 1-d arrays of points in [u, v].
+    elementwise on 1-d arrays of points in [u, v].  `cdf_rounding` is an
+    a-priori bound on the rounding of its values: |cont(x) - F(x')| <=
+    cdf_rounding, F the exact continuous CDF and x' the double that the
+    kernel's affine input maps make of x.  Those maps round nothing on
+    [0, 1] and under `normalize` over (0, 1) of such a measure; elsewhere
+    their rounding is not counted.  `build_measure` and `normalize` derive
+    it per kind; a hand-built measure declares its own, 0 by default.
     """
 
     def __init__(self, domain, cont_cdf: Callable, cont_total: float,
-                 atom_positions=(), atom_masses=()):
+                 atom_positions=(), atom_masses=(), cdf_rounding=0.0):
         u, v = float(domain[0]), float(domain[1])
         pos = np.asarray(atom_positions, dtype=float).reshape(-1)
         mas = np.asarray(atom_masses, dtype=float).reshape(-1)
@@ -329,6 +336,7 @@ class Measure:
         self.domain = (u, v)
         self._cont_cdf = cont_cdf
         self.cont_total = float(cont_total)
+        self.cdf_rounding = float(cdf_rounding)
         self.atom_positions = pos
         self.atom_masses = mas
         self._atom_cum = np.concatenate([[0.0], np.cumsum(mas)])
@@ -377,11 +385,27 @@ class Measure:
 
 
 def build_measure(spec: MeasureSpec) -> Measure:
-    """Realize a MeasureSpec (valid by construction) as a Measure."""
+    """Realize a MeasureSpec (valid by construction) as a Measure.
+
+    Each kind's `cdf_rounding` (see `Measure`) counts its kernel's
+    roundings, each at most _U times a value of at most C, the continuous
+    total, rounded up to whole units of _U * C:
+    - lebesgue: s * (x - u), two roundings, x - u's included: 3 _U C;
+    - cantor: the kernel is within one ulp, at most _U, of the level-L CDF
+      at the double it is given, and the product with the total adds one
+      more rounding: 3 _U C;
+    - cdf_table: F - F[0], the cumulative sum of the n rows' jumps and its
+      difference from F round by at most (n + 5) _U T, T the table's rise,
+      and np.interp's slope, product and sum by 6 _U T: (n + 12) _U T;
+    - mixture: each weight times its part's bound, plus one rounding per
+      product and per sum of the parts' values: + (2 parts + 2) _U C.
+    """
     u, v = spec.domain
     if spec.kind == "lebesgue":
         s = spec.scale
-        return Measure(spec.domain, lambda x: s * (x - u), s * (v - u))
+        total = s * (v - u)
+        return Measure(spec.domain, lambda x: s * (x - u), total,
+                       cdf_rounding=3 * _U * total)
 
     if spec.kind == "atomic":
         pos, mas = zip(*spec.atoms)
@@ -390,7 +414,8 @@ def build_measure(spec: MeasureSpec) -> Measure:
     if spec.kind == "cantor":
         L, tot, width = int(spec.levels), spec.total, v - u
         return Measure(spec.domain,
-                       lambda x: tot * _cantor_kernel((x - u) / width, L), tot)
+                       lambda x: tot * _cantor_kernel((x - u) / width, L), tot,
+                       cdf_rounding=3 * _U * tot)
 
     if spec.kind == "cdf_table":
         xs, Fs = np.array(spec.table, dtype=float).T
@@ -404,7 +429,8 @@ def build_measure(spec: MeasureSpec) -> Measure:
         keep = np.concatenate([[True], ~jump])
         cxs, cFs = xs[keep], cont_F[keep]
         return Measure((xs[0], xs[-1]), lambda x: np.interp(x, cxs, cFs),
-                       float(cFs[-1]), xs[:-1][jump], dF[jump])
+                       float(cFs[-1]), xs[:-1][jump], dF[jump],
+                       cdf_rounding=(xs.size + 12) * _U * float(Fs[-1]))
 
     # a mixture: its kernel sums its components' kernels
     parts = [(w, build_measure(s)) for w, s in spec.components]
@@ -421,12 +447,25 @@ def build_measure(spec: MeasureSpec) -> Measure:
     mas_all = np.concatenate(
         [np.empty(0)] + [w * m.atom_masses for w, m in parts])
     upos, inv = np.unique(pos_all, return_inverse=True)
-    return Measure(spec.domain, cdf, sum(w * m.cont_total for w, m in parts),
-                   upos, np.bincount(inv, weights=mas_all))
+    total = sum(w * m.cont_total for w, m in parts)
+    rounding = (sum(w * m.cdf_rounding for w, m in parts)
+                + (2 * len(parts) + 2) * _U * total)
+    return Measure(spec.domain, cdf, total, upos,
+                   np.bincount(inv, weights=mas_all), rounding)
 
 
 def normalize(m: Measure, interval) -> Measure:
-    """Probability measure on [0,1]: mass of E is m(affine(E) ∩ I) / m(I)."""
+    """Probability measure on [0,1]: mass of E is m(affine(E) ∩ I) / m(I).
+
+    Its CDF (K(x) - K(a)) / M reads m's kernel K twice, each within
+    d = m.cdf_rounding, and M = m(I), whose continuous part c reads K twice
+    more and whose k atoms in I are summed with k roundings.  The
+    difference and the quotient round once each, and M's own error moves
+    every value, at most c / M, by at most (c / M) |M - m(I)| / M.  So the
+    bound is (2 d + 2 _U c) / M + (c / M) (2 d + (k + 2) _U M) / M, at most
+    5 d / M + (k + 6) _U c / M, the spare d and _U covering the products
+    of two roundings.
+    """
     a, b = float(interval[0]), float(interval[1])
     u, v = m.domain
     if not (u <= a < b <= v):
@@ -446,4 +485,5 @@ def normalize(m: Measure, interval) -> Measure:
 
     apos = (m.atom_positions[inside] - a) / (b - a)
     amas = m.atom_masses[inside] / M
-    return Measure((0.0, 1.0), cdf, ctot, apos, amas)
+    rounding = 5 * m.cdf_rounding / M + (amas.size + 6) * _U * ctot
+    return Measure((0.0, 1.0), cdf, ctot, apos, amas, rounding)

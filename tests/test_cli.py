@@ -87,9 +87,9 @@ def test_mset_limit_writes_density_warning_to_stderr(tmp_path, capsys):
     code, out = run_cli(tmp_path, "mset-limit", cfg)
     assert code == EXIT_OK
     summary = json.loads((out / "mset_limit_summary.json").read_text())
-    assert round(summary["density"], 4) == 0.4219
+    assert round(summary["density"], 4) == 0.4319
     err = capsys.readouterr().err
-    assert err == "warning: density 0.4219 below floor 0.5/m\n"
+    assert err == "warning: density 0.4319 below floor 0.5/m\n"
 
 
 def test_corrector_reports(tmp_path):

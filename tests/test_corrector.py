@@ -193,6 +193,43 @@ def test_check_corrector_flags_eps_at_or_below_running_sup():
         assert failing_keys(lay, psi, 1.0, eps) == {"running_integral"}
 
 
+def exact_extrema(psi):
+    """running_integral_extrema's candidates in exact rational arithmetic
+    on psi's double breakpoints and values."""
+    xs = [Fraction(x) for x in psi.xs]
+    ys = [Fraction(y) for y in psi.ys]
+    antideriv = [Fraction(0)]
+    for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]):
+        antideriv.append(antideriv[-1] + (x1 - x0) * (y0 + y1) / 2)
+    crossings = []
+    for i in np.flatnonzero(psi.ys[:-1] * psi.ys[1:] < 0):
+        x0, x1, y0, y1 = xs[i], xs[i + 1], ys[i], ys[i + 1]
+        xc = x0 + y0 / (y0 - y1) * (x1 - x0)
+        crossings.append(antideriv[i] + y0 * (xc - x0) / 2)
+    return [Fraction(0), *crossings, *antideriv[1:]]
+
+
+@pytest.mark.parametrize("c, d, nu, r, gamma", [
+    (0.0, 1.0, 10, 2, 1.0), (0.3, 2.1, 12, 3, -2.5), (1.0, TWO_PI, 16, 1, 0.7)])
+def test_running_integral_rounding_covers_exact_extrema(c, d, nu, r, gamma):
+    _, psi = make_psi(c=c, d=d, nu=nu, r=r, gamma=gamma)
+    got = psi.running_integral_extrema()
+    bound = corrector._running_integral_rounding(psi)
+    assert 0.0 < bound < 1e-10
+    for value, exact in zip(got, exact_extrema(psi), strict=True):
+        assert abs(Fraction(value) - exact) <= bound
+
+
+def test_check_corrector_counts_the_rounding_of_the_running_integral():
+    # an eps one ulp above the computed sup is within its rounding: refused
+    lay, psi = make_psi(nu=10, r=2, gamma=1.0)
+    run_sup = running_integral_sup(psi)
+    bound = corrector._running_integral_rounding(psi)
+    assert failing_keys(lay, psi, 1.0, np.nextafter(run_sup, 1.0)) == {
+        "running_integral"}
+    assert failing_keys(lay, psi, 1.0, run_sup + 2.0 * bound) == set()
+
+
 def test_check_corrector_flags_missing_removed_row():
     lay, psi = make_psi(nu=10, r=2, gamma=1.0)
     short = dataclasses.replace(lay, removed=lay.removed[1:])

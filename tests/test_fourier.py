@@ -7,7 +7,7 @@ from menshov import (ConvergenceScan, CorrectorParams, IndexSet, Measure,
                      MeasureSpec, QuadratureError, StepFunction, build_lambda,
                      build_measure, layout, normalize, spectrum,
                      wiener_average, wiener_scan)
-from menshov.fourier import MAX_GRID_CELLS, START_REFINEMENT, _grid_cells
+from menshov.fourier import MAX_GRID_CELLS, START_REFINEMENT, _U, _grid_cells
 from conftest import TWO_PI, cantor_coefficient_oracle, exact_hat
 
 
@@ -62,7 +62,9 @@ def test_dirac_unimodular():
     for j in (1, 2, 4, 7):
         val, err = coeff(nu, j)
         assert abs(val) == pytest.approx(1.0, abs=1e-12)
-        assert err == 0.0
+        # no continuous mass: no midpoint term and nothing that grows with
+        # the grid, only the rounding of the atom sum
+        assert 0.0 < err == coeff(nu, j, refinement=8)[1] < 1e-13
 
 
 def test_cantor_coefficient_matches_product_formula(cantor40_norm):
@@ -181,20 +183,46 @@ def measure_specs(draw):
     return MeasureSpec.mixture([(draw(weights), p) for p in parts])
 
 
-# the rounding of the FFT and of the atom sums, where the quadrature
-# bound is 0 or below it (at f = 0, or without a continuous part)
-ROUNDING = 64 * 2.0**-52
-
-
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(spec=measure_specs(), f_max=st.integers(1, 400),
        refinement=st.sampled_from([2, 8, 64]))
 def test_certified_bounds_cover_exact_transforms(spec, f_max, refinement):
+    # no allowance: at f = 0 and without a continuous part the bound is
+    # its rounding term alone
     mu = build_measure(spec)
     freqs = np.arange(f_max + 1)
     vals, errs = spectrum(normalize(mu, mu.domain), f_max,
                           refinement).coefficients(freqs)
-    assert np.all(np.abs(vals - exact_hat(spec, freqs)) <= errs + ROUNDING)
+    assert np.all(np.abs(vals - exact_hat(spec, freqs)) <= errs)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 2.0**-60,
+                    reason="needs a long double with a 64-bit mantissa")
+@pytest.mark.parametrize("measure_spec", [
+    MeasureSpec.cantor(40),
+    MeasureSpec.mixture([(0.5, MeasureSpec.cantor(12)),
+                         (0.5, MeasureSpec.lebesgue())]),
+], ids=["cantor", "mixture"])
+def test_fft_and_shift_rounding_within_rho(measure_spec):
+    # the midpoint sum of the grid's own cell masses, in long double, is
+    # the value the rFFT and the half-cell shift approximate: their
+    # rounding must stay within rho's (8 L + 12) _U S
+    nu = normalize(build_measure(measure_spec), (0.0, 1.0))
+    spec = spectrum(nu, 2048, 2)
+    grid = spec.cdf.size - 1
+    masses = np.diff(spec.cdf)
+    freqs = np.unique(np.concatenate([
+        [0, 1, 2, grid // 2 - 1, grid // 2],
+        np.random.default_rng(0).integers(0, grid // 2 + 1, 300)]))
+    vals, _ = spec.coefficients(freqs)
+    pi = np.longdouble("3.14159265358979323846264338327950288")
+    mid = np.arange(grid, dtype=np.longdouble) + np.longdouble(0.5)
+    phase = 2 * pi * np.outer(freqs.astype(np.longdouble), mid) / grid
+    ld = masses.astype(np.longdouble)
+    re, im = (np.cos(phase) * ld).sum(axis=1), -(np.sin(phase) * ld).sum(axis=1)
+    err = np.hypot((vals.real - re).astype(float), (vals.imag - im).astype(float))
+    assert np.all(err <= _U * np.abs(masses).sum()
+                  * (8 * grid.bit_length() + 12))
 
 
 def test_spectrum_grid_guard_fires_before_evaluation():
@@ -259,8 +287,8 @@ def test_wiener_average_is_mean_of_wiener_scan(cantor40_norm):
     assert wiener_average(cantor40_norm, -2, 300) == float(np.mean(absv**2))
     assert running[-1] == pytest.approx(np.mean(absv**2), rel=1e-12)
     assert running[0] == absv[0] ** 2
-    with pytest.raises(QuadratureError):  # bound 2 pi 600 / 4096 > 0.5
-        wiener_scan(cantor40_norm, 2, 300, refinement=4)
+    with pytest.raises(QuadratureError):  # bound pi 600 / 2048 > 0.5
+        wiener_scan(cantor40_norm, 2, 300, refinement=2)
     with pytest.raises(ValueError):
         wiener_scan(cantor40_norm, 0, 300)
 
@@ -330,8 +358,8 @@ def test_build_lambda_rejects_atomic():
 def test_build_lambda_cantor_density(cantor40_norm):
     lam = build_lambda(cantor40_norm, K=3, J=3, N_max=2000, m=1)
     assert lam.density >= 0.8
-    # criterion 2 is decided by refinement 64, below the 512 ceiling
-    assert [lv.refinement for lv in lam.levels] == [8, 16, 32, 64]
+    # criterion 2 is decided by refinement 32, below the 512 ceiling
+    assert [lv.refinement for lv in lam.levels] == [8, 16, 32]
     # members are a subset of every constituent Lambda_{j,k}
     sub = set(lambda_jk(cantor40_norm, 3, 2, 2000).tolist())
     assert set(lam.members.tolist()) <= sub
@@ -346,9 +374,9 @@ MIXTURE = MeasureSpec.mixture([(0.5, MeasureSpec.cantor(12)),
     (MeasureSpec.cantor(40), dict(K=5, J=5, N_max=2000)),
     (MIXTURE, dict(K=3, J=3, N_max=500)),
     (MeasureSpec.lebesgue(), dict(K=5, J=5, N_max=300, m=3)),
-    (MeasureSpec.cantor(40), dict(K=3, J=3, N_max=2000, refinement=40)),
+    (MeasureSpec.cantor(40), dict(K=3, J=3, N_max=2000, refinement=24)),
     (MeasureSpec.cantor(40), dict(K=3, J=3, N_max=2000, refinement=4)),
-], ids=["criterion2", "J5K5", "mixture", "lebesgue-m3", "ceiling40",
+], ids=["criterion2", "J5K5", "mixture", "lebesgue-m3", "ceiling24",
         "ceiling4"])
 def test_build_lambda_members_match_single_level_oracle(spec, kw):
     nu = normalize(build_measure(spec), (0.0, 1.0))
@@ -369,8 +397,8 @@ def test_build_lambda_criterion2_evaluates_one_refined_pass(cantor40,
     monkeypatch.setattr(nu, "cont",
                         lambda x: points.append(np.size(x)) or cont(x))
     build_lambda(nu, K=3, J=3, N_max=2000)
-    # each point of the 2^19-cell grid once, not the 2^22-cell ceiling grid
-    assert sum(points) == 2**19 + 1
+    # each point of the 2^18-cell grid once, not the 2^22-cell ceiling grid
+    assert sum(points) == 2**18 + 1
 
 
 @st.composite
@@ -391,8 +419,8 @@ def cantor_mixtures(draw):
        m=st.integers(1, 4), N_max=st.integers(1, 200),
        ceiling=st.sampled_from([4, 16, 100, 256]))
 def test_build_lambda_decisions_are_certified(spec, K, J, m, N_max, ceiling):
-    # J >= 2: n = 0 has |nu_hat(0)| = 1 and a zero bound, so at J = 1 only
-    # rounding would decide it
+    # J >= 2: n = 0 has |nu_hat(0)| = 1 and a bound of rounding alone, so
+    # at J = 1 only rounding would decide it
     nu = normalize(build_measure(spec), (0.0, 1.0))
     lam = build_lambda(nu, K, J, N_max, m, refinement=ceiling)
     oracle = build_lambda_oracle(nu, K, J, N_max, m, ceiling)
@@ -421,6 +449,35 @@ def test_build_lambda_decisions_are_certified(spec, K, J, m, N_max, ceiling):
         out |= np.any(bounds[-1][1] > 1.0 / J, axis=0)
     rejected = np.setdiff1d(candidates, lam.members)
     assert np.all(out[rejected])
+
+
+def old_rule_oracle(nu, K, J, N_max, m, refinement):
+    """Members of the single-level test at the ceiling under the bound
+    2 pi f / grid * (continuous mass), twice the midpoint term and
+    without a rounding term."""
+    ns = np.arange(N_max + 1)
+    spec = spectrum(nu, K * N_max, refinement)
+    grid = spec.cdf.size - 1
+    keep = ns % m == 0
+    for k in range(1, K + 1):
+        vals, _ = spec.coefficients(k * ns)
+        errs = 2.0 * np.pi * k * ns / grid * nu.cont_total
+        keep &= np.abs(vals) + errs <= 1.0 / J
+    return np.flatnonzero(keep)
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(spec=cantor_mixtures(), K=st.integers(1, 3), J=st.integers(2, 5),
+       m=st.integers(1, 4), N_max=st.integers(1, 200),
+       ceiling=st.sampled_from([4, 16, 100, 256]))
+def test_build_lambda_keeps_members_of_the_old_bound(spec, K, J, m, N_max,
+                                                     ceiling):
+    # the midpoint bound plus rounding is below the old bound at every
+    # f >= 1, so no pair that the old bound certified is put out
+    nu = normalize(build_measure(spec), (0.0, 1.0))
+    lam = build_lambda(nu, K, J, N_max, m, refinement=ceiling)
+    old = old_rule_oracle(nu, K, J, N_max, m, ceiling)
+    assert set(old.tolist()) <= set(lam.members.tolist())
 
 
 def test_index_set_compares_by_identity():

@@ -118,6 +118,76 @@ def test_cantor_cdf_within_one_ulp_of_exact_oracle(levels):
     assert np.array_equal(square, got[:2000].reshape(40, 50))
 
 
+def exact_cont(spec, x):
+    """The exact continuous CDF of spec at the Fraction x in its domain,
+    for Cantor specs on [0, 1], whose input map rounds nothing."""
+    u, v = (Fraction(e) for e in spec.domain)
+    if spec.kind == "lebesgue":
+        return Fraction(spec.scale) * (x - u)
+    if spec.kind == "atomic":
+        return Fraction(0)
+    if spec.kind == "cantor":
+        assert (u, v) == (0, 1)
+        return Fraction(spec.total) * cantor_exact(float(x), spec.levels)
+    if spec.kind == "mixture":
+        return sum(Fraction(w) * exact_cont(s, x) for w, s in spec.components)
+    rows = [(Fraction(a), Fraction(F)) for a, F in spec.table]
+    cont, jumps = [], Fraction(0)
+    for i, (a, F) in enumerate(rows):
+        if i and a == rows[i - 1][0]:
+            jumps += F - rows[i - 1][1]
+        cont.append((a, F - rows[0][1] - jumps))
+    for (a0, F0), (a1, F1) in zip(cont, cont[1:]):
+        if a0 < a1 and a0 <= x <= a1:
+            return F0 + (F1 - F0) * (x - a0) / (a1 - a0)
+    raise AssertionError("x outside the table")
+
+
+TABLE = MeasureSpec.cdf_table([(0.0, 0.5), (0.25, 0.8), (0.25, 1.3),
+                               (0.6, 1.45), (1.0, 2.1)])
+ROUNDING_SPECS = [
+    MeasureSpec.lebesgue((-1.0, 3.0), 2.3),
+    MeasureSpec.cantor(40, 3.7),
+    TABLE,
+    MeasureSpec.mixture([(0.3, MeasureSpec.cantor(12)), (1.7, TABLE),
+                         (0.6, MeasureSpec.atomic([(0.5, 1.0)]))]),
+]
+
+
+@pytest.mark.parametrize("spec", ROUNDING_SPECS,
+                         ids=["lebesgue", "cantor", "cdf_table", "mixture"])
+def test_cdf_rounding_covers_exact_cdf(spec):
+    mu = build_measure(spec)
+    u, v = spec.domain
+    x = u + (v - u) * np.arange(2**9 + 1) / 2**9  # dyadic: exact doubles
+    got = mu.cont(x)
+    worst = max(abs(Fraction(float(g)) - exact_cont(spec, Fraction(float(xi))))
+                for g, xi in zip(got, x))
+    assert 0.0 < mu.cdf_rounding < 1e-13
+    assert worst <= mu.cdf_rounding
+
+
+@pytest.mark.parametrize("spec", ROUNDING_SPECS[1:],
+                         ids=["cantor", "cdf_table", "mixture"])
+def test_normalize_cdf_rounding_covers_exact_cdf(spec):
+    # I = [0.25, 0.75]: 0.25 + t / 2 is exact at the dyadic t below, so
+    # every error is the rounding cdf_rounding counts
+    mu = build_measure(spec)
+    nu = normalize(mu, (0.25, 0.75))
+    a, b = Fraction(1, 4), Fraction(3, 4)
+    inside = [m for p, m in zip(mu.atom_positions, mu.atom_masses)
+              if a <= p <= b]
+    base = exact_cont(spec, a)
+    M = exact_cont(spec, b) - base + sum(Fraction(float(m)) for m in inside)
+    t = np.arange(2**9 + 1) / 2**9
+    got = nu.cont(t)
+    worst = max(abs(Fraction(float(g))
+                    - (exact_cont(spec, a + Fraction(float(ti)) / 2) - base) / M)
+                for g, ti in zip(got, t))
+    assert 0.0 < nu.cdf_rounding < 1e-13
+    assert worst <= nu.cdf_rounding
+
+
 def test_cantor_cdf_scalar_input_gives_numpy_scalar():
     for x in (0.0, 0.15, 1.0 / 3.0, 0.7, 1.0, -0.0, np.float64(0.4)):
         got = unit_cantor_cont(x, 40)

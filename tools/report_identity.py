@@ -75,6 +75,10 @@ CONFIGS = {
     "mset-limit-criterion-2": ("mset-limit", {
         "measure": {"kind": "cantor", "levels": 40, "domain": [0.0, 1.0]},
         "sigma": 0.2, "tau": 0.3, "J": 3, "K": 3, "N_max": 2000}, []),
+    # J = K = 5 on the criterion-2 measure: 1,908 members
+    "mset-limit-J5K5": ("mset-limit", {
+        "measure": {"kind": "cantor", "levels": 40, "domain": [0.0, 1.0]},
+        "sigma": 0.2, "tau": 0.3, "J": 5, "K": 5, "N_max": 2000}, []),
     # a ceiling below the level that decides criterion 2: every n left
     # there gets the ceiling test, so the members depend on its grid
     "mset-limit-ceiling-16": ("mset-limit", {
@@ -107,6 +111,11 @@ CONFIGS = {
     # atoms at both ends of the domain and at 0.5
     "wiener-scan-jump-table": ("wiener-scan", {"measure": JUMP_TABLE, "k": 1,
                                                "N": 200}, []),
+    # no continuous part: every error is the rounding of the atom sum
+    "wiener-scan-atomic": ("wiener-scan", {"measure": {
+        "kind": "atomic", "domain": [0.0, TWO_PI],
+        "atoms": [[1.0, 0.3], [2.5, 0.5], [TWO_PI, 0.2]]}, "k": 3,
+        "N": 200}, []),
 }
 
 
