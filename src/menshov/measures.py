@@ -6,9 +6,9 @@ atoms.  It answers two queries: `Measure.cont(x)`, the continuous CDF part,
 and `Measure.interval_mass(a, b)`, the mass of the closed interval [a, b]
 with atoms on either end included.  Each continuous part is an elementwise
 kernel on one chunk (`Measure._kernel`), which `cont` runs chunk by chunk
-in the calling thread: a CDF call gains from threads only at 2^20 points or
-more, which no benchmark workload makes.  Threads run only in
-`msets.mset_masses`.
+in the calling thread.  menshov runs no threads: a CDF call gains from
+them only at 2^20 points or more, which no benchmark workload makes, and
+`msets.mset_masses` runs its groups one after another too.
 """
 
 from __future__ import annotations
@@ -292,11 +292,10 @@ def _cantor_kernel(x, levels: int):
     intervals.  A point t in [_ONE_WORD, 1) is the exact uint64 fraction
     (t * 2^64) / 2^64, so its ternary digits are exact and its value is within
     one ulp of the level-`levels` CDF at t; _cantor_outside takes the rest."""
-    t = np.clip(x, 0.0, 1.0)
-    outside = np.flatnonzero(~((t >= _ONE_WORD) & (t < 1.0)))  # NaN too
-    t_out = t[outside]
-    t[outside] = 0.5  # on the level-1 plateau: leaves after the first step
-    t *= 2.0**63  # numpy casts to int64 about 9x faster than to uint64
+    outside = np.flatnonzero(~((x >= _ONE_WORD) & (x < 1.0)))  # NaN too
+    t_out = np.clip(x[outside], 0.0, 1.0)
+    t = x * 2.0**63  # numpy casts to int64 about 9x faster than to uint64
+    t[outside] = 2.0**62  # 1/2, on the level-1 plateau: leaves after one step
     n = t.astype(np.int64).view(np.uint64)
     del t
     n <<= np.uint64(1)

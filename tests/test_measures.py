@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import menshov.measures as measures
-import menshov.msets as msets
 from menshov import (DomainError, MeasureSpec, MeasureSpecError, build_measure,
                      normalize)
 from menshov.measures import MAX_CANTOR_LEVELS, _CDF_CHUNK
@@ -269,16 +268,15 @@ def test_normalized_cantor_cont_peak_memory(cantor40_norm):
 
 
 @pytest.mark.parametrize("n", [2**20 + 1, 2**22 + 1])
-def test_cdf_peak_memory_bounds_hold_on_many_cores(n, cantor40_norm,
-                                                   monkeypatch):
-    # the pool of msets sees 16 cores; cont stays serial and chunked anyway
-    monkeypatch.setattr(msets, "_cores", lambda: 16)
+def test_cdf_peak_memory_bounds_hold_on_many_cores(n, cantor40_norm):
+    # cont runs its chunks one after another on any number of cores
     x = np.linspace(0.0, 1.0, n)
     assert _peak_memory(cantor40_norm.cont, x) <= 3 * x.nbytes
 
 
 def test_cdf_calls_start_no_thread():
     code = textwrap.dedent(f"""
+        import sys
         import threading
         n0 = threading.active_count()
         import numpy as np
@@ -290,6 +288,10 @@ def test_cdf_calls_start_no_thread():
         mu.cont(np.linspace(0.0, 1.0, {LARGE_CALL}))
         assert threading.active_count() == n0, "a CDF call started a thread"
         assert measures._cantor_tables.cache_info().currsize == 1  # 40 = 5 * 8
+        # 16 groups of one A_n each, 40,000 intervals apiece
+        menshov.mset_masses(mu, (0.0, 1.0), [40000] * 16, 0.2, 0.3)
+        assert threading.active_count() == n0, "an M-set scan started a thread"
+        assert "concurrent.futures" not in sys.modules
     """)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120)

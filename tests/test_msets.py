@@ -1,6 +1,5 @@
 import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -19,14 +18,10 @@ TWO_PI = 2.0 * np.pi
 
 
 @contextmanager
-def pooled_groups(cap):
-    """mset_masses cuts groups of at most cap intervals and runs two groups
-    or more on a pool of two workers, on any host."""
-    with pytest.MonkeyPatch.context() as mp, ThreadPoolExecutor(2) as pool:
+def capped_groups(cap):
+    """mset_masses cuts groups of at most cap intervals."""
+    with pytest.MonkeyPatch.context() as mp:
         mp.setattr(msets, "MAX_BATCH_INTERVALS", cap)
-        mp.setattr(msets, "_cores", lambda: 2)
-        mp.setattr(msets, "_GROUPS_PER_WORKER", 1)
-        mp.setattr(msets, "_pool", lambda: pool)
         yield
 
 
@@ -98,7 +93,7 @@ def test_mset_masses_bitwise_equal_per_spec_oracle(spec):
     for interval, sigma, tau in batched_specs():
         oracle = [np.sum(mu.interval_mass(*mset_intervals(
             MSetSpec(interval, n, sigma, tau)).T)) for n in BATCHED_NS]
-        with pooled_groups(100):
+        with capped_groups(100):
             assert np.array_equal(
                 mset_masses(mu, interval, BATCHED_NS, sigma, tau), oracle)
 
@@ -123,17 +118,10 @@ def test_interval_ends_bitwise_equal_per_spec_oracle(monkeypatch):
     monkeypatch.setattr(mu, "interval_mass", spy)
     for interval, sigma, tau in batched_specs():
         seen.clear()
-        with pooled_groups(100):
+        with capped_groups(100):
             mset_masses(mu, interval, BATCHED_NS, sigma, tau)
         specs = [MSetSpec(interval, n, sigma, tau) for n in BATCHED_NS]
         want = [_intervals_oracle(s) for s in specs]
-        # groups run on pool workers in any order; a group is known by the
-        # first A_n with its first end, and then by its size: of the two
-        # groups that start at an n = 64, the second is longer
-        first = {}
-        for k, w in enumerate(want):
-            first.setdefault(w[0][0], k)
-        seen.sort(key=lambda ends: (first[ends[0][0]], ends[0].size))
         for col in (0, 1):
             got = np.concatenate([ends[col] for ends in seen])
             assert np.array_equal(got.view(np.int64),
@@ -157,7 +145,7 @@ def test_mset_masses_cdf_calls_stay_within_a_batch(monkeypatch):
     monkeypatch.setattr(mu, "cont", spy)
     for interval, sigma, tau in batched_specs():
         sizes.clear()
-        with pooled_groups(100):
+        with capped_groups(100):
             mset_masses(mu, interval, BATCHED_NS, sigma, tau)
         # only the 250-interval A_n exceeds the cap, as a batch on its own
         assert max(sizes) == 250 and sorted(sizes)[-3] <= 100
@@ -193,33 +181,37 @@ def test_mset_masses_on_a_wide_domain():
     assert np.all(np.abs(masses - 5e5) <= 1e-14 * 5e5)
 
 
-def test_mset_masses_pooled_with_an_a_n_past_the_cap(cantor40, monkeypatch):
+def test_mset_masses_with_an_a_n_past_the_cap(cantor40, monkeypatch):
     # 22 groups, six of them one A_n past the cap (5000 and 1001); each
-    # group's CDF calls run in many chunks inside its pool worker
+    # group's CDF calls run in many chunks
     monkeypatch.setattr(measures, "_CDF_CHUNK", 4)
     ns = [37, 5000, 99, 64, 1001, 1, 80, 100, 7] * 3
     oracle = [np.sum(cantor40.interval_mass(*mset_intervals(
         MSetSpec((0.0, 1.0), n, 0.2, 0.3)).T)) for n in ns]
-    with pooled_groups(100):
+    with capped_groups(100):
         masses = mset_masses(cantor40, (0.0, 1.0), ns, 0.2, 0.3)
     assert np.array_equal(masses.view(np.int64),
                           np.array(oracle).view(np.int64))
 
 
-def test_decreasing_cdf_raises_also_from_a_pool_worker():
-    threads = set()
+def test_decreasing_cdf_raises_in_the_calling_thread():
+    threads = []
 
-    def tent(x):  # rises to 1/2, then falls: not a CDF
-        threads.add(threading.get_ident())
-        return np.minimum(x, 1.0 - x)
+    def peak(x):  # rises to 0.99, then falls: not a CDF
+        threads.append(threading.get_ident())
+        return np.minimum(x, 1.98 - x)
 
-    mu = Measure((0.0, 1.0), tent, 1.0)
-    with pytest.raises(DomainError, match="negative mass -0.3"):
-        mu.interval_mass(0.6, 0.9)
+    mu = Measure((0.0, 1.0), peak, 1.0)
+    with pytest.raises(DomainError, match="negative mass -0.004"):
+        mu.interval_mass(0.995, 0.999)
     threads.clear()
-    with pooled_groups(100), pytest.raises(DomainError, match="negative mass"):
-        mset_masses(mu, (0.0, 1.0), [50, 60, 70], 0.2, 0.3)  # three groups
-    assert threads and threading.get_ident() not in threads
+    # 17 groups of one A_n each; the last interval of A_n has a negative
+    # mass for n > 65 only, so A_200 in the last group raises
+    ns = [52, 55, 58, 61] * 4 + [200]
+    with capped_groups(100), pytest.raises(DomainError,
+                                           match="negative mass"):
+        mset_masses(mu, (0.0, 1.0), ns, 0.2, 0.3)
+    assert threads == [threading.get_ident()] * 2 * len(ns)  # b, then a
 
 
 def test_rounding_dips_of_a_table_cdf_read_zero():
@@ -227,7 +219,7 @@ def test_rounding_dips_of_a_table_cdf_read_zero():
     jump = build_measure(MeasureSpec.cdf_table(
         [(0.0, 0.0), (0.5, 0.1), (0.5, 0.7), (1.0, 0.7)]))
     assert jump.interval_mass(0.75, 1.0) == 0.0
-    with pooled_groups(100):
+    with capped_groups(100):
         masses = mset_masses(jump, (0.5, 1.0), [1, 7, 50, 300], 0.2, 0.3)
     assert np.array_equal(masses, np.zeros(4))
     # np.interp steps back one ulp from just below the row at 0.22
@@ -238,22 +230,15 @@ def test_rounding_dips_of_a_table_cdf_read_zero():
     assert kink.interval_mass(below, 0.22) == 0.0
 
 
-@pytest.mark.parametrize("n_cores", [2, 32])
-def test_criterion_2_scan_peak_memory(n_cores, cantor40, cantor40_norm,
-                                      monkeypatch):
+def test_criterion_2_scan_peak_memory(cantor40, cantor40_norm):
     lam = build_lambda(cantor40_norm, K=3, J=3, N_max=2000, m=1)
-    # 31 groups of at most one CDF chunk run on min(cores, 31 // 8) workers
-    # of this pool, whatever its size
-    pool = ThreadPoolExecutor(max_workers=n_cores)
-    monkeypatch.setattr(msets, "_cores", lambda: n_cores)
-    monkeypatch.setattr(msets, "_pool", lambda: pool)
+    # 31 groups of at most one CDF chunk, one after another
     tracemalloc.start()
     try:
         scan = proposition_scan(cantor40, (0.0, 1.0), 0.2, 0.3, lam)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        pool.shutdown()
     assert scan.ns.size == 1993  # 1,999,907 intervals
     assert peak <= 24e6  # one batch of all intervals peaked at 81 MB
 
@@ -275,8 +260,8 @@ def test_pushforward_identity_property(spec, a, length, ns, sigma, tau_frac):
     mass_I = float(mu.interval_mass(a, b))
     assume(mass_I > 1e-9)  # normalize needs mass on I
     tau = 0.02 + tau_frac * (0.97 - sigma)  # sigma + tau <= 0.99
-    ns = [33, 32, *ns]  # at least two pooled groups under a cap of 64
-    with pooled_groups(64):
+    ns = [33, 32, *ns]  # at least two groups under a cap of 64
+    with capped_groups(64):
         masses = mset_masses(mu, (a, b), ns, sigma, tau)
     nu = normalize(mu, (a, b))
     for n, mass in zip(ns, masses):
