@@ -1,3 +1,4 @@
+import os
 import threading
 import tracemalloc
 from contextlib import contextmanager
@@ -230,9 +231,15 @@ def test_rounding_dips_of_a_table_cdf_read_zero():
     assert kink.interval_mass(below, 0.22) == 0.0
 
 
-def test_criterion_2_scan_peak_memory(cantor40, cantor40_norm):
+@pytest.mark.parametrize("n_cores", [2, 32])
+def test_criterion_2_scan_peak_memory(n_cores, cantor40, cantor40_norm,
+                                      monkeypatch):
     lam = build_lambda(cantor40_norm, K=3, J=3, N_max=2000, m=1)
-    # 31 groups of at most one CDF chunk, one after another
+    # 31 groups of at most one CDF chunk, one after another, however many
+    # cores the host reports
+    monkeypatch.setattr(os, "cpu_count", lambda: n_cores)
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(n_cores)), raising=False)
     tracemalloc.start()
     try:
         scan = proposition_scan(cantor40, (0.0, 1.0), 0.2, 0.3, lam)
