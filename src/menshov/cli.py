@@ -30,39 +30,22 @@ class _ConfigError(Exception):
     """A config value naming something that cannot be read."""
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
-
-
 def _write_csv(path: Path, header, rows, config: dict):
     lines = ["# config: " + json.dumps(config, sort_keys=True)]
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    pattern = ",".join(["%.17g"] * len(header))
+    lines.extend(pattern % tuple(row) for row in rows)
     path.write_text("\n".join(lines) + "\n")
 
 
 def _write_json(path: Path, payload: dict, config: dict):
     doc = {"config": config}
     doc.update(payload)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True,
-                               default=_json_default) + "\n")
-
-
-def _json_default(o):
-    if isinstance(o, (np.bool_, np.integer, np.floating)):
-        return o.item()
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    raise TypeError(f"not JSON serializable: {type(o)}")
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _write_svg(path: Path, xs, ys, title: str):
-    """Minimal deterministic SVG line plot."""
-    xs = np.asarray(xs, float)
-    ys = np.asarray(ys, float)
+    """Minimal deterministic SVG line plot of two 1-d arrays."""
     w, h, pad = 640.0, 400.0, 40.0
     x0, x1 = float(xs.min()), float(xs.max())
     y0, y1 = float(ys.min()), float(ys.max())
@@ -216,7 +199,7 @@ def _cmd_corrector(cfg, out: Path, plot: bool):
     _write_json(out / "corrector_layout.json", {
         "q": lay.q, "delta": lay.delta, "a_prime": lay.a_prime,
         "b_prime": lay.b_prime, "r": r, "nu": nu,
-        "removed": lay.removed, "e_intervals": lay.e_intervals,
+        "removed": lay.removed.tolist(), "e_intervals": lay.e_intervals.tolist(),
     }, cfg)
     _write_csv(out / "corrector_psi.csv", ["breakpoint", "value"],
                list(zip(psi.xs, psi.ys)), cfg)

@@ -42,6 +42,7 @@ DEFAULT_REFINEMENT = 512
 START_REFINEMENT = 8  # build_lambda's first level, when the ceiling is higher
 CERTIFY_LIMIT = 0.5  # an error bound above this makes a coefficient unusable
 MAX_GRID_CELLS = 1 << 24  # larger grids' CDF and FFT temporaries need GBs
+_ATOM_BLOCK = 1 << 14  # phase entries per slice of _atom_sum
 DENSITY_FLOOR = 0.5  # build_lambda warns below DENSITY_FLOOR / m
 _U = np.finfo(float).eps / 2  # unit roundoff: |fl(x) - x| <= _U |x|
 _PI_UP = np.nextafter(np.pi, 4.0)  # np.pi is below pi; this is above it
@@ -61,17 +62,29 @@ def _check_probability(nu: Measure):
 
 
 def _atom_sum(nu: Measure, freqs):
-    """Exact atomic contribution sum(mass * exp(-2 pi i f p)) per frequency."""
-    if nu.atom_positions.size == 0:
+    """Exact atomic contribution sum(mass * exp(-2 pi i f p)) per frequency.
+
+    Runs on slices of about _ATOM_BLOCK // atoms frequencies, at least 3
+    each: from 3 rows up a slice's product is bitwise that of one product
+    over all frequencies, while slices of 1 or 2 rows may round otherwise.
+    """
+    pos, mas = nu.atom_positions, nu.atom_masses
+    if pos.size == 0:
         return 0.0
-    f = np.asarray(freqs, dtype=float)
-    phase = np.exp(-2j * np.pi * np.outer(f, nu.atom_positions))
-    return phase @ nu.atom_masses
+    f = np.asarray(freqs, dtype=float).reshape(-1)
+    out = np.empty(f.size, dtype=complex)
+    rows, start = max(3, _ATOM_BLOCK // pos.size), 0
+    for stop in [*range(rows, f.size - 2, rows), f.size]:  # last >= 3 rows
+        phase = np.exp(-2j * np.pi * np.outer(f[start:stop], pos))
+        out[start:stop] = phase @ mas
+        start = stop
+    return out
 
 
 def _grid_cells(f: int, refinement: int) -> int:
     """Power-of-2 cell count with at least refinement * max(1, f) cells."""
-    return 1 << int(np.ceil(np.log2(max(refinement * max(1, f), 1024))))
+    cells = max(int(refinement) * max(1, int(f)), 1024)
+    return 1 << (cells - 1).bit_length()
 
 
 def _checked_grid(f_max: int, refinement: int) -> int:
@@ -202,12 +215,13 @@ def wiener_scan(nu: Measure, k: int, N: int,
                 refinement: int = DEFAULT_REFINEMENT):
     """|nu_hat(n*k)|, error bounds and running Cesaro averages of
     |nu_hat(n*k)|^2 for n = 0..N; QuadratureError past CERTIFY_LIMIT."""
-    if k == 0:
-        raise ValueError("k must be nonzero")
+    if not 0 < abs(k) <= MAX_GRID_CELLS:
+        raise ValueError(f"k must be nonzero and at most {MAX_GRID_CELLS} "
+                         f"in absolute value, got {k}")
     if N < 0:
         raise ValueError(f"N must be nonnegative, got {N}")
-    freqs = abs(k) * np.arange(N + 1)
-    vals, errs = spectrum(nu, abs(k) * N, refinement).coefficients(freqs)
+    spec = spectrum(nu, abs(k) * N, refinement)  # refuses a large N first
+    vals, errs = spec.coefficients(abs(k) * np.arange(N + 1))
     if errs.max() > CERTIFY_LIMIT:
         raise QuadratureError("coefficient error bound exceeds certification limit")
     absv = np.abs(vals)

@@ -339,6 +339,8 @@ class Measure:
         self.atom_positions = pos
         self.atom_masses = mas
         self._atom_cum = np.concatenate([[0.0], np.cumsum(mas)])
+        for owned in (pos, mas, self._atom_cum):  # this measure's own copies
+            owned.setflags(write=False)
         self.total_mass = self.cont_total + float(self._atom_cum[-1])
         if not (self.total_mass > 0):
             raise MeasureSpecError("total mass must be strictly positive")

@@ -19,8 +19,9 @@ class PiecewiseLinearFn:
     """
 
     def __init__(self, breakpoints, values):
-        xs = np.asarray(breakpoints, dtype=float)
-        ys = np.asarray(values, dtype=float)
+        # copies, read-only below: the caller's arrays may change later
+        xs = np.array(breakpoints, dtype=float)
+        ys = np.array(values, dtype=float)
         if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
             raise ValueError("need matching 1-d breakpoint/value arrays, size >= 2")
         if np.any(np.diff(xs) <= 0):
@@ -30,6 +31,8 @@ class PiecewiseLinearFn:
         # exact antiderivative at breakpoints (trapezoid per segment)
         seg = np.diff(xs) * (ys[:-1] + ys[1:]) / 2.0
         self.antideriv = np.concatenate([[0.0], np.cumsum(seg)])
+        for owned in (xs, ys, self.antideriv):
+            owned.setflags(write=False)
 
     def __call__(self, x):
         return np.interp(x, self.xs, self.ys, left=0.0, right=0.0)

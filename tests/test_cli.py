@@ -54,6 +54,12 @@ def test_mset_limit_outputs_and_plot(tmp_path):
     assert summary["config"]["sigma"] == 0.2
     svg = (out / "mset_limit.svg").read_text()
     assert svg.startswith("<svg") and "polyline" in svg
+    lines = (out / "mset_limit.csv").read_text().splitlines()
+    assert lines[1] == "n,mass,error" and len(lines) > 50
+    for line in lines[2:]:  # integers bare, floats at 17 digits
+        n, *floats = line.split(",")
+        assert n.isdigit() and str(int(n)) == n
+        assert all(format(float(x), ".17g") == x for x in floats)
 
 
 def test_mset_limit_oversized_grid_is_numeric_failure(tmp_path):
@@ -63,6 +69,22 @@ def test_mset_limit_oversized_grid_is_numeric_failure(tmp_path):
                         extra=("--set", "N_max=100000"))
     assert code == EXIT_NUMERIC
     assert not (out / "mset_limit.csv").exists()
+
+
+@pytest.mark.parametrize("sub, fields, code", [
+    ("wiener-scan", {"k": 4 * 10**18, "N": 5}, EXIT_PRECONDITION),
+    ("wiener-scan", {"k": 10**20, "N": 0}, EXIT_PRECONDITION),
+    ("wiener-scan", {"k": 10**17, "N": 0}, EXIT_PRECONDITION),
+    ("wiener-scan", {"k": 1, "N": 10**30}, EXIT_NUMERIC),
+    ("mset-limit", {"N_max": 10**30}, EXIT_NUMERIC),
+], ids=["k-4e18", "k-1e20", "k-1e17", "N-1e30", "N_max-1e30"])
+def test_frequencies_no_grid_can_hold_are_refused(tmp_path, capsys, sub,
+                                                   fields, code):
+    cfg = {"measure": CANTOR, "sigma": 0.2, "tau": 0.3, **fields}
+    assert run_cli(tmp_path, sub, cfg)[0] == code
+    assert not list((tmp_path / "out").iterdir())
+    assert capsys.readouterr().err.startswith((
+        "precondition violation: k must be nonzero", "numeric failure: f_max="))
 
 
 def test_mset_limit_runs_when_atoms_left_of_interval_outweigh_it(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,8 @@ from menshov import (ConvergenceScan, CorrectorParams, IndexSet, Measure,
                      MeasureSpec, QuadratureError, StepFunction, build_lambda,
                      build_measure, layout, normalize, spectrum,
                      wiener_average, wiener_scan)
-from menshov.fourier import MAX_GRID_CELLS, START_REFINEMENT, _U, _grid_cells
+from menshov.fourier import (MAX_GRID_CELLS, START_REFINEMENT, _U,
+                             _atom_sum, _grid_cells)
 from conftest import TWO_PI, cantor_coefficient_oracle, exact_hat
 
 
@@ -291,6 +294,65 @@ def test_wiener_average_is_mean_of_wiener_scan(cantor40_norm):
         wiener_scan(cantor40_norm, 2, 300, refinement=2)
     with pytest.raises(ValueError):
         wiener_scan(cantor40_norm, 0, 300)
+
+
+def spread_atoms(n):
+    """0.5 Lebesgue + 0.5 spread evenly over n atoms, on [0, 1]."""
+    atoms = MeasureSpec.atomic([((i + 0.5) / n, 1.0) for i in range(n)])
+    return build_measure(MeasureSpec.mixture(
+        [(0.5, MeasureSpec.lebesgue((0.0, 1.0))), (0.5 / n, atoms)]))
+
+
+def test_atom_sum_peak_memory_does_not_grow_with_the_spectrum():
+    # one phase matrix of 2,049 frequencies x 1,000 atoms peaks at 63 MiB
+    nu = spread_atoms(1000)
+    tracemalloc.start()
+    try:
+        wiener_scan(nu, 1, 2048, refinement=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
+
+
+@pytest.mark.parametrize("atoms, sizes", [
+    (7, (4682, 4683, 4684)),  # 2,340-row slices, remainders of 2 to 4 rows
+    (2000, (0, 1, 2, 11, 18, 1001)),  # 8-row slices
+])
+def test_atom_sum_slices_bitwise_equal_one_product(atoms, sizes):
+    nu = spread_atoms(atoms)
+    for n in sizes:
+        freqs = 3 * np.arange(n)
+        phase = np.exp(-2j * np.pi * np.outer(freqs.astype(float),
+                                              nu.atom_positions))
+        assert np.array_equal(_atom_sum(nu, freqs), phase @ nu.atom_masses)
+
+
+def test_grid_cells_take_integers_past_int64():
+    for f in (0, 1, 2, 3, 1000, 1024, 1025, 2**21, 2**21 + 1):
+        for r in (2, 8, 100, 512):
+            want = 1 << int(np.ceil(np.log2(max(r * max(1, f), 1024))))
+            assert _grid_cells(f, r) == want
+    assert _grid_cells(10**30, 512) == 1 << (512 * 10**30 - 1).bit_length()
+    with pytest.raises(QuadratureError, match="-cell limit"):
+        build_lambda(delta_measure(), K=3, J=3, N_max=10**30)
+
+
+def test_wiener_scan_refuses_k_and_n_before_building_frequencies(
+        lebesgue_unit_norm):
+    nu = lebesgue_unit_norm
+    for k in (MAX_GRID_CELLS + 1, -10**20):
+        with pytest.raises(ValueError, match="k must be nonzero and at most"):
+            wiener_scan(nu, k, 0)
+    # N = 2^20 needs a 2^29-cell grid: refused before its 8 MB frequencies
+    tracemalloc.start()
+    try:
+        with pytest.raises(QuadratureError, match="-cell limit"):
+            wiener_scan(nu, 1, 2**20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_wiener_average_dirac():

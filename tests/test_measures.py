@@ -337,6 +337,18 @@ def test_lebesgue_total_mass():
     assert m.interval_mass(0.0, np.pi) == pytest.approx(np.pi, abs=1e-12)
 
 
+def test_measure_arrays_are_read_only():
+    # a write to atom_masses would move the atom sum of fourier but not
+    # interval_mass or total_mass, which read the prefix sums
+    spec = MeasureSpec.mixture([(0.5, MeasureSpec.lebesgue((0.0, 1.0))),
+                                (0.5, MeasureSpec.atomic([(0.3, 1.0)]))])
+    mu = build_measure(spec)
+    for arr in (mu.atom_positions, mu.atom_masses, mu._atom_cum):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 5.0
+    assert mu.interval_mass(0.0, 1.0) == mu.total_mass == 1.0
+
+
 def test_atomic_cdf_jump():
     m = build_measure(MeasureSpec.atomic([(1.0, 0.3)], (0.0, 2.0)))
     assert m.interval_mass(0.0, np.nextafter(1.0, 0.0)) == 0.0

@@ -125,6 +125,17 @@ def test_partial_sums_shape_and_n0():
     assert partial_sum_diagnostics(f, [0]) == [(0, np.max(np.abs(c0 - f(x))))]
 
 
+def test_arrays_are_read_only_copies_of_the_inputs():
+    xs, ys = np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 0.0])
+    f = PiecewiseLinearFn(xs, ys)
+    for arr in (f.xs, f.ys, f.antideriv):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[1] = 3.0
+    xs[1], ys[1] = 0.5, 3.0  # the caller's arrays are not f's
+    assert f(1.0) == 1.0
+    assert f.integral_to(2.0) == f.antideriv[-1] == 1.0
+
+
 def test_step_function_basics():
     phi = StepFunction((0.0, TWO_PI), [1.0, -2.0, 3.0])
     assert phi.num_cells == 3

@@ -111,6 +111,13 @@ CONFIGS = {
     # atoms at both ends of the domain and at 0.5
     "wiener-scan-jump-table": ("wiener-scan", {"measure": JUMP_TABLE, "k": 1,
                                                "N": 200}, []),
+    # 2,000 atoms: the atom sum runs on slices of its 1,001 frequencies
+    "wiener-scan-2000-atoms": ("wiener-scan", {"measure": {
+        "kind": "mixture", "components": [
+            {"weight": 0.5, "spec": {"kind": "lebesgue"}},
+            {"weight": 1.25e-4, "spec": {"kind": "atomic", "atoms": [
+                [(i + 0.5) / 2000, 1 + i % 7] for i in range(2000)]}}]},
+        "k": 1, "N": 1000}, []),
     # no continuous part: every error is the rounding of the atom sum
     "wiener-scan-atomic": ("wiener-scan", {"measure": {
         "kind": "atomic", "domain": [0.0, TWO_PI],
