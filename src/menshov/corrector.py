@@ -27,35 +27,42 @@ __all__ = [
     "kernel_sup",
 ]
 
-MAX_LAYOUT_NODES = 1 << 24  # q = r nu; larger layouts' node arrays need GBs
+MAX_LAYOUT_NODES = 1 << 21  # q = r nu; layout + psi + check: 400-526 MiB
 # kernel_sup's x points; one omega block's temporaries hold about 63 doubles
 # per point (0.5 GB at this limit, one sub-block), so larger grids need GBs
 MAX_X_GRID = 1 << 20
 _U = np.finfo(float).eps / 2  # unit roundoff: |fl(x) - x| <= _U |x|
 
 
-def choose_r(c: float, d: float, gamma: float, eps: float, nu: int) -> int:
-    """Smallest integer r with 4 |gamma| (d - c) / (r nu) < eps."""
-    if nu <= 8:
-        raise ValueError("nu must exceed 8")
-    # negated comparisons, so NaN is refused too
+def _check_cell(c, d, gamma, eps, nu):
+    # the negated comparisons refuse NaN too
     if not -np.inf < c < d < np.inf:
         raise ValueError(f"need finite c < d, got c={c}, d={d}")
-    if not 0 < eps < np.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps}")
+    if not (8 < nu < np.inf and int(nu) == nu):
+        raise ValueError(f"nu must be an integer > 8, got {nu}")
     if not abs(gamma) < np.inf:
         raise ValueError(f"gamma must be finite, got {gamma}")
-    if gamma == 0:
-        return 1
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+
+
+def _admissible(c, d, gamma, eps, q) -> bool:
+    return 4.0 * abs(gamma) * (d - c) / q < eps
+
+
+def choose_r(c: float, d: float, gamma: float, eps: float, nu: int) -> int:
+    """Smallest integer r with 4 |gamma| (d - c) / (r nu) < eps, returned
+    only once CorrectorParams accepts it; ValueError otherwise."""
+    _check_cell(c, d, gamma, eps, nu)
     x = 4.0 * abs(gamma) * (d - c) / (eps * nu)
     if not x * nu <= MAX_LAYOUT_NODES:  # every admissible q = r nu > x nu
         raise ValueError(f"4|gamma|(d-c)/eps = {x * nu!r} puts every "
                          f"admissible q above {MAX_LAYOUT_NODES} layout nodes")
     r = int(np.floor(x)) + 1
     # guard against the strict inequality failing on the boundary
-    while 4.0 * abs(gamma) * (d - c) / (r * nu) >= eps:
+    while not _admissible(c, d, gamma, eps, r * nu):
         r += 1
-    return r
+    return CorrectorParams(c, d, gamma, eps, nu, r).r
 
 
 @dataclass(frozen=True)
@@ -68,25 +75,16 @@ class CorrectorParams:
     r: int
 
     def __post_init__(self):
-        if not -np.inf < self.c < self.d < np.inf:  # refuses NaN too
-            raise ValueError("need finite c < d")
-        if int(self.nu) != self.nu or self.nu <= 8:
-            raise ValueError("nu must be an integer > 8")
-        if self.r < 1 or int(self.r) != self.r:
+        _check_cell(self.c, self.d, self.gamma, self.eps, self.nu)
+        if not (1 <= self.r < np.inf and int(self.r) == self.r):
             raise ValueError("r must be a positive integer")
-        if not (abs(self.gamma) < np.inf and 0 < self.eps < np.inf):
-            raise ValueError("need finite gamma and finite eps > 0")
         q = self.r * self.nu
         if q > MAX_LAYOUT_NODES:
             raise ValueError(f"q = r nu = {q} is above the "
                              f"{MAX_LAYOUT_NODES}-node layout limit")
-        if 4.0 * abs(self.gamma) * (self.d - self.c) / q >= self.eps:
+        if not _admissible(self.c, self.d, self.gamma, self.eps, q):
             raise ValueError(
                 "inadmissible parameters: 4|gamma|(d-c)/q must be < eps")
-
-    @property
-    def q(self) -> int:
-        return int(self.r * self.nu)
 
 
 @dataclass(frozen=True, eq=False)  # == on the array fields is ambiguous
@@ -117,7 +115,7 @@ class CorrectorLayout:
 def layout(params: CorrectorParams) -> CorrectorLayout:
     """Build the node grid, removed intervals, and kept set E."""
     c, d, nu, r = params.c, params.d, params.nu, params.r
-    q = params.q
+    q = int(r * nu)  # nu may be an integral float such as 16.0
     delta = (d - c) / (q * nu)
     s = np.arange(q + 1)
     c_nodes = c + s * ((d - c) / q)

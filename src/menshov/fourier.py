@@ -16,7 +16,8 @@ gets its coefficients from one real FFT.
 one `Spectrum` (`Spectrum.refined` evaluates the CDF only at the new
 points), one FFT per level, until every frequency is decided, with its
 `refinement` argument as the ceiling.  A grid above MAX_GRID_CELLS is
-refused from the ceiling grid, before any CDF point is evaluated.
+refused from the ceiling grid, before any CDF point is evaluated, and
+more than MAX_PAIRS pairs (n, k) before any is allocated.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ DEFAULT_REFINEMENT = 512
 START_REFINEMENT = 8  # build_lambda's first level, when the ceiling is higher
 CERTIFY_LIMIT = 0.5  # an error bound above this makes a coefficient unusable
 MAX_GRID_CELLS = 1 << 24  # larger grids' CDF and FFT temporaries need GBs
+# build_lambda's (n, k) pairs; 105 B per pair under tracemalloc at
+# refinement 2, so 0.44 GB at this limit
+MAX_PAIRS = 1 << 22
 _ATOM_BLOCK = 1 << 14  # phase entries per slice of _atom_sum
 DENSITY_FLOOR = 0.5  # build_lambda warns below DENSITY_FLOOR / m
 _U = np.finfo(float).eps / 2  # unit roundoff: |fl(x) - x| <= _U |x|
@@ -49,16 +53,6 @@ _PI_UP = np.nextafter(np.pi, 4.0)  # np.pi is below pi; this is above it
 # e is a sum of products of nonnegative doubles, at most 10 roundings deep;
 # one more product by 1 + 16 _U puts it above its exact value
 _ROUND_UP = 1.0 + 16 * _U
-
-
-def _check_probability(nu: Measure):
-    # Tells a normalized measure from a raw one; no certificate rests on it:
-    # coefficients and bounds are those of nu as given.  normalize's total
-    # missed 1 by at most 2.2e-16 in 3,000 random outputs of all five kinds,
-    # atoms left of the interval included.
-    if abs(nu.total_mass - 1.0) > 1e-9 or nu.domain != (0.0, 1.0):
-        raise ValueError("expected a probability measure on [0, 1]; "
-                         "normalize the measure first")
 
 
 def _atom_sum(nu: Measure, freqs):
@@ -203,7 +197,13 @@ def spectrum(nu: Measure, f_max: int,
     Raises QuadratureError, before evaluating anything, when the grid
     would exceed MAX_GRID_CELLS cells.
     """
-    _check_probability(nu)
+    # Tells a normalized measure from a raw one; no certificate rests on it:
+    # coefficients and bounds are those of nu as given.  normalize's total
+    # missed 1 by at most 2.2e-16 in 3,000 random outputs of all five kinds,
+    # atoms left of the interval included.
+    if abs(nu.total_mass - 1.0) > 1e-9 or nu.domain != (0.0, 1.0):
+        raise ValueError("expected a probability measure on [0, 1]; "
+                         "normalize the measure first")
     f_max = int(f_max)
     grid = _checked_grid(f_max, refinement)
     cdf = nu.cont(np.linspace(0.0, 1.0, grid + 1))
@@ -230,8 +230,9 @@ def wiener_scan(nu: Measure, k: int, N: int,
 
 def wiener_average(nu: Measure, k: int, N: int,
                    refinement: int = DEFAULT_REFINEMENT) -> float:
-    """Cesaro average of |nu_hat(n*k)|^2 over n = 0..N."""
-    return float(np.mean(wiener_scan(nu, k, N, refinement)[0] ** 2))
+    """Cesaro average of |nu_hat(n*k)|^2 over n = 0..N: the last running
+    average of wiener_scan."""
+    return float(wiener_scan(nu, k, N, refinement)[2][-1])
 
 
 # ---------------------------------------------------------------------------
@@ -290,13 +291,16 @@ def build_lambda(nu: Measure, K: int, J: int, N_max: int, m: int = 1,
     members stay certified, but `warnings` then says that the M-set masses
     mu(A_n) need not tend to tau mu(I).
     """
-    _check_probability(nu)
     if min(K, J, m) < 1:
         raise ValueError("K, J, m must be positive integers")
     if N_max < 0:
         raise ValueError(f"N_max must be nonnegative, got {N_max}")
 
     _checked_grid(K * N_max, refinement)  # refuse from the ceiling grid
+    pairs = K * (N_max // m + 1)
+    if pairs > MAX_PAIRS:
+        raise ValueError(f"K={K} and N_max={N_max} at m={m} give {pairs} "
+                         f"(n, k) pairs, above the {MAX_PAIRS}-pair limit")
     undecided = np.arange(0, N_max + 1, m)
     pending = np.ones((K, undecided.size), dtype=bool)  # pairs not certified
     decided, levels = [], []

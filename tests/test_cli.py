@@ -77,14 +77,16 @@ def test_mset_limit_oversized_grid_is_numeric_failure(tmp_path):
     ("wiener-scan", {"k": 10**17, "N": 0}, EXIT_PRECONDITION),
     ("wiener-scan", {"k": 1, "N": 10**30}, EXIT_NUMERIC),
     ("mset-limit", {"N_max": 10**30}, EXIT_NUMERIC),
-], ids=["k-4e18", "k-1e20", "k-1e17", "N-1e30", "N_max-1e30"])
+    ("mset-limit", {"K": 10**13, "N_max": 0}, EXIT_PRECONDITION),
+], ids=["k-4e18", "k-1e20", "k-1e17", "N-1e30", "N_max-1e30", "K-1e13"])
 def test_frequencies_no_grid_can_hold_are_refused(tmp_path, capsys, sub,
                                                    fields, code):
     cfg = {"measure": CANTOR, "sigma": 0.2, "tau": 0.3, **fields}
     assert run_cli(tmp_path, sub, cfg)[0] == code
     assert not list((tmp_path / "out").iterdir())
     assert capsys.readouterr().err.startswith((
-        "precondition violation: k must be nonzero", "numeric failure: f_max="))
+        "precondition violation: k must be nonzero", "numeric failure: f_max=",
+        "precondition violation: K=10000000000000 and N_max=0"))
 
 
 def test_mset_limit_runs_when_atoms_left_of_interval_outweigh_it(tmp_path):

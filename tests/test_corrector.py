@@ -54,17 +54,25 @@ def test_params_validation():
                              (0.0, 1.0, 1.0, nan), (0.0, 1.0, 1.0, inf)):
         with pytest.raises(ValueError):
             CorrectorParams(c, d, gamma, eps, 10, 5)
+    for nu, r in ((inf, 5), (nan, 5), (10, inf), (10, nan), (10, 0)):
+        with pytest.raises(ValueError, match="nu must|r must"):
+            CorrectorParams(0.0, 1.0, 1.0, 0.1, nu, r)
 
 
 def test_layout_node_limit():
     r = MAX_LAYOUT_NODES // 16
-    assert CorrectorParams(0.0, 1.0, 1.0, 0.1, 16, r).q == MAX_LAYOUT_NODES
+    CorrectorParams(0.0, 1.0, 1.0, 0.1, 16, r)  # q = MAX_LAYOUT_NODES
     with pytest.raises(ValueError, match="layout limit"):
         CorrectorParams(0.0, 1.0, 1.0, 0.1, 16, r + 1)
-    # 4 |gamma| (d - c) / eps lies below every admissible q = r nu
-    assert choose_r(0.0, 1.0, 2.0**22, 1.0, 16) == 2**20 + 1
+    # 4 |gamma| (d - c) / eps = MAX_LAYOUT_NODES - 16 and MAX_LAYOUT_NODES:
+    # the least admissible q is MAX_LAYOUT_NODES, then 16 above it
+    gamma = MAX_LAYOUT_NODES / 4.0
+    assert choose_r(0.0, 1.0, gamma - 4.0, 1.0, 16) == r
+    with pytest.raises(ValueError, match="layout limit"):
+        choose_r(0.0, 1.0, gamma, 1.0, 16)
+    # 4 |gamma| (d - c) / eps lies above every admissible q = r nu
     with pytest.raises(ValueError, match="layout nodes"):
-        choose_r(0.0, 1.0, 2.0**23, 1.0, 16)
+        choose_r(0.0, 1.0, 2.0 * gamma, 1.0, 16)
 
 
 def test_layout_worked_example():

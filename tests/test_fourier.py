@@ -9,8 +9,8 @@ from menshov import (ConvergenceScan, CorrectorParams, IndexSet, Measure,
                      MeasureSpec, QuadratureError, StepFunction, build_lambda,
                      build_measure, layout, normalize, spectrum,
                      wiener_average, wiener_scan)
-from menshov.fourier import (MAX_GRID_CELLS, START_REFINEMENT, _U,
-                             _atom_sum, _grid_cells)
+from menshov.fourier import (MAX_GRID_CELLS, MAX_PAIRS, START_REFINEMENT,
+                             _U, _atom_sum, _grid_cells)
 from conftest import TWO_PI, cantor_coefficient_oracle, exact_hat
 
 
@@ -287,7 +287,8 @@ def test_spectrum_and_build_lambda_refuse_what_is_not_a_probability():
 def test_wiener_average_is_mean_of_wiener_scan(cantor40_norm):
     absv, errs, running = wiener_scan(cantor40_norm, -2, 300)
     assert absv.shape == errs.shape == running.shape == (301,)
-    assert wiener_average(cantor40_norm, -2, 300) == float(np.mean(absv**2))
+    # the average is the scan's last running one, within rounding the mean
+    assert wiener_average(cantor40_norm, -2, 300) == running[-1]
     assert running[-1] == pytest.approx(np.mean(absv**2), rel=1e-12)
     assert running[0] == absv[0] ** 2
     with pytest.raises(QuadratureError):  # bound pi 600 / 2048 > 0.5
@@ -349,6 +350,22 @@ def test_wiener_scan_refuses_k_and_n_before_building_frequencies(
     try:
         with pytest.raises(QuadratureError, match="-cell limit"):
             wiener_scan(nu, 1, 2**20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_build_lambda_refuses_its_pairs_before_allocating_them(
+        lebesgue_unit_norm):
+    # N_max = 0 leaves K unbounded by the grid, and at refinement 2 the grid
+    # admits K N_max = 2^22 + 2^10 pairs: each refused before its pair arrays
+    tracemalloc.start()
+    try:
+        for K, N_max in ((MAX_PAIRS + 1, 0), (10**13, 0), (2**10, 2**12)):
+            with pytest.raises(ValueError, match="-pair limit"):
+                build_lambda(lebesgue_unit_norm, K=K, J=2, N_max=N_max,
+                             refinement=2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

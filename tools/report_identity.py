@@ -72,6 +72,8 @@ CONFIGS = {
     "corrector-kernel": ("corrector", {"kernel": True}, []),
     # 4,539 breakpoints: the transform runs on slices of its frequencies
     "corrector-kernel-wide": ("corrector", {"kernel": True, "d": 50.0}, []),
+    # gamma = 0: choose_r's general formula gives r = 1, psi is all zeros
+    "corrector-gamma-zero": ("corrector", {"gamma": 0.0, "kernel": True}, []),
     "mset-limit-criterion-2": ("mset-limit", {
         "measure": {"kind": "cantor", "levels": 40, "domain": [0.0, 1.0]},
         "sigma": 0.2, "tau": 0.3, "J": 3, "K": 3, "N_max": 2000}, []),
