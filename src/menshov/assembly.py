@@ -19,7 +19,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .corrector import (MAX_LAYOUT_NODES, CorrectorLayout, CorrectorParams,
-                        build_psi, check_corrector, choose_r, layout)
+                        _check_nu, build_psi, check_corrector, choose_r,
+                        layout)
 from .errors import QuadratureError
 from .fourier import DEFAULT_REFINEMENT, build_lambda
 from .measures import Measure, normalize
@@ -49,13 +50,15 @@ MAX_PARTIAL_SUM_N = 1 << 20  # largest N; its coefficients cost N * segments
 
 @dataclass
 class CellResult:
-    """Corrector data and property checks for one partition cell."""
+    """Corrector data and property checks for one partition cell.
 
-    cell: tuple[float, float]
+    The cell is [layout.c, layout.d], its r is layout.r and its corrector
+    is build_psi(layout, gamma, claim.nu).
+    """
+
     gamma: float
     eps: float
-    r: int
-    layout: CorrectorLayout    # psi is build_psi(layout, gamma, claim.nu)
+    layout: CorrectorLayout
     mass_inner: float          # mu([a', b'])
     mass_e: float              # mu(E_k)
     cell_certified: bool       # mass_e >= (1 - 2/nu) mass_inner
@@ -81,7 +84,7 @@ class ClaimResult:
 
     @property
     def r_per_cell(self):
-        return [c.r for c in self.cells]
+        return [c.layout.r for c in self.cells]
 
     def to_json_dict(self) -> dict:
         return {
@@ -94,10 +97,10 @@ class ClaimResult:
             "certified": self.certified,
             "cells": [
                 {
-                    "cell": list(c.cell),
+                    "cell": [float(c.layout.c), float(c.layout.d)],
                     "gamma": c.gamma,
                     "eps": c.eps,
-                    "r": c.r,
+                    "r": c.layout.r,
                     "mu_inner": c.mass_inner,
                     "mu_E_k": c.mass_e,
                     "cell_certified": c.cell_certified,
@@ -131,8 +134,7 @@ def claim_run(phi: StepFunction, mu: Measure, nu: int,
     Exhausted search caps yield an uncertified result, not an error.
     `refinement` is the ceiling of build_lambda's coarse-to-fine levels.
     """
-    if int(nu) != nu or nu <= 8:
-        raise ValueError("nu must be an integer > 8")
+    _check_nu(nu)
     if not (kappa_cap >= 1 and r_cap >= 1):
         raise ValueError("kappa_cap and r_cap must be at least 1")
     lo, hi = mu.domain
@@ -193,8 +195,8 @@ def claim_run(phi: StepFunction, mu: Measure, nu: int,
                 break
         lay, inner, mass_e = best
         checks = check_corrector(lay, build_psi(lay, gk, nu), gk, epsk)
-        cells.append(CellResult((float(ck), float(dk)), float(gk), epsk,
-                                lay.r, lay, inner, mass_e, ok, checks))
+        cells.append(CellResult(float(gk), epsk, lay, inner, mass_e, ok,
+                                checks))
 
     mu_e = float(sum(c.mass_e for c in cells))
     certified = (stage1_certified and all(c.cell_certified for c in cells)

@@ -27,19 +27,27 @@ __all__ = [
     "kernel_sup",
 ]
 
-MAX_LAYOUT_NODES = 1 << 21  # q = r nu; layout + psi + check: 400-526 MiB
+# q = r nu; layout + psi + check peak at 168-223 B per node under
+# tracemalloc, rising with the removed count (nu - 4) r <= q: at most
+# 223 MiB at this limit, inside the 0.5 GiB budget of MAX_X_GRID
+MAX_LAYOUT_NODES = 1 << 20
 # kernel_sup's x points; one omega block's temporaries hold about 63 doubles
 # per point (0.5 GB at this limit, one sub-block), so larger grids need GBs
 MAX_X_GRID = 1 << 20
 _U = np.finfo(float).eps / 2  # unit roundoff: |fl(x) - x| <= _U |x|
 
 
+def _check_nu(nu):
+    # the negated comparison refuses NaN too, before int() could see it
+    if not (8 < nu < np.inf and int(nu) == nu):
+        raise ValueError(f"nu must be an integer > 8, got {nu}")
+
+
 def _check_cell(c, d, gamma, eps, nu):
     # the negated comparisons refuse NaN too
     if not -np.inf < c < d < np.inf:
         raise ValueError(f"need finite c < d, got c={c}, d={d}")
-    if not (8 < nu < np.inf and int(nu) == nu):
-        raise ValueError(f"nu must be an integer > 8, got {nu}")
+    _check_nu(nu)
     if not abs(gamma) < np.inf:
         raise ValueError(f"gamma must be finite, got {gamma}")
     if not 0 < eps < np.inf:
@@ -89,7 +97,8 @@ class CorrectorParams:
 
 @dataclass(frozen=True, eq=False)  # == on the array fields is ambiguous
 class CorrectorLayout:
-    """Node grid and interval families of the corrector construction."""
+    """The pieces of E and the removed intervals of the corrector
+    construction, on the nodes c_s = c + s (d-c)/q, s = 2r..q-2r."""
 
     c: float
     d: float
@@ -97,7 +106,6 @@ class CorrectorLayout:
     r: int
     q: int
     delta: float
-    c_nodes: np.ndarray          # c_s = c + s (d-c)/q, s = 0..q
     a_prime: float               # = c_{2r}
     b_prime: float               # = c_{q-2r}
     removed: np.ndarray          # ((nu-4) r, 2): [a_s, c_s], s = 2r+1..q-2r
@@ -113,23 +121,18 @@ class CorrectorLayout:
 
 
 def layout(params: CorrectorParams) -> CorrectorLayout:
-    """Build the node grid, removed intervals, and kept set E."""
+    """Build the removed intervals and the kept set E."""
     c, d, nu, r = params.c, params.d, params.nu, params.r
     q = int(r * nu)  # nu may be an integral float such as 16.0
     delta = (d - c) / (q * nu)
-    s = np.arange(q + 1)
-    c_nodes = c + s * ((d - c) / q)
-    c_nodes[-1] = d  # exact right endpoint
-    a_prime = c_nodes[2 * r]
-    b_prime = c_nodes[q - 2 * r]
-    s_rm = np.arange(2 * r + 1, q - 2 * r + 1)
-    removed = np.column_stack([c_nodes[s_rm] - delta, c_nodes[s_rm]])
+    nodes = c + np.arange(2 * r, q - 2 * r + 1) * ((d - c) / q)  # a' .. b'
+    a_s = nodes[1:] - delta
+    removed = np.column_stack([a_s, nodes[1:]])
     # kept pieces: [c_s, a_{s+1}] for s = 2r..q-2r-1, then the point {b'}
-    s_keep = np.arange(2 * r, q - 2 * r)
-    kept = np.column_stack([c_nodes[s_keep], c_nodes[s_keep + 1] - delta])
-    e_intervals = np.vstack([kept, [b_prime, b_prime]])
-    return CorrectorLayout(c, d, int(nu), int(r), q, delta, c_nodes,
-                           float(a_prime), float(b_prime), removed, e_intervals)
+    e_intervals = np.column_stack([nodes, np.append(a_s, nodes[-1])])
+    return CorrectorLayout(c, d, int(nu), int(r), q, delta,
+                           float(nodes[0]), float(nodes[-1]), removed,
+                           e_intervals)
 
 
 def build_psi(lay: CorrectorLayout, gamma: float, nu: int) -> PiecewiseLinearFn:
@@ -155,7 +158,7 @@ def running_integral_sup(psi: PiecewiseLinearFn) -> float:
     """Exact sup over xi of |integral of psi from 0 to xi|.
 
     Candidates are the breakpoints plus the interior extrema of each
-    quadratic piece of the antiderivative; no grids involved.
+    quadratic piece of the running integral; no grids involved.
     """
     return float(np.max(np.abs(psi.running_integral_extrema())))
 

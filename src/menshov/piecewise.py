@@ -1,5 +1,5 @@
-"""Piecewise-linear functions: evaluation, exact antiderivatives, and the
-closed-form Fourier transform of each linear segment."""
+"""Piecewise-linear functions: evaluation, the extrema of the running
+integral, and the closed-form Fourier transform of each linear segment."""
 
 from __future__ import annotations
 
@@ -28,40 +28,27 @@ class PiecewiseLinearFn:
             raise ValueError("breakpoints must be strictly increasing")
         self.xs = xs
         self.ys = ys
-        # exact antiderivative at breakpoints (trapezoid per segment)
-        seg = np.diff(xs) * (ys[:-1] + ys[1:]) / 2.0
-        self.antideriv = np.concatenate([[0.0], np.cumsum(seg)])
-        for owned in (xs, ys, self.antideriv):
+        for owned in (xs, ys):
             owned.setflags(write=False)
 
     def __call__(self, x):
         return np.interp(x, self.xs, self.ys, left=0.0, right=0.0)
 
-    def integral_to(self, xi):
-        """Exact running integral from -inf (equivalently 0) to xi."""
-        xi = np.asarray(xi, dtype=float)
-        idx = np.clip(np.searchsorted(self.xs, xi) - 1, 0, self.xs.size - 2)
-        x0, x1 = self.xs[idx], self.xs[idx + 1]
-        y0, y1 = self.ys[idx], self.ys[idx + 1]
-        t = np.clip(xi, x0, x1) - x0
-        slope = (y1 - y0) / (x1 - x0)
-        val = self.antideriv[idx] + y0 * t + slope * t * t / 2.0
-        val = np.where(xi <= self.xs[0], 0.0, val)
-        val = np.where(xi >= self.xs[-1], self.antideriv[-1], val)
-        return val if val.ndim else float(val)
-
     def running_integral_extrema(self):
         """Candidate values of the running integral at its extrema.
 
-        The antiderivative is piecewise quadratic, so it suffices to check
-        0 (left of the support), the breakpoints and the interior zero
-        crossings of the function.
+        The running integral is piecewise quadratic, so it suffices to check
+        0 (left of the support), the breakpoints (a trapezoid sum per
+        segment) and the interior zero crossings of the function.
         """
-        i = np.flatnonzero(self.ys[:-1] * self.ys[1:] < 0)  # quadratic extrema
-        x0, x1, y0, y1 = self.xs[i], self.xs[i + 1], self.ys[i], self.ys[i + 1]
-        xc = x0 + y0 / (y0 - y1) * (x1 - x0)
-        vc = self.antideriv[i] + y0 * (xc - x0) / 2.0
-        return np.concatenate([[0.0], vc, self.antideriv[1:]])
+        xs, ys = self.xs, self.ys
+        at_xs = np.zeros(xs.size)  # running integral at xs, summed in place
+        np.cumsum(np.diff(xs) * (ys[:-1] + ys[1:]) / 2.0, out=at_xs[1:])
+        i = np.flatnonzero(ys[:-1] * ys[1:] < 0)  # quadratic extrema
+        x0, y0 = xs[i], ys[i]
+        xc = x0 + y0 / (y0 - ys[i + 1]) * (xs[i + 1] - x0)
+        vc = at_xs[i] + y0 * (xc - x0) / 2.0
+        return np.concatenate([[0.0], vc, at_xs[1:]])
 
     def transform(self, omega):
         """Psi(w) = integral f(t) e^{iwt} dt at every w of the 1-d omega.

@@ -39,7 +39,8 @@ def test_claim_partition_splits_each_cell_into_kappa_equal_cells():
     xs = np.linspace(0.0, TWO_PI, 2 * 7 + 1)
     assert np.array_equal(part.breakpoints, xs)
     assert np.array_equal(part.values, np.repeat(phi.values, 7))
-    assert [c.cell for c in res.cells] == list(zip(xs[:-1], xs[1:]))
+    assert [(c.layout.c, c.layout.d) for c in res.cells] == list(
+        zip(xs[:-1], xs[1:]))
     assert [c.gamma for c in res.cells] == part.values.tolist()
 
 
@@ -53,8 +54,9 @@ def test_claim_lebesgue_certified_minimal_parameters():
     # Lebesgue mass of E has the closed form per cell:
     # (1 - 4/nu)(d - c) - (nu - 4) r delta with delta = (d-c)/(r nu^2)
     for c in res.cells:
-        w = c.cell[1] - c.cell[0]
-        expect = (1.0 - 4.0 / 16.0) * w - (16 - 4) * c.r * c.layout.delta
+        w = c.layout.d - c.layout.c
+        expect = ((1.0 - 4.0 / 16.0) * w
+                  - (16 - 4) * c.layout.r * c.layout.delta)
         assert c.mass_e == pytest.approx(expect, abs=1e-9)
         # both masses are measured on the layout the cell keeps
         lay = c.layout
@@ -70,7 +72,7 @@ def test_claim_and_demo_masses_match_frozen_values():
     # intervals on a second encoding of the layout; these did not move
     phi = StepFunction((0.0, TWO_PI), [1.0, -1.0])
     res = claim_run(phi, cantor_full(), 16)
-    assert [(c.r, c.mass_inner, c.mass_e) for c in res.cells] == [
+    assert [(c.layout.r, c.mass_inner, c.mass_e) for c in res.cells] == [
         (8, 0.375, 0.34159342447924246), (16, 0.375, 0.34737141927075754)]
     mu = cantor_full()  # criterion 8
     demo = theorem_demo(lambda x: x, mu, 0.05 * mu.total_mass, 0.5)
@@ -105,8 +107,9 @@ def test_claim_mixture_certified():
 
 def test_claim_rejects_bad_inputs():
     phi = StepFunction((0.0, TWO_PI), [1.0])
-    with pytest.raises(ValueError):
-        claim_run(phi, lebesgue_full(), 8)  # hypothesis nu > 8
+    for nu in (8, 16.5, float("inf"), float("nan")):  # hypothesis nu > 8
+        with pytest.raises(ValueError, match="nu must be an integer > 8"):
+            claim_run(phi, lebesgue_full(), nu)
     atom = build_measure(MeasureSpec.mixture([
         (0.5, MeasureSpec.lebesgue((0.0, TWO_PI))),
         (0.5, MeasureSpec.atomic([(1.0, 1.0)], (0.0, TWO_PI))),

@@ -75,6 +75,21 @@ def test_layout_node_limit():
         choose_r(0.0, 1.0, 2.0 * gamma, 1.0, 16)
 
 
+def test_layout_peak_memory_per_node_fits_the_budget():
+    # nu = 1024 removes (nu - 4) r = 65,280 of the q = 2^16 nodes, the most
+    # memory per node; MAX_LAYOUT_NODES such nodes must fit in 0.5 GiB
+    nu, r = 1024, 64
+    tracemalloc.start()
+    try:
+        lay, psi = make_psi(nu=nu, r=r)
+        checks = check_corrector(lay, psi, 1.0, 8.0 / (r * nu))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(checks.values())
+    assert peak <= 0.5 * 2**30 * (r * nu) / MAX_LAYOUT_NODES
+
+
 def test_layout_worked_example():
     lay, _ = make_psi(c=0.0, d=1.0, nu=10, r=2)
     assert lay.q == 20
@@ -91,14 +106,18 @@ def test_layout_second_example():
     lay, _ = make_psi(c=0.0, d=TWO_PI, nu=9, r=1)
     assert lay.q == 9
     assert lay.removed.shape == (5, 2)  # s = 3..7
-    assert lay.c_nodes[0] == 0.0 and lay.c_nodes[-1] == TWO_PI
+    nodes = 0.0 + np.arange(2, 8) * (TWO_PI / 9)  # c_s, s = 2r..q-2r
+    assert (lay.a_prime, lay.b_prime) == (nodes[0], nodes[-1])
+    assert np.array_equal(lay.e_intervals[:, 0], nodes)
 
 
 def test_layout_node_alignment():
     for nu, r in [(10, 2), (16, 1), (64, 4)]:
         lay, _ = make_psi(c=0.5, d=2.5, nu=nu, r=r)
-        assert lay.a_prime == lay.c_nodes[2 * r]
-        assert lay.b_prime == lay.c_nodes[lay.q - 2 * r]
+        nodes = 0.5 + np.arange(2 * r, lay.q - 2 * r + 1) * (2.0 / lay.q)
+        assert (lay.a_prime, lay.b_prime) == (nodes[0], nodes[-1])
+        assert np.array_equal(lay.e_intervals[:, 0], nodes)
+        assert np.array_equal(lay.removed[:, 1], nodes[1:])
         # a' = c + 2(d-c)/nu by the grid identity c_{2r} = c + 2r (d-c)/q
         assert lay.a_prime == pytest.approx(0.5 + 2 * 2.0 / nu, abs=1e-12)
 
@@ -267,11 +286,14 @@ def test_check_corrector_flags_e_just_short_of_one_minus_five_over_nu():
 
 def test_per_period_integral_cancellation():
     lay, psi = make_psi(c=0.0, d=1.0, nu=10, r=2, gamma=1.0)
-    # over each full period [c_s, c_{s+1}] in the removed range the
-    # plateau mass gamma (nu - 1) delta cancels the dip mass exactly
-    for s in range(2 * 2 + 1, lay.q - 2 * 2):
-        val = psi.integral_to(lay.c_nodes[s]) - psi.integral_to(lay.c_nodes[s - 1])
-        assert abs(val) < 1e-14
+    # over each full period [c_{s-1}, c_s] in the removed range the
+    # plateau mass gamma (nu - 1) delta cancels the dip mass; the exact
+    # running integral is taken at psi's breakpoints a' and c_s
+    at_xs = [Fraction(0), *exact_extrema(psi)[1 - psi.xs.size:]]
+    idx = range(1, psi.xs.size - 1, 3)
+    assert psi.xs[idx].tolist() == [lay.a_prime, *lay.removed[:, 1]]
+    for s0, s1 in zip(idx, idx[1:]):
+        assert abs(at_xs[s1] - at_xs[s0]) < 1e-14
 
 
 def test_running_integral_sup_bound_and_oracle():

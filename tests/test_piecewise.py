@@ -20,28 +20,32 @@ def test_evaluation_and_compact_support():
     assert f(1.5) == pytest.approx(2.0)
     assert f(0.5) == 0.0 and f(3.5) == 0.0
     assert (f.xs[0], f.xs[-1]) == (1.0, 3.0)
-    assert f.integral_to(3.5) == pytest.approx(4.0)
 
 
-def test_integral_to_matches_dense_riemann():
+def dense_running_integral(f, grid):
+    """Midpoint Riemann sums of f from grid[0] to every point of grid."""
+    mids = f((grid[:-1] + grid[1:]) / 2.0)
+    return np.concatenate([[0.0], np.cumsum(mids * np.diff(grid))])
+
+
+def test_breakpoint_values_match_dense_riemann():
     rng = np.random.default_rng(5)
     xs = np.sort(rng.uniform(0.0, TWO_PI, size=12))
     xs[0], xs[-1] = 0.1, 6.0
     ys = rng.uniform(-3.0, 3.0, size=12)
     f = PiecewiseLinearFn(xs, ys)
-    grid = np.linspace(0.0, TWO_PI, 2_000_001)
-    dense = np.concatenate([[0.0], np.cumsum(f((grid[:-1] + grid[1:]) / 2.0))
-                            * np.diff(grid)])
-    for xi in (0.5, 2.0, 4.4, 6.28):
-        i = int(np.searchsorted(grid, xi))
-        assert f.integral_to(xi) == pytest.approx(dense[i], abs=1e-5)
+    crossings = np.count_nonzero(ys[:-1] * ys[1:] < 0)
+    at_xs = f.running_integral_extrema()[1 + crossings:]
+    grid = np.sort(np.concatenate([np.linspace(0.0, TWO_PI, 2_000_001), xs]))
+    dense = dense_running_integral(f, grid)[np.searchsorted(grid, xs[1:])]
+    assert at_xs == pytest.approx(dense, abs=1e-5)
 
 
 def test_running_integral_extrema_cover_true_sup():
     f = PiecewiseLinearFn([0.0, 1.0, 2.0, 3.0], [1.0, -1.0, 1.0, -1.0])
     sup = np.max(np.abs(f.running_integral_extrema()))
     grid = np.linspace(-0.5, 3.5, 400_001)
-    dense = np.max(np.abs(f.integral_to(grid)))
+    dense = np.max(np.abs(dense_running_integral(f, grid)))
     assert sup == pytest.approx(dense, abs=1e-8)
     assert sup >= dense - 1e-12  # candidates never miss the true extremum
 
@@ -49,13 +53,14 @@ def test_running_integral_extrema_cover_true_sup():
 def extrema_loop(f):
     """Per-segment candidate loop: reference for running_integral_extrema,
     in its order: 0, then the zero crossings, then the breakpoints."""
-    crossings = []
+    at_xs, crossings = [0.0], []
     for i in range(f.xs.size - 1):
         x0, x1, y0, y1 = f.xs[i], f.xs[i + 1], f.ys[i], f.ys[i + 1]
         if y0 * y1 < 0:
             xc = x0 + y0 / (y0 - y1) * (x1 - x0)
-            crossings.append(f.antideriv[i] + y0 * (xc - x0) / 2.0)
-    return np.array([0.0, *crossings, *f.antideriv[1:]])
+            crossings.append(at_xs[i] + y0 * (xc - x0) / 2.0)
+        at_xs.append(at_xs[i] + (x1 - x0) * (y0 + y1) / 2.0)  # trapezoid
+    return np.array([0.0, *crossings, *at_xs[1:]])
 
 
 def test_running_integral_extrema_match_segment_loop():
@@ -128,12 +133,12 @@ def test_partial_sums_shape_and_n0():
 def test_arrays_are_read_only_copies_of_the_inputs():
     xs, ys = np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 0.0])
     f = PiecewiseLinearFn(xs, ys)
-    for arr in (f.xs, f.ys, f.antideriv):
+    for arr in (f.xs, f.ys):
         with pytest.raises(ValueError, match="read-only"):
             arr[1] = 3.0
     xs[1], ys[1] = 0.5, 3.0  # the caller's arrays are not f's
     assert f(1.0) == 1.0
-    assert f.integral_to(2.0) == f.antideriv[-1] == 1.0
+    assert f.running_integral_extrema()[-1] == 1.0
 
 
 def test_step_function_basics():

@@ -74,6 +74,9 @@ CONFIGS = {
     "corrector-kernel-wide": ("corrector", {"kernel": True, "d": 50.0}, []),
     # gamma = 0: choose_r's general formula gives r = 1, psi is all zeros
     "corrector-gamma-zero": ("corrector", {"gamma": 0.0, "kernel": True}, []),
+    # q = 3,072 and r = 3: 3,060 removed intervals, one at almost every node
+    "corrector-nu-1024": ("corrector", {"nu": 1024, "eps": 0.01,
+                                        "kernel": True}, []),
     "mset-limit-criterion-2": ("mset-limit", {
         "measure": {"kind": "cantor", "levels": 40, "domain": [0.0, 1.0]},
         "sigma": 0.2, "tau": 0.3, "J": 3, "K": 3, "N_max": 2000}, []),
