@@ -24,8 +24,13 @@ class PiecewiseLinearFn:
         ys = np.array(values, dtype=float)
         if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
             raise ValueError("need matching 1-d breakpoint/value arrays, size >= 2")
-        if np.any(np.diff(xs) <= 0):
-            raise ValueError("breakpoints must be strictly increasing")
+        # negated comparisons, so NaN is refused too
+        if not (np.all(np.abs(xs) < np.inf) and np.all(xs[1:] > xs[:-1])):
+            raise ValueError("breakpoints must be finite and strictly "
+                             "increasing")
+        finite = np.abs(ys) < np.inf
+        if not np.all(finite):
+            raise ValueError(f"values must be finite, got {ys[~finite][0]}")
         self.xs = xs
         self.ys = ys
         for owned in (xs, ys):
@@ -56,19 +61,24 @@ class PiecewiseLinearFn:
         Exact on a segment [a, a + h] with end values y0, y1:
         e^{iwa} h [y0 phi2(iwh) + y1 (phi1 - phi2)(iwh)]; phi1 and phi2
         take their Taylor series on short segments, where the closed forms
-        would cancel.  Runs on slices of _CHUNK_ELEMS // segments w, so its
-        temporaries stay small; a row does not depend on its slice.
+        would cancel.  phi1 and phi2 are evaluated once per distinct
+        segment width and gathered per segment; every segment of a width
+        has the same z, so the values are those of a per-segment call.
+        Runs on slices of _CHUNK_ELEMS // segments w, so its temporaries
+        stay small; a row does not depend on its slice.
         """
         w = np.asarray(omega, dtype=float)
         a, h = self.xs[:-1], np.diff(self.xs)
+        widths, seg = np.unique(h, return_inverse=True)
         hy1, hdy = h * self.ys[1:], h * (self.ys[:-1] - self.ys[1:])
         out = np.empty(w.size, dtype=complex)
         step = max(1, _CHUNK_ELEMS // h.size)
         for i in range(0, w.size, step):
             wi = w[i:i + step, None]
-            phi1, phi2 = _phi12(1j * wi * h)
+            phi1, phi2 = _phi12(1j * wi * widths)
             out[i:i + step] = (np.exp(1j * wi * a)
-                               * (hy1 * phi1 + hdy * phi2)).sum(axis=1)
+                               * (hy1 * phi1[:, seg] + hdy * phi2[:, seg])
+                               ).sum(axis=1)
         return out
 
     def fourier_coefficients(self, N: int):

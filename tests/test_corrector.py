@@ -10,7 +10,7 @@ import pytest
 
 from menshov import (CorrectorParams, MSetSpec, PiecewiseLinearFn, build_psi,
                      check_corrector, choose_r, corrector, kernel_sup, layout,
-                     mset_intervals, running_integral_sup)
+                     mset_intervals, piecewise, running_integral_sup)
 from menshov.corrector import MAX_LAYOUT_NODES, _kernel_rows
 from menshov.piecewise import _phi12
 
@@ -471,7 +471,7 @@ def test_kernel_rows_agree_for_every_chunking(monkeypatch):
 
 def test_kernel_sup_memory_does_not_grow_with_support():
     # 4,539 breakpoints: one unsliced Psi block over all 4,538 segments
-    # peaks at 43.7 MB under tracemalloc
+    # peaks at 24.9 MB under tracemalloc
     r = choose_r(0.0, 50.0, 1.0, 0.1, 16)
     _, psi = make_psi(d=50.0, nu=16, r=r, eps=0.1)
     tracemalloc.start()
@@ -482,6 +482,37 @@ def test_kernel_sup_memory_does_not_grow_with_support():
         tracemalloc.stop()
     assert peak <= 8e6
     assert sup == 0.1909576017151824  # bitwise the sup of one Psi block
+
+
+# kernel_sup(psi, 64, 256) at the six criterion-6 points, nu in (16, 32, 64)
+# by r in (1, 2), as computed with phi1, phi2 at every segment
+SWEEP_SUPS = [22.423856978760156, 11.00067397174464, 11.048800149776337,
+              8.150867367937355, 8.203295905914779, 1.589636725014064]
+
+
+def test_kernel_sup_sweep_sups_are_pinned():
+    sups = []
+    for nu in (16, 32, 64):
+        for r in (1, 2):
+            _, psi = make_psi(d=TWO_PI, nu=nu, r=r,
+                              eps=16.0 * TWO_PI / (r * nu))
+            sups.append(kernel_sup(psi, 64, 256)[0])
+    assert sups == SWEEP_SUPS  # bitwise
+
+
+def test_kernel_sup_evaluates_phi12_once_per_width(monkeypatch):
+    _, psi = make_psi(d=TWO_PI, nu=64, r=2, eps=16.0 * TWO_PI / 128)
+    widths = np.unique(np.diff(psi.xs)).size
+    assert (psi.xs.size - 1, widths) == (362, 15)
+    columns = []
+
+    def counting_phi12(z):
+        columns.append(z.shape[1])
+        return _phi12(z)
+
+    monkeypatch.setattr(piecewise, "_phi12", counting_phi12)
+    kernel_sup(psi, 64, 256)
+    assert columns and set(columns) == {widths}
 
 
 def test_kernel_sup_rejects_empty_ranges():

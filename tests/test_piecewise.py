@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from menshov import PiecewiseLinearFn, StepFunction, partial_sum_diagnostics
+from menshov import (CorrectorParams, PiecewiseLinearFn, StepFunction,
+                     build_psi, layout, partial_sum_diagnostics)
 from menshov import piecewise
 
 TWO_PI = 2.0 * np.pi
@@ -114,6 +115,48 @@ def test_fourier_coefficients_chunks_equal_one_transform(monkeypatch):
     assert f.transform([]).shape == (0,)
 
 
+def transform_per_segment(f, omega):
+    """transform with phi1, phi2 evaluated at every (w, segment) entry: the
+    bitwise oracle for the once-per-width evaluation."""
+    w = np.asarray(omega, dtype=float)
+    a, h = f.xs[:-1], np.diff(f.xs)
+    hy1, hdy = h * f.ys[1:], h * (f.ys[:-1] - f.ys[1:])
+    out = np.empty(w.size, dtype=complex)
+    step = max(1, piecewise._CHUNK_ELEMS // h.size)
+    for i in range(0, w.size, step):
+        wi = w[i:i + step, None]
+        phi1, phi2 = piecewise._phi12(1j * wi * h)
+        out[i:i + step] = (np.exp(1j * wi * a)
+                           * (hy1 * phi1 + hdy * phi2)).sum(axis=1)
+    return out
+
+
+def test_transform_bitwise_equals_per_segment_oracle(monkeypatch):
+    default = piecewise._CHUNK_ELEMS
+    rng = np.random.default_rng(31)
+    xs = np.cumsum(rng.uniform(0.01, 0.3, 40))  # 39 distinct widths
+    eps = 16.0 * TWO_PI / 128  # the nu = 64, r = 2 criterion-6 point
+    psi = build_psi(layout(CorrectorParams(0.0, TWO_PI, 1.0, eps, 64, 2)),
+                    1.0, 64)
+    fns = [PiecewiseLinearFn(xs, rng.normal(size=xs.size)), psi,
+           PiecewiseLinearFn(-1.0 + 0.0625 * np.arange(50),  # one width
+                             rng.normal(size=50))]
+    assert [np.unique(np.diff(f.xs)).size for f in fns] == [39, 15, 1]
+    assert psi.xs.size - 1 == 362
+    for f in fns:
+        # |w h| on both sides of the series switch at 0.5, both signs, 0
+        edge = 0.5 / np.diff(f.xs)
+        w = np.concatenate([-np.arange(300.0), rng.uniform(-80.0, 80.0, 200),
+                            edge * (1.0 - 1e-12), edge * (1.0 + 1e-12)])
+        w = np.concatenate([w, -w])
+        for elems in (1, default):
+            monkeypatch.setattr(piecewise, "_CHUNK_ELEMS", elems)
+            for omega in (w, []):
+                assert np.array_equal(
+                    f.transform(omega).view(np.uint64),
+                    transform_per_segment(f, omega).view(np.uint64))
+
+
 def test_partial_sums_converge_uniformly_for_triangle():
     f = triangle_wave()
     errs = dict(partial_sum_diagnostics(f, [1, 10, 50, 100, 200]))
@@ -167,3 +210,9 @@ def test_constructor_validation():
     for bad in [np.nan, np.inf, -np.inf]:
         with pytest.raises(ValueError, match="step values must be finite"):
             StepFunction((0.0, 1.0), [1.0, bad])
+        for xs in ([0.0, bad, 1.0], [bad, 0.0, 1.0], [0.0, 1.0, bad]):
+            with pytest.raises(ValueError, match="finite and strictly"):
+                PiecewiseLinearFn(xs, [0.0, 1.0, 0.0])
+        for ys in ([0.0, bad, 0.0], [bad, 1.0, 0.0]):
+            with pytest.raises(ValueError, match="values must be finite"):
+                PiecewiseLinearFn([0.0, 1.0, 2.0], ys)
