@@ -31,8 +31,10 @@ __all__ = [
 # tracemalloc, rising with the removed count (nu - 4) r <= q: at most
 # 223 MiB at this limit, inside the 0.5 GiB budget of MAX_X_GRID
 MAX_LAYOUT_NODES = 1 << 20
-# kernel_sup's x points; one omega block's temporaries hold about 63 doubles
-# per point (0.5 GB at this limit, one sub-block), so larger grids need GBs
+# kernel_sup's x points times its m omega sub-blocks per unit: _kernel_rows
+# keeps 12 m phases e^{-iox} per point and peaks at 34 doubles per point and
+# sub-block at m = 1 (25 at m = 7) under tracemalloc at 2^16 points, so at
+# most 272 MiB at this limit, inside the 0.5 GiB budget
 MAX_X_GRID = 1 << 20
 _U = np.finfo(float).eps / 2  # unit roundoff: |fl(x) - x| <= _U |x|
 
@@ -207,6 +209,12 @@ def check_corrector(lay: CorrectorLayout, psi: PiecewiseLinearFn,
 _OMEGA_NODES, _OMEGA_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
+def _sub_blocks(psi: PiecewiseLinearFn, lo: float, hi: float) -> int:
+    """m = ceil(T / 2 pi) for x in [lo, hi], T = max |t - x| over supp psi."""
+    span = max(psi.xs[-1] - lo, hi - psi.xs[0])
+    return max(1, int(np.ceil(span / (2.0 * np.pi))))
+
+
 def _kernel_rows(psi: PiecewiseLinearFn, j_max: int, xs):
     """Rows K_j(x) = integral psi(t) sin(j (t - x)) / (t - x) dt, j = 1..j_max,
     at the points of the array xs, yielded as blocks of consecutive rows.
@@ -218,21 +226,34 @@ def _kernel_rows(psi: PiecewiseLinearFn, j_max: int, xs):
     xs.  The integrand is entire of exponential type T, so each block is within
     (n!)^4 / ((2n+1) ((2n)!)^3) (2 pi)^(2n) integral |psi|
     = 1.3e-19 integral |psi| (n = 12), and row j within j times that.
+
+    Each node is w = k + o, k an integer and o one of the 12 m offsets, so
+    e^{-iwx} = e^{-ikx} e^{-iox}: the e^{-iox} are one table, block k sums
+    q = sum_o p(k + o) e^{-iox} over o in ascending order (a fixed order,
+    so the rows do not depend on the chunk; a BLAS product's order may)
+    and adds Re[e^{-ikx} q], p = Psi times the Gauss weight.  With u =
+    2^-53, X = max |x| and S_j = sum |p| over row j's nodes, row j is within
+    u (j X + j + 18 m + 28) S_j of the same sum taken exactly: the phases
+    o x and k x round by (k + 1) X u <= j X u, np.exp and the two complex
+    products by 28 u |p|, the sum over the 12 m offsets by 18 m u sum |p|
+    and the running sum by j u S_j.
     """
-    span = max(psi.xs[-1] - xs.min(), xs.max() - psi.xs[0])
-    m = max(1, int(np.ceil(span / (2.0 * np.pi))))
+    m = _sub_blocks(psi, xs.min(), xs.max())
     offs = ((np.arange(m)[:, None] + (1.0 + _OMEGA_NODES) / 2.0) / m).ravel()
     wts = _OMEGA_WEIGHTS / (2.0 * m)
     chunk = max(1, _CHUNK_ELEMS // (offs.size * (psi.xs.size - 1 + xs.size)))
+    e_off = -1j * offs[:, None] * xs
+    np.exp(e_off, out=e_off)  # e^{-iox}, one table for every block
     rows = np.zeros((1, xs.size))  # row 0: K_0 = 0
     for j0 in range(0, j_max, chunk):
         nb = min(chunk, j_max - j0)
-        w = (j0 + np.arange(nb)[:, None] + offs).ravel()
-        big_psi = psi.transform(w) * np.tile(wts, m * nb)
-        wx = w[:, None] * xs
-        vals = (big_psi.real[:, None] * np.cos(wx)
-                + big_psi.imag[:, None] * np.sin(wx))
-        incr = vals.reshape(nb, offs.size, xs.size).sum(axis=1)
+        j = j0 + np.arange(nb)[:, None]
+        p = (psi.transform((j + offs).ravel()) * np.tile(wts, m * nb)
+             ).reshape(nb, offs.size)
+        q = p[:, :1] * e_off[0]
+        for o in range(1, offs.size):  # one fixed order, whatever the chunk
+            q += p[:, o:o + 1] * e_off[o]
+        incr = (np.exp(-1j * j * xs) * q).real
         incr[0] += rows[-1]
         rows = np.cumsum(incr, axis=0)
         yield rows
@@ -242,16 +263,19 @@ def kernel_sup(psi: PiecewiseLinearFn, j_max: int, x_grid: int,
                nu: int | None = None, gamma: float | None = None):
     """Sup of |integral psi(t) sin(j (t - x)) / (t - x) dt| over j and x.
 
-    j in 1..j_max, x on a uniform grid of x_grid <= MAX_X_GRID points in
-    [0, 2 pi]; the rows come from _kernel_rows, within j_max * 1.3e-19 *
-    integral |psi|.
+    j in 1..j_max, x on a uniform grid of x_grid points in [0, 2 pi], with
+    m x_grid <= MAX_X_GRID for _kernel_rows' m omega sub-blocks per unit;
+    the rows come from _kernel_rows, within j_max * 1.3e-19 * integral |psi|
+    plus its rounding.
     Returns (sup, b_hat), b_hat = sup / (nu |gamma|) or None when nu/gamma
     are not supplied or gamma is 0.
     """
     if j_max < 1 or x_grid < 1:
         raise ValueError("kernel_sup needs j_max >= 1 and x_grid >= 1")
-    if x_grid > MAX_X_GRID:
-        raise ValueError(f"x_grid={x_grid} exceeds the {MAX_X_GRID}-point limit")
+    m = _sub_blocks(psi, 0.0, 2.0 * np.pi)  # _kernel_rows' m, or one more
+    if m * x_grid > MAX_X_GRID:
+        raise ValueError(f"x_grid={x_grid} times {m} omega sub-blocks "
+                         f"exceeds the {MAX_X_GRID}-point limit")
     xs = np.linspace(0.0, 2.0 * np.pi, x_grid)
     sup = max(float(np.abs(r).max()) for r in _kernel_rows(psi, j_max, xs))
     if nu is None or gamma in (None, 0, 0.0):

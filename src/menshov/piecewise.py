@@ -28,6 +28,12 @@ class PiecewiseLinearFn:
         if not (np.all(np.abs(xs) < np.inf) and np.all(xs[1:] > xs[:-1])):
             raise ValueError("breakpoints must be finite and strictly "
                              "increasing")
+        # xs increases, so no segment is wider than the whole span; Python
+        # floats overflow to inf here without a warning
+        lo, hi = float(xs[0]), float(xs[-1])
+        if not hi - lo < np.inf:
+            raise ValueError(f"breakpoint span {lo!r}..{hi!r} overflows a "
+                             "float")
         finite = np.abs(ys) < np.inf
         if not np.all(finite):
             raise ValueError(f"values must be finite, got {ys[~finite][0]}")

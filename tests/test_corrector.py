@@ -11,7 +11,7 @@ import pytest
 from menshov import (CorrectorParams, MSetSpec, PiecewiseLinearFn, build_psi,
                      check_corrector, choose_r, corrector, kernel_sup, layout,
                      mset_intervals, piecewise, running_integral_sup)
-from menshov.corrector import MAX_LAYOUT_NODES, _kernel_rows
+from menshov.corrector import MAX_LAYOUT_NODES, MAX_X_GRID, _kernel_rows
 from menshov.piecewise import _phi12
 
 TWO_PI = 2.0 * np.pi
@@ -458,6 +458,91 @@ def test_phi12_bitwise_equals_out_of_place_oracle():
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def kernel_rows_per_node(psi, j_max, xs):
+    """_kernel_rows with a cos and a sin per (omega node, x), the form it had
+    before the phase was factored, one row at a time; with each row, S_j =
+    sum of |p(w)| over the nodes w < j that row j sums."""
+    span = max(psi.xs[-1] - xs.min(), xs.max() - psi.xs[0])
+    m = max(1, int(np.ceil(span / TWO_PI)))
+    nodes, weights = np.polynomial.legendre.leggauss(12)
+    offs = ((np.arange(m)[:, None] + (1.0 + nodes) / 2.0) / m).ravel()
+    wts = np.tile(weights / (2.0 * m), m)
+    row, abs_p, rows, sums = np.zeros(xs.size), 0.0, [], []
+    for j in range(j_max):
+        w = j + offs
+        p = psi.transform(w) * wts
+        wx = w[:, None] * xs
+        row = row + (p.real[:, None] * np.cos(wx)
+                     + p.imag[:, None] * np.sin(wx)).sum(axis=0)
+        abs_p += float(np.abs(p).sum())
+        rows.append(row)
+        sums.append(abs_p)
+    return np.array(rows), np.array(sums), offs.size
+
+
+def kernel_row_case(name):
+    """(psi, j_max, xs) of each case the factored phase is checked on."""
+    if name.startswith("nu"):  # a criterion-6 sweep point
+        nu, r = (int(v) for v in name[2:].split("-r"))
+        _, psi = make_psi(d=TWO_PI, nu=nu, r=r, eps=16.0 * TWO_PI / (r * nu))
+        return psi, 64, np.linspace(0.0, TWO_PI, 256)
+    if name == "negative-gamma":
+        _, psi = make_psi(d=TWO_PI, nu=16, r=1, gamma=-2.5, eps=2.5 * TWO_PI)
+        return psi, 32, np.linspace(0.0, TWO_PI, 128)
+    if name.startswith("support-1-"):  # m = 3 and 6 omega sub-blocks
+        d = float(name[10:])
+        _, psi = make_psi(c=1.0, d=d, nu=12, r=1, eps=16.0 * (d - 1.0) / 12)
+        return psi, 16, np.linspace(0.0, TWO_PI, 64)
+    if name in ("cli-default", "support-0-50"):  # the CLI's corrector
+        d = TWO_PI if name == "cli-default" else 50.0  # 4,539 breakpoints
+        _, psi = make_psi(d=d, nu=16, r=choose_r(0.0, d, 1.0, 0.1, 16),
+                          eps=0.1)
+        return psi, 16, np.linspace(0.0, TWO_PI, 64)
+    # the resolving regime: j* = 0.5 / delta at the removed midpoints
+    nu, r = (int(v) for v in name[12:].split("-r"))
+    lay, psi = make_psi(c=0.0, d=TWO_PI, nu=nu, r=r, gamma=1.0)
+    return psi, int(round(0.5 / lay.delta)), lay.removed.mean(axis=1)
+
+
+KERNEL_ROW_CASES = [*(f"nu{nu}-r{r}" for nu in (16, 32, 64) for r in (1, 2)),
+                    "negative-gamma", "support-1-20", "support-1-40",
+                    "cli-default", "support-0-50", "resolving-nu16-r1",
+                    "resolving-nu64-r2"]
+
+
+@pytest.mark.parametrize("name", KERNEL_ROW_CASES)
+def test_kernel_rows_within_rounding_of_the_per_node_phase(name):
+    # Both forms sum R_j(x) = sum over nodes w = k + o, k < j, of
+    # Re[p(w) e^{-iwx}] from the same p(w) (one transform call each); with
+    # u = 2^-53, X = max |x|, n = 12 m offsets and S_j = sum |p(w)|:
+    # - phase: the per-node form rounds w = k + o and w x, within
+    #   2 (k + 1) X u (1 + u) of (k + o) x; the factored one o x and k x,
+    #   within (k + 1) X u.  cos and sin are 1-Lipschitz and k + 1 <= j, so
+    #   together 3 j X u (1 + u) |p(w)|;
+    # - functions and products: numpy's cos and sin are within 4 ulp <= 8 u
+    #   of values of modulus <= 1 (its SIMD loops; glibc's within 1 ulp).
+    #   Per node a cos, a sin, two products and a sum: 19 u (|Re p| +
+    #   |Im p|) <= 27 u |p|; factored two exps, two complex products and
+    #   a real part: 2 (8 sqrt 2 + sqrt 5) u |p| <= 28 u |p|;
+    # - the sum over the n offsets in a fixed order: (n - 1) u (|Re| +
+    #   |Im|) <= 1.5 n u sum |p| on each side;
+    # - the running sum adds row j - 1, which is at most S_j: j u S_j on
+    #   each side.
+    # So |row_j - oracle_j| <= u (3 j X + 3 j + 3 n + 64) S_j, the spare j
+    # and 9 covering the products of two roundings.
+    psi, j_max, xs = kernel_row_case(name)
+    want, sums, n = kernel_rows_per_node(psi, j_max, xs)
+    got = np.vstack(list(_kernel_rows(psi, j_max, xs)))
+    j = np.arange(1, j_max + 1)
+    bound = (np.finfo(float).eps / 2 * sums
+             * (3 * j * np.abs(xs).max() + 3 * j + 3 * n + 64))
+    assert got.shape == want.shape == (j_max, xs.size)
+    assert np.all(np.abs(got - want).max(axis=1) <= bound)
+    if name in KERNEL_ROW_CASES[:6]:  # the oracle is the former body
+        assert float(np.abs(want).max()) == PER_NODE_SWEEP_SUPS[
+            KERNEL_ROW_CASES.index(name)]
+
+
 def test_kernel_rows_agree_for_every_chunking(monkeypatch):
     _, psi = make_psi(c=1.0, d=20.0, nu=12, r=1, gamma=1.0)
     xs = np.linspace(0.0, TWO_PI, 33)
@@ -481,13 +566,47 @@ def test_kernel_sup_memory_does_not_grow_with_support():
     finally:
         tracemalloc.stop()
     assert peak <= 8e6
-    assert sup == 0.1909576017151824  # bitwise the sup of one Psi block
+    assert sup == 0.19095760171518245  # bitwise the sup of one Psi block
+
+
+@pytest.mark.parametrize("d", [TWO_PI, 50.0])
+def test_kernel_sup_peak_memory_per_point_fits_the_budget(d):
+    # m = 1 and 7 omega sub-blocks: 12 m phases per x point, 34.5 and 26.2
+    # doubles per point and sub-block at 2^14 points; MAX_X_GRID points of
+    # one sub-block must fit in 0.5 GiB
+    _, psi = make_psi(d=d, nu=16, r=choose_r(0.0, d, 1.0, 0.1, 16), eps=0.1)
+    m, x_grid = corrector._sub_blocks(psi, 0.0, TWO_PI), 1 << 14
+    assert m == (1 if d == TWO_PI else 7)
+    tracemalloc.start()
+    try:
+        kernel_sup(psi, 2, x_grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * 2**30 * (m * x_grid) / MAX_X_GRID
+
+
+def test_kernel_sup_refuses_x_grid_times_sub_blocks_above_the_limit(
+        monkeypatch):
+    # the d = 50 corrector needs m = 7 sub-blocks, so 7 x_grid is capped
+    _, psi = make_psi(d=50.0, nu=16, r=choose_r(0.0, 50.0, 1.0, 0.1, 16),
+                      eps=0.1)
+    with pytest.raises(ValueError, match="times 7 omega sub-blocks"):
+        kernel_sup(psi, 1, MAX_X_GRID // 7 + 1)
+    monkeypatch.setattr(corrector, "MAX_X_GRID", 7 * 64)
+    assert kernel_sup(psi, 16, 64)[0] == 0.19095760171518245
+    with pytest.raises(ValueError, match="exceeds the 448-point limit"):
+        kernel_sup(psi, 16, 65)
 
 
 # kernel_sup(psi, 64, 256) at the six criterion-6 points, nu in (16, 32, 64)
-# by r in (1, 2), as computed with phi1, phi2 at every segment
-SWEEP_SUPS = [22.423856978760156, 11.00067397174464, 11.048800149776337,
+# by r in (1, 2), with the phase factored as e^{-ijx} e^{-iox}; the per-node
+# cos and sin gave PER_NODE_SWEEP_SUPS
+SWEEP_SUPS = [22.42385697876013, 11.00067397174465, 11.048800149776342,
               8.150867367937355, 8.203295905914779, 1.589636725014064]
+PER_NODE_SWEEP_SUPS = [22.423856978760156, 11.00067397174464,
+                       11.048800149776337, 8.150867367937355,
+                       8.203295905914779, 1.589636725014064]
 
 
 def test_kernel_sup_sweep_sups_are_pinned():

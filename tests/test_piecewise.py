@@ -216,3 +216,11 @@ def test_constructor_validation():
         for ys in ([0.0, bad, 0.0], [bad, 1.0, 0.0]):
             with pytest.raises(ValueError, match="values must be finite"):
                 PiecewiseLinearFn([0.0, 1.0, 2.0], ys)
+    # finite breakpoints whose span overflows: a width of inf made transform
+    # return nan+nanj
+    for xs in ([-1e308, 1e308], [-1e308, 0.0, 1e308], [-1e308, 1e308, 1.7e308]):
+        with pytest.raises(ValueError, match="overflows"):
+            PiecewiseLinearFn(xs, np.ones(len(xs)))
+    top = np.finfo(float).max
+    f = PiecewiseLinearFn([-top / 2, top / 2], [1.0, 1.0])  # span is max
+    assert float(f.xs[-1]) - float(f.xs[0]) == top
