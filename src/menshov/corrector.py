@@ -227,29 +227,30 @@ def _kernel_rows(psi: PiecewiseLinearFn, j_max: int, xs):
     (n!)^4 / ((2n+1) ((2n)!)^3) (2 pi)^(2n) integral |psi|
     = 1.3e-19 integral |psi| (n = 12), and row j within j times that.
 
-    Each node is w = k + o, k an integer and o one of the 12 m offsets, so
-    e^{-iwx} = e^{-ikx} e^{-iox}: the e^{-iox} are one table, block k sums
-    q = sum_o p(k + o) e^{-iox} over o in ascending order (a fixed order,
-    so the rows do not depend on the chunk; a BLAS product's order may)
-    and adds Re[e^{-ikx} q], p = Psi times the Gauss weight.  With u =
-    2^-53, X = max |x| and S_j = sum |p| over row j's nodes, row j is within
-    u (j X + j + 18 m + 28) S_j of the same sum taken exactly: the phases
-    o x and k x round by (k + 1) X u <= j X u, np.exp and the two complex
-    products by 28 u |p|, the sum over the 12 m offsets by 18 m u sum |p|
-    and the running sum by j u S_j.
+    Each node is w = k + o, k an integer and o one of the 12 m offsets.
+    A block of _CHUNK_ELEMS // max(12 m, xs.size) rows takes p = Psi
+    times the Gauss weight from one psi.transform(k, offs), whose phase is
+    factored as e^{ika} e^{ioa} (within the rounding term it states).  On
+    the x side e^{-iwx} = e^{-ikx} e^{-iox}: the e^{-iox} are one table,
+    block k sums q = sum_o p(k + o) e^{-iox} over o in ascending order (a
+    fixed order, so the rows do not depend on the chunk; a BLAS product's
+    order may) and adds Re[e^{-ikx} q].  With u = 2^-53, X = max |x| and
+    S_j = sum |p| over row j's nodes, row j is within
+    u (j X + j + 18 m + 28) S_j of the same sum of these p taken exactly:
+    the phases o x and k x round by (k + 1) X u <= j X u, np.exp and the
+    two complex products by 28 u |p|, the sum over the 12 m offsets by
+    18 m u sum |p| and the running sum by j u S_j.
     """
     m = _sub_blocks(psi, xs.min(), xs.max())
     offs = ((np.arange(m)[:, None] + (1.0 + _OMEGA_NODES) / 2.0) / m).ravel()
     wts = _OMEGA_WEIGHTS / (2.0 * m)
-    chunk = max(1, _CHUNK_ELEMS // (offs.size * (psi.xs.size - 1 + xs.size)))
+    chunk = max(1, _CHUNK_ELEMS // max(offs.size, xs.size))  # rows per block
     e_off = -1j * offs[:, None] * xs
     np.exp(e_off, out=e_off)  # e^{-iox}, one table for every block
     rows = np.zeros((1, xs.size))  # row 0: K_0 = 0
     for j0 in range(0, j_max, chunk):
-        nb = min(chunk, j_max - j0)
-        j = j0 + np.arange(nb)[:, None]
-        p = (psi.transform((j + offs).ravel()) * np.tile(wts, m * nb)
-             ).reshape(nb, offs.size)
+        j = np.arange(j0, min(j0 + chunk, j_max))[:, None]
+        p = psi.transform(j[:, 0], offs) * np.tile(wts, m)
         q = p[:, :1] * e_off[0]
         for o in range(1, offs.size):  # one fixed order, whatever the chunk
             q += p[:, o:o + 1] * e_off[o]

@@ -9,7 +9,7 @@ import numpy as np
 
 __all__ = ["PiecewiseLinearFn", "StepFunction"]
 
-_CHUNK_ELEMS = 1 << 14  # complex entries per transform temporary
+_CHUNK_ELEMS = 1 << 12  # complex entries per transform temporary
 
 
 class PiecewiseLinearFn:
@@ -61,35 +61,65 @@ class PiecewiseLinearFn:
         vc = at_xs[i] + y0 * (xc - x0) / 2.0
         return np.concatenate([[0.0], vc, at_xs[1:]])
 
-    def transform(self, omega):
-        """Psi(w) = integral f(t) e^{iwt} dt at every w of the 1-d omega.
+    def transform(self, omega, offsets=(0.0,)):
+        """Psi(w + o) = integral f(t) e^{i(w + o)t} dt on the grid of the 1-d
+        omega by the 1-d offsets, shape (omega.size, offsets.size).
 
         Exact on a segment [a, a + h] with end values y0, y1:
         e^{iwa} h [y0 phi2(iwh) + y1 (phi1 - phi2)(iwh)]; phi1 and phi2
         take their Taylor series on short segments, where the closed forms
-        would cancel.  phi1 and phi2 are evaluated once per distinct
-        segment width and gathered per segment; every segment of a width
-        has the same z, so the values are those of a per-segment call.
-        Runs on slices of _CHUNK_ELEMS // segments w, so its temporaries
-        stay small; a row does not depend on its slice.
+        would cancel.  They are evaluated once per node and distinct
+        width, at the node fl(w + o), and gathered per segment.  The phase
+        is factored, e^{i(w + o)a} = e^{iwa} e^{ioa}: one e^{iwa} per omega
+        row and one e^{ioa} table per slice of omega, multiplied together
+        before the segment term.  The terms are summed over blocks of
+        ceil(segments / offsets.size) segments, so an e^{ioa} block holds
+        about as many entries as there are segments.
+
+        With offsets (0,) that is one sum, bitwise a per-segment evaluation
+        at each w.  Other offsets round the phase as w a and o a, not
+        fl(w + o) a, and take one more complex product: each value is
+        within u (5 |a| (|w| + |o|) + 5 S + 64) A of the per-node
+        evaluation, with u = 2^-53, |a| the largest left end, S the segment
+        count and A = sum h (|y0| + |y1|).
+
+        Slices of omega keep each phi table and product within
+        max(_CHUNK_ELEMS, S) complex entries while one omega row of them
+        fits; no value depends on the slicing.
         """
         w = np.asarray(omega, dtype=float)
+        o = np.asarray(offsets, dtype=float)
         a, h = self.xs[:-1], np.diff(self.xs)
         widths, seg = np.unique(h, return_inverse=True)
         hy1, hdy = h * self.ys[1:], h * (self.ys[:-1] - self.ys[1:])
-        out = np.empty(w.size, dtype=complex)
-        step = max(1, _CHUNK_ELEMS // h.size)
-        for i in range(0, w.size, step):
-            wi = w[i:i + step, None]
-            phi1, phi2 = _phi12(1j * wi * widths)
-            out[i:i + step] = (np.exp(1j * wi * a)
-                               * (hy1 * phi1[:, seg] + hdy * phi2[:, seg])
-                               ).sum(axis=1)
+        out = np.empty((w.size, o.size), dtype=complex)
+        n = max(1, o.size)
+        span = -(-h.size // n)  # segments per block
+        elems = max(_CHUNK_ELEMS, h.size)
+        rows = max(1, elems // (n * widths.size))  # omega rows per phi table
+        sub = max(1, elems // (n * span))  # omega rows per product
+        for i in range(0, w.size, rows):
+            wi, oi = w[i:i + rows, None], out[i:i + rows]
+            phi1, phi2 = _phi12(1j * (wi + o)[:, :, None] * widths)
+            for s in range(0, h.size, span):
+                sl = slice(s, s + span)
+                e_o = np.exp(1j * o[:, None] * a[sl])
+                for k in range(0, wi.shape[0], sub):
+                    e_w = np.exp(1j * wi[k:k + sub] * a[sl])[:, None]
+                    # C-contiguous gathers: every product takes the same
+                    # loop, whatever the slice
+                    c = (hy1[sl] * np.take(phi1[k:k + sub], seg[sl], axis=-1)
+                         + hdy[sl] * np.take(phi2[k:k + sub], seg[sl], axis=-1))
+                    part = (e_w * e_o * c).sum(axis=-1)
+                    if s == 0:
+                        oi[k:k + sub] = part
+                    else:
+                        oi[k:k + sub] += part
         return out
 
     def fourier_coefficients(self, N: int):
         """c_n = (1/2 pi) integral f(t) e^{-int} dt, n = 0..N; period 2 pi."""
-        return self.transform(-np.arange(N + 1)) / (2.0 * np.pi)
+        return self.transform(-np.arange(N + 1))[:, 0] / (2.0 * np.pi)
 
 
 _INV_FACT = 1.0 / np.cumprod([1.0, *range(1, 19)])  # 1/k!, k = 0..18
@@ -100,8 +130,13 @@ def _phi12(z: np.ndarray):
     small = np.abs(z) < 0.5
     big = ~small
     phi1, phi2, zb = np.empty_like(z), np.empty_like(z), z[big]
-    em1 = np.exp(zb) - 1.0
-    phi1[big], phi2[big] = em1 / zb, (em1 - zb) / (zb * zb)
+    em1 = np.exp(zb)  # e^z - 1, then (e^z - 1 - z) / z^2, in place
+    em1 -= 1.0
+    phi1[big] = em1 / zb
+    em1 -= zb
+    zb *= zb
+    em1 /= zb
+    phi2[big] = em1
     zs = z[small]
     t = np.repeat(_INV_FACT[17:, None], zs.size, axis=1).astype(complex)
     for k in range(15, -1, -1):  # both series by Horner, in place

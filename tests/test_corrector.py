@@ -470,7 +470,7 @@ def kernel_rows_per_node(psi, j_max, xs):
     row, abs_p, rows, sums = np.zeros(xs.size), 0.0, [], []
     for j in range(j_max):
         w = j + offs
-        p = psi.transform(w) * wts
+        p = psi.transform(w)[:, 0] * wts
         wx = w[:, None] * xs
         row = row + (p.real[:, None] * np.cos(wx)
                      + p.imag[:, None] * np.sin(wx)).sum(axis=0)
@@ -513,8 +513,16 @@ KERNEL_ROW_CASES = [*(f"nu{nu}-r{r}" for nu in (16, 32, 64) for r in (1, 2)),
 @pytest.mark.parametrize("name", KERNEL_ROW_CASES)
 def test_kernel_rows_within_rounding_of_the_per_node_phase(name):
     # Both forms sum R_j(x) = sum over nodes w = k + o, k < j, of
-    # Re[p(w) e^{-iwx}] from the same p(w) (one transform call each); with
-    # u = 2^-53, X = max |x|, n = 12 m offsets and S_j = sum |p(w)|:
+    # Re[p(w) e^{-iwx}]; with u = 2^-53, X = max |x|, n = 12 m offsets
+    # and S_j = sum |p(w)|:
+    # - Psi: the oracle takes p(w) from transform(w), one node at a time;
+    #   the factored form from transform(k, offs), whose phase is factored
+    #   as e^{ika} e^{ioa}.  Per node they differ by at most the Gauss
+    #   weight times u (5 |a| (k + o) + 5 segments + 64) A, with |a| the
+    #   largest left end of psi and A = sum h (|y0| + |y1|) (derived in
+    #   test_transform_grid_within_rounding_of_per_segment_oracle).  Row
+    #   j's weights sum to j and its nodes have k + o <= j, so this adds
+    #   u j (5 j |a| + 5 segments + 64) A;
     # - phase: the per-node form rounds w = k + o and w x, within
     #   2 (k + 1) X u (1 + u) of (k + o) x; the factored one o x and k x,
     #   within (k + 1) X u.  cos and sin are 1-Lipschitz and k + 1 <= j, so
@@ -528,14 +536,18 @@ def test_kernel_rows_within_rounding_of_the_per_node_phase(name):
     #   |Im|) <= 1.5 n u sum |p| on each side;
     # - the running sum adds row j - 1, which is at most S_j: j u S_j on
     #   each side.
-    # So |row_j - oracle_j| <= u (3 j X + 3 j + 3 n + 64) S_j, the spare j
-    # and 9 covering the products of two roundings.
+    # So |row_j - oracle_j| <= u (3 j X + 3 j + 3 n + 64) S_j plus the Psi
+    # term, the spare j and 9 covering the products of two roundings.
     psi, j_max, xs = kernel_row_case(name)
     want, sums, n = kernel_rows_per_node(psi, j_max, xs)
     got = np.vstack(list(_kernel_rows(psi, j_max, xs)))
     j = np.arange(1, j_max + 1)
-    bound = (np.finfo(float).eps / 2 * sums
-             * (3 * j * np.abs(xs).max() + 3 * j + 3 * n + 64))
+    h = np.diff(psi.xs)
+    mass = float(np.sum(h * (np.abs(psi.ys[:-1]) + np.abs(psi.ys[1:]))))
+    a = float(np.abs(psi.xs[:-1]).max())
+    bound = np.finfo(float).eps / 2 * (
+        sums * (3 * j * np.abs(xs).max() + 3 * j + 3 * n + 64)
+        + j * (5 * j * a + 5 * h.size + 64) * mass)
     assert got.shape == want.shape == (j_max, xs.size)
     assert np.all(np.abs(got - want).max(axis=1) <= bound)
     if name in KERNEL_ROW_CASES[:6]:  # the oracle is the former body
@@ -566,7 +578,33 @@ def test_kernel_sup_memory_does_not_grow_with_support():
     finally:
         tracemalloc.stop()
     assert peak <= 8e6
-    assert sup == 0.19095760171518245  # bitwise the sup of one Psi block
+    assert sup == 0.19095760171517656  # bitwise the sup of one Psi block
+
+
+def test_kernel_sup_memory_does_not_grow_with_j_max():
+    # every block of rows holds the same temporaries, whatever j_max: at
+    # the nu = 64, r = 2 sweep point j_max = 64 and 4096 peak at 645 and
+    # 638 KB under tracemalloc (805 and 889 KB when transform took one
+    # omega per row); the six-point sweep peaks at 0.64 MB (0.81 MB then)
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    _, psi = make_psi(d=TWO_PI, nu=64, r=2, eps=16.0 * TWO_PI / 128)
+    short, long = (peak(lambda: kernel_sup(psi, j_max, 256))
+                   for j_max in (64, 4096))
+    assert abs(long - short) <= 8 * 1024
+
+    def sweep():
+        for nu in (16, 32, 64):
+            for r in (1, 2):
+                kernel_sup(make_psi(d=TWO_PI, nu=nu, r=r,
+                                    eps=16.0 * TWO_PI / (r * nu))[1], 64, 256)
+    assert peak(sweep) <= 0.81e6
 
 
 @pytest.mark.parametrize("d", [TWO_PI, 50.0])
@@ -594,16 +632,16 @@ def test_kernel_sup_refuses_x_grid_times_sub_blocks_above_the_limit(
     with pytest.raises(ValueError, match="times 7 omega sub-blocks"):
         kernel_sup(psi, 1, MAX_X_GRID // 7 + 1)
     monkeypatch.setattr(corrector, "MAX_X_GRID", 7 * 64)
-    assert kernel_sup(psi, 16, 64)[0] == 0.19095760171518245
+    assert kernel_sup(psi, 16, 64)[0] == 0.19095760171517656
     with pytest.raises(ValueError, match="exceeds the 448-point limit"):
         kernel_sup(psi, 16, 65)
 
 
 # kernel_sup(psi, 64, 256) at the six criterion-6 points, nu in (16, 32, 64)
-# by r in (1, 2), with the phase factored as e^{-ijx} e^{-iox}; the per-node
-# cos and sin gave PER_NODE_SWEEP_SUPS
-SWEEP_SUPS = [22.42385697876013, 11.00067397174465, 11.048800149776342,
-              8.150867367937355, 8.203295905914779, 1.589636725014064]
+# by r in (1, 2), with the x phase factored as e^{-ijx} e^{-iox} and Psi's
+# as e^{ika} e^{ioa}; the per-node cos and sin gave PER_NODE_SWEEP_SUPS
+SWEEP_SUPS = [22.42385697876016, 11.000673971744662, 11.048800149776337,
+              8.150867367937336, 8.203295905914807, 1.5896367250140724]
 PER_NODE_SWEEP_SUPS = [22.423856978760156, 11.00067397174464,
                        11.048800149776337, 8.150867367937355,
                        8.203295905914779, 1.589636725014064]
@@ -626,7 +664,7 @@ def test_kernel_sup_evaluates_phi12_once_per_width(monkeypatch):
     columns = []
 
     def counting_phi12(z):
-        columns.append(z.shape[1])
+        columns.append(z.shape[-1])
         return _phi12(z)
 
     monkeypatch.setattr(piecewise, "_phi12", counting_phi12)

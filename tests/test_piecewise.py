@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from menshov import (CorrectorParams, PiecewiseLinearFn, StepFunction,
-                     build_psi, layout, partial_sum_diagnostics)
+                     build_psi, choose_r, layout, partial_sum_diagnostics)
 from menshov import piecewise
 
 TWO_PI = 2.0 * np.pi
@@ -104,20 +104,21 @@ def test_fourier_coefficients_chunks_equal_one_transform(monkeypatch):
     f = PiecewiseLinearFn(xs, rng.normal(size=xs.size))
     w = np.concatenate([-np.arange(500.0), rng.uniform(-80.0, 80.0, 300)])
     monkeypatch.setattr(piecewise, "_CHUNK_ELEMS", 1 << 30)  # one slice
-    one = f.transform(w)
-    coeffs = f.transform(-np.arange(501)) / TWO_PI
+    one = f.transform(w)[:, 0]
+    coeffs = f.transform(-np.arange(501))[:, 0] / TWO_PI
     for elems in (1, 2 * 39, 64 * 39 + 5, default):  # 1, 2, 64, 420 w
         monkeypatch.setattr(piecewise, "_CHUNK_ELEMS", elems)
-        assert np.array_equal(f.transform(w).view(np.uint64),
+        assert np.array_equal(f.transform(w)[:, 0].view(np.uint64),
                               one.view(np.uint64))
         assert np.array_equal(f.fourier_coefficients(500).view(np.uint64),
                               coeffs.view(np.uint64))
-    assert f.transform([]).shape == (0,)
+    assert f.transform([])[:, 0].shape == (0,)
 
 
 def transform_per_segment(f, omega):
-    """transform with phi1, phi2 evaluated at every (w, segment) entry: the
-    bitwise oracle for the once-per-width evaluation."""
+    """transform with phi1, phi2 evaluated at every (w, segment) entry, one
+    w per node: the bitwise oracle for the once-per-width evaluation with
+    offsets (0,), and the per-node oracle of the offset grid."""
     w = np.asarray(omega, dtype=float)
     a, h = f.xs[:-1], np.diff(f.xs)
     hy1, hdy = h * f.ys[1:], h * (f.ys[:-1] - f.ys[1:])
@@ -153,8 +154,68 @@ def test_transform_bitwise_equals_per_segment_oracle(monkeypatch):
             monkeypatch.setattr(piecewise, "_CHUNK_ELEMS", elems)
             for omega in (w, []):
                 assert np.array_equal(
-                    f.transform(omega).view(np.uint64),
+                    f.transform(omega)[:, 0].view(np.uint64),
                     transform_per_segment(f, omega).view(np.uint64))
+
+
+def grid_case(name):
+    """The function the offset grid is checked on in case name."""
+    if name == "random":  # 39 distinct widths
+        rng = np.random.default_rng(34)
+        xs = np.cumsum(rng.uniform(0.01, 0.3, 40))
+        return PiecewiseLinearFn(xs, rng.normal(size=xs.size))
+    d, gamma, eps, nu, r = {
+        "nu64-r2": (TWO_PI, 1.0, 16.0 * TWO_PI / 128, 64, 2),
+        "support-0-50": (50.0, 1.0, 0.1, 16,
+                         choose_r(0.0, 50.0, 1.0, 0.1, 16)),  # 4,538 segments
+        "negative-gamma": (TWO_PI, -2.5, 2.5 * TWO_PI, 16, 1)}[name]
+    return build_psi(layout(CorrectorParams(0.0, d, gamma, eps, nu, r)),
+                     gamma, nu)
+
+
+@pytest.mark.parametrize("name", ["random", "nu64-r2", "support-0-50",
+                                  "negative-gamma"])
+def test_transform_grid_within_rounding_of_per_segment_oracle(name,
+                                                              monkeypatch):
+    # transform(k, offs) takes the node fl(k + o)'s phi1, phi2, so its
+    # segment terms C = hy1 phi1 + hdy phi2 are those of the per-node
+    # oracle bit for bit, |C| <= 1.5 h (|y0| + |y1|) since |phi1| <= 1 and
+    # |phi2| <= 1/2 on the imaginary axis.  With u = 2^-53 and |a| the
+    # largest left end:
+    # - phase: the oracle rounds fl(k + o) and its product with a, within
+    #   2 u |a| |k + o| (1 + u); the grid rounds k a and o a, within
+    #   u |a| (|k| + |o|): together 3 u |a| (|k| + |o|) (1 + u) |C|;
+    # - exps and products: numpy's exp is within 4 ulp <= 8 u per part,
+    #   so 8 sqrt 2 u in modulus, and a complex product within sqrt 5 u:
+    #   one exp and one product in the oracle, two exps and two products on
+    #   the grid, (24 sqrt 2 + 3 sqrt 5) u |C| <= 41 u |C|;
+    # - the sum over the S segments, whole or in blocks: each side within
+    #   (S - 1) u sum (|Re| + |Im|) <= 1.5 S u sum |C|.
+    # So |grid - oracle| <= u (5 |a| (|k| + |o|) + 5 S + 64) A, with
+    # A = sum h (|y0| + |y1|), the spare terms covering products of two
+    # roundings.
+    f = grid_case(name)
+    h = np.diff(f.xs)
+    ks = np.array([-64.0, -17.0, -3.0, -1.0, 0.0, 1.0, 2.0, 5.0, 16.0, 63.0])
+    edge = 0.5 / np.unique(h)  # |o h| on both sides of the series switch
+    gauss = (1.0 + np.polynomial.legendre.leggauss(12)[0]) / 2.0
+    offs = np.concatenate([gauss, edge * (1.0 - 1e-12), edge * (1.0 + 1e-12),
+                           -edge * (1.0 + 1e-12)])
+    got = f.transform(ks, offs)
+    want = transform_per_segment(f, (ks[:, None] + offs).ravel())
+    mass = float(np.sum(h * (np.abs(f.ys[:-1]) + np.abs(f.ys[1:]))))
+    a = float(np.abs(f.xs[:-1]).max())
+    bound = (np.finfo(float).eps / 2 * mass
+             * (5 * a * (np.abs(ks)[:, None] + np.abs(offs)) + 5 * h.size + 64))
+    assert got.shape == (ks.size, offs.size)
+    assert np.all(np.abs(got - want.reshape(got.shape)) <= bound)
+    # offsets (0,): bitwise the per-segment evaluation
+    assert np.array_equal(f.transform(ks).view(np.uint64),
+                          transform_per_segment(f, ks)[:, None].view(np.uint64))
+    # no value depends on the slicing
+    monkeypatch.setattr(piecewise, "_CHUNK_ELEMS", 1)
+    assert np.array_equal(f.transform(ks, offs).view(np.uint64),
+                          got.view(np.uint64))
 
 
 def test_partial_sums_converge_uniformly_for_triangle():
