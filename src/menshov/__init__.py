@@ -9,11 +9,10 @@ from .corrector import (CorrectorLayout, CorrectorParams, build_psi,
                         check_corrector, choose_r, kernel_sup, layout,
                         running_integral_sup)
 from .errors import DomainError, MeasureSpecError, QuadratureError
-from .fourier import (IndexSet, Spectrum, build_lambda, spectrum,
-                      wiener_average, wiener_scan)
+from .fourier import IndexSet, Spectrum, build_lambda, spectrum, wiener_scan
 from .measures import Measure, MeasureSpec, build_measure, normalize
-from .msets import (ConvergenceScan, MSetSpec, mset_intervals, mset_masses,
-                    proposition_scan, pushforward_arc_mass)
+from .msets import (ConvergenceScan, MSetSpec, mset_masses, proposition_scan,
+                    pushforward_arc_mass)
 from .piecewise import PiecewiseLinearFn, StepFunction
 
 __version__ = "0.1.0"

@@ -261,24 +261,25 @@ def _kernel_rows(psi: PiecewiseLinearFn, j_max: int, xs):
 
 
 def kernel_sup(psi: PiecewiseLinearFn, j_max: int, x_grid: int,
-               nu: int | None = None, gamma: float | None = None):
+               nu: int, gamma: float):
     """Sup of |integral psi(t) sin(j (t - x)) / (t - x) dt| over j and x.
 
     j in 1..j_max, x on a uniform grid of x_grid points in [0, 2 pi], with
     m x_grid <= MAX_X_GRID for _kernel_rows' m omega sub-blocks per unit;
     the rows come from _kernel_rows, within j_max * 1.3e-19 * integral |psi|
-    plus its rounding.
-    Returns (sup, b_hat), b_hat = sup / (nu |gamma|) or None when nu/gamma
-    are not supplied or gamma is 0.
+    plus its rounding.  nu is checked by the corrector's one nu rule.
+    Returns (sup, b_hat), b_hat = sup / (nu |gamma|), or None when gamma
+    is 0.
     """
     if j_max < 1 or x_grid < 1:
         raise ValueError("kernel_sup needs j_max >= 1 and x_grid >= 1")
+    _check_nu(nu)
     m = _sub_blocks(psi, 0.0, 2.0 * np.pi)  # _kernel_rows' m, or one more
     if m * x_grid > MAX_X_GRID:
         raise ValueError(f"x_grid={x_grid} times {m} omega sub-blocks "
                          f"exceeds the {MAX_X_GRID}-point limit")
     xs = np.linspace(0.0, 2.0 * np.pi, x_grid)
     sup = max(float(np.abs(r).max()) for r in _kernel_rows(psi, j_max, xs))
-    if nu is None or gamma in (None, 0, 0.0):
+    if gamma == 0:
         return sup, None
     return sup, sup / (nu * abs(gamma))

@@ -35,7 +35,6 @@ __all__ = [
     "Spectrum",
     "spectrum",
     "wiener_scan",
-    "wiener_average",
     "build_lambda",
 ]
 
@@ -108,8 +107,9 @@ class Spectrum:
     cdf: np.ndarray
 
     def coefficients(self, freqs):
-        """(values, error_bounds) at nonnegative integer frequencies <= f_max,
-        from one real FFT of the grid's cell masses.
+        """(values, error_bounds) at frequencies in [0, f_max], from one real
+        FFT of the grid's cell masses.  freqs must have an integer dtype:
+        3.0 is refused like 0.9.
 
         The bound at frequency f is e(f) = pi f h C + rho(f), h = 1/grid
         and C the continuous mass, evaluated rounded up (_PI_UP, _ROUND_UP).
@@ -146,12 +146,9 @@ class Spectrum:
         `Measure`); it is none on [0, 1].
         """
         freqs = np.asarray(freqs)
-        if freqs.dtype.kind not in "iu":  # 2.0 is a frequency, 0.9 is not
-            freqs = freqs.astype(float)
-            whole = np.isfinite(freqs) & (np.floor(freqs) == freqs)
-            if not np.all(whole):
-                raise ValueError("frequencies must be integers, got "
-                                 f"{float(freqs[~whole].flat[0])!r}")
+        if freqs.dtype.kind not in "iu":
+            raise ValueError("frequencies must have an integer dtype, got "
+                             f"{freqs.dtype}")
         if np.any(freqs < 0) or np.any(freqs > self.f_max):
             raise ValueError(f"frequencies must lie in [0, {self.f_max}]; use "
                              "conjugate symmetry for negative ones")
@@ -226,13 +223,6 @@ def wiener_scan(nu: Measure, k: int, N: int,
         raise QuadratureError("coefficient error bound exceeds certification limit")
     absv = np.abs(vals)
     return absv, errs, np.cumsum(absv**2) / np.arange(1, N + 2)
-
-
-def wiener_average(nu: Measure, k: int, N: int,
-                   refinement: int = DEFAULT_REFINEMENT) -> float:
-    """Cesaro average of |nu_hat(n*k)|^2 over n = 0..N: the last running
-    average of wiener_scan."""
-    return float(wiener_scan(nu, k, N, refinement)[2][-1])
 
 
 # ---------------------------------------------------------------------------

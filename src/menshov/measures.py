@@ -318,11 +318,12 @@ class Measure:
     kernel's affine input maps make of x.  Those maps round nothing on
     [0, 1] and under `normalize` over (0, 1) of such a measure; elsewhere
     their rounding is not counted.  `build_measure` and `normalize` derive
-    it per kind; a hand-built measure declares its own, 0 by default.
+    it per kind; a hand-built measure states its own, finite and >= 0:
+    there is no default that would count no rounding.
     """
 
     def __init__(self, domain, cont_cdf: Callable, cont_total: float,
-                 atom_positions=(), atom_masses=(), cdf_rounding=0.0):
+                 atom_positions=(), atom_masses=(), *, cdf_rounding: float):
         u, v = float(domain[0]), float(domain[1])
         pos = np.asarray(atom_positions, dtype=float).reshape(-1)
         mas = np.asarray(atom_masses, dtype=float).reshape(-1)
@@ -332,6 +333,9 @@ class Measure:
             raise MeasureSpecError("atom outside measure domain")
         if np.any(mas <= 0):
             raise MeasureSpecError("atom masses must be positive")
+        if not 0 <= cdf_rounding < np.inf:  # refuses NaN too
+            raise MeasureSpecError("cdf_rounding must be finite and >= 0, "
+                                   f"got {cdf_rounding!r}")
         self.domain = (u, v)
         self._cont_cdf = cont_cdf
         self.cont_total = float(cont_total)
@@ -410,7 +414,9 @@ def build_measure(spec: MeasureSpec) -> Measure:
 
     if spec.kind == "atomic":
         pos, mas = zip(*spec.atoms)
-        return Measure(spec.domain, np.zeros_like, 0.0, pos, mas)
+        # np.zeros_like is exact: the continuous part rounds nothing
+        return Measure(spec.domain, np.zeros_like, 0.0, pos, mas,
+                       cdf_rounding=0.0)
 
     if spec.kind == "cantor":
         L, tot, width = int(spec.levels), spec.total, v - u
@@ -452,7 +458,7 @@ def build_measure(spec: MeasureSpec) -> Measure:
     rounding = (sum(w * m.cdf_rounding for w, m in parts)
                 + (2 * len(parts) + 2) * _U * total)
     return Measure(spec.domain, cdf, total, upos,
-                   np.bincount(inv, weights=mas_all), rounding)
+                   np.bincount(inv, weights=mas_all), cdf_rounding=rounding)
 
 
 def normalize(m: Measure, interval) -> Measure:
@@ -487,4 +493,4 @@ def normalize(m: Measure, interval) -> Measure:
     apos = (m.atom_positions[inside] - a) / (b - a)
     amas = m.atom_masses[inside] / M
     rounding = 5 * m.cdf_rounding / M + (amas.size + 6) * _U * ctot
-    return Measure((0.0, 1.0), cdf, ctot, apos, amas, rounding)
+    return Measure((0.0, 1.0), cdf, ctot, apos, amas, cdf_rounding=rounding)

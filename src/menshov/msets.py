@@ -17,7 +17,6 @@ from .measures import _CDF_CHUNK, Measure
 
 __all__ = [
     "MSetSpec",
-    "mset_intervals",
     "mset_masses",
     "pushforward_arc_mass",
     "proposition_scan",
@@ -45,12 +44,6 @@ class MSetSpec:
         if not (self.sigma >= 0 and self.tau > 0
                 and self.sigma + self.tau <= 1):  # refuses NaN too
             raise ValueError("need finite sigma >= 0, tau > 0, sigma + tau <= 1")
-
-
-def mset_intervals(spec: MSetSpec) -> np.ndarray:
-    """The n disjoint closed intervals of the M-set, as an (n, 2) array."""
-    return np.column_stack(_interval_ends(spec.interval, [spec.n], spec.sigma,
-                                          spec.tau))
 
 
 def _interval_ends(interval, ns, sigma: float, tau: float):
@@ -134,7 +127,6 @@ class ConvergenceScan:
     errors: np.ndarray
     target: float
     tail_sup: float
-    horizon: int
 
     def rows(self):
         return list(zip(self.ns.tolist(), self.masses.tolist(),
@@ -158,5 +150,4 @@ def proposition_scan(mu: Measure, interval, sigma: float, tau: float,
     tail = errors[ns >= 0.75 * lam.horizon]
     if tail.size == 0:
         tail = errors[3 * ns.size // 4:]
-    return ConvergenceScan(ns, masses, errors, target,
-                           float(tail.max()), lam.horizon)
+    return ConvergenceScan(ns, masses, errors, target, float(tail.max()))

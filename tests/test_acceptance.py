@@ -13,7 +13,7 @@ from menshov import (CorrectorParams, MeasureSpec, StepFunction,
                      claim_run, kernel_sup, layout, mset_masses, normalize,
                      partial_sum_diagnostics, proposition_scan,
                      pushforward_arc_mass, running_integral_sup, theorem_demo,
-                     wiener_average)
+                     wiener_scan)
 from menshov.piecewise import PiecewiseLinearFn
 from menshov.cli import main as cli_main
 
@@ -94,9 +94,10 @@ def test_criterion_4_wiener_behavior():
     atomic = normalize(build_measure(MeasureSpec.atomic(
         [(np.sqrt(2.0) - 1.0, 0.3), (np.sqrt(3.0) - 1.0, 0.7)],
         (0.0, 1.0))), (0.0, 1.0))
-    got_atomic = wiener_average(atomic, 1, 5000)
+    # the last running average: the Cesaro average over n = 0..5000
+    got_atomic = wiener_scan(atomic, 1, 5000)[2][-1]
     cantor = normalize(build_measure(MeasureSpec.cantor(40)), (0.0, 1.0))
-    got_cantor = wiener_average(cantor, 1, 5000)
+    got_cantor = wiener_scan(cantor, 1, 5000)[2][-1]
     ok = abs(got_atomic - 0.58) <= 0.01 and got_cantor <= 0.02
     assert report(4, "Wiener averages (atomic vs singular continuous)", ok,
                   f"atomic {got_atomic:.4f} (target 0.58 +/- 0.01), "

@@ -10,8 +10,9 @@ import pytest
 
 from menshov import (CorrectorParams, MSetSpec, PiecewiseLinearFn, build_psi,
                      check_corrector, choose_r, corrector, kernel_sup, layout,
-                     mset_intervals, piecewise, running_integral_sup)
+                     piecewise, running_integral_sup)
 from menshov.corrector import MAX_LAYOUT_NODES, MAX_X_GRID, _kernel_rows
+from menshov.msets import _interval_ends
 from menshov.piecewise import _phi12
 
 TWO_PI = 2.0 * np.pi
@@ -130,7 +131,8 @@ def test_removed_set_is_mset_of_inner_interval():
     spec = MSetSpec((float(lay.removed[0, 0] - (lay.nu - 1) * lay.delta),
                      float(lay.removed[-1, 1])),
                     n_blocks, 1.0 - 1.0 / lay.nu, 1.0 / lay.nu)
-    assert mset_intervals(spec) == pytest.approx(lay.removed, abs=1e-12)
+    ends = _interval_ends(spec.interval, [spec.n], spec.sigma, spec.tau)
+    assert np.column_stack(ends) == pytest.approx(lay.removed, abs=1e-12)
 
 
 def build_psi_loop(lay, gamma, nu):
@@ -573,7 +575,7 @@ def test_kernel_sup_memory_does_not_grow_with_support():
     _, psi = make_psi(d=50.0, nu=16, r=r, eps=0.1)
     tracemalloc.start()
     try:
-        sup, _ = kernel_sup(psi, 16, 64)
+        sup, _ = kernel_sup(psi, 16, 64, 16, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -595,7 +597,7 @@ def test_kernel_sup_memory_does_not_grow_with_j_max():
             tracemalloc.stop()
 
     _, psi = make_psi(d=TWO_PI, nu=64, r=2, eps=16.0 * TWO_PI / 128)
-    short, long = (peak(lambda: kernel_sup(psi, j_max, 256))
+    short, long = (peak(lambda: kernel_sup(psi, j_max, 256, 64, 1.0))
                    for j_max in (64, 4096))
     assert abs(long - short) <= 8 * 1024
 
@@ -603,7 +605,8 @@ def test_kernel_sup_memory_does_not_grow_with_j_max():
         for nu in (16, 32, 64):
             for r in (1, 2):
                 kernel_sup(make_psi(d=TWO_PI, nu=nu, r=r,
-                                    eps=16.0 * TWO_PI / (r * nu))[1], 64, 256)
+                                    eps=16.0 * TWO_PI / (r * nu))[1],
+                           64, 256, nu, 1.0)
     assert peak(sweep) <= 0.81e6
 
 
@@ -617,7 +620,7 @@ def test_kernel_sup_peak_memory_per_point_fits_the_budget(d):
     assert m == (1 if d == TWO_PI else 7)
     tracemalloc.start()
     try:
-        kernel_sup(psi, 2, x_grid)
+        kernel_sup(psi, 2, x_grid, 16, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -630,16 +633,17 @@ def test_kernel_sup_refuses_x_grid_times_sub_blocks_above_the_limit(
     _, psi = make_psi(d=50.0, nu=16, r=choose_r(0.0, 50.0, 1.0, 0.1, 16),
                       eps=0.1)
     with pytest.raises(ValueError, match="times 7 omega sub-blocks"):
-        kernel_sup(psi, 1, MAX_X_GRID // 7 + 1)
+        kernel_sup(psi, 1, MAX_X_GRID // 7 + 1, 16, 1.0)
     monkeypatch.setattr(corrector, "MAX_X_GRID", 7 * 64)
-    assert kernel_sup(psi, 16, 64)[0] == 0.19095760171517656
+    assert kernel_sup(psi, 16, 64, 16, 1.0)[0] == 0.19095760171517656
     with pytest.raises(ValueError, match="exceeds the 448-point limit"):
-        kernel_sup(psi, 16, 65)
+        kernel_sup(psi, 16, 65, 16, 1.0)
 
 
-# kernel_sup(psi, 64, 256) at the six criterion-6 points, nu in (16, 32, 64)
-# by r in (1, 2), with the x phase factored as e^{-ijx} e^{-iox} and Psi's
-# as e^{ika} e^{ioa}; the per-node cos and sin gave PER_NODE_SWEEP_SUPS
+# kernel_sup(psi, 64, 256, nu, 1.0) at the six criterion-6 points, nu in
+# (16, 32, 64) by r in (1, 2), with the x phase factored as e^{-ijx} e^{-iox}
+# and Psi's as e^{ika} e^{ioa}; the per-node cos and sin gave
+# PER_NODE_SWEEP_SUPS
 SWEEP_SUPS = [22.42385697876016, 11.000673971744662, 11.048800149776337,
               8.150867367937336, 8.203295905914807, 1.5896367250140724]
 PER_NODE_SWEEP_SUPS = [22.423856978760156, 11.00067397174464,
@@ -653,7 +657,7 @@ def test_kernel_sup_sweep_sups_are_pinned():
         for r in (1, 2):
             _, psi = make_psi(d=TWO_PI, nu=nu, r=r,
                               eps=16.0 * TWO_PI / (r * nu))
-            sups.append(kernel_sup(psi, 64, 256)[0])
+            sups.append(kernel_sup(psi, 64, 256, nu, 1.0)[0])
     assert sups == SWEEP_SUPS  # bitwise
 
 
@@ -668,7 +672,7 @@ def test_kernel_sup_evaluates_phi12_once_per_width(monkeypatch):
         return _phi12(z)
 
     monkeypatch.setattr(piecewise, "_phi12", counting_phi12)
-    kernel_sup(psi, 64, 256)
+    kernel_sup(psi, 64, 256, 64, 1.0)
     assert columns and set(columns) == {widths}
 
 
@@ -676,13 +680,34 @@ def test_kernel_sup_rejects_empty_ranges():
     _, psi = make_psi()
     for j_max, x_grid in ((0, 8), (-1, 8), (4, 0)):
         with pytest.raises(ValueError):
-            kernel_sup(psi, j_max, x_grid)
+            kernel_sup(psi, j_max, x_grid, 10, 1.0)
+
+
+def test_kernel_sup_needs_nu_and_gamma():
+    _, psi = make_psi(d=TWO_PI, nu=16, r=1, eps=2.0)
+    for call in (lambda: kernel_sup(psi, 4, 8),
+                 lambda: kernel_sup(psi, 4, 8, 16),
+                 lambda: kernel_sup(psi, 4, 8, gamma=1.0)):
+        with pytest.raises(TypeError):
+            call()
+
+
+def test_kernel_sup_checks_nu_by_the_one_nu_rule():
+    _, psi = make_psi(d=TWO_PI, nu=16, r=1, eps=2.0)
+    # nu = 0 would divide by zero, nu = -16 give a negative b_hat
+    for nu in (0, -16, 8, 16.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="nu must be an integer > 8"):
+            kernel_sup(psi, 4, 8, nu, 1.0)
+    sup, b_hat = kernel_sup(psi, 4, 8, 16, -2.0)
+    assert b_hat == sup / 32.0
+    for gamma in (0, 0.0, -0.0):  # B-hat is undefined only at gamma = 0
+        assert kernel_sup(psi, 4, 8, 16, gamma) == (sup, None)
 
 
 def test_kernel_sup_imports_no_scipy():
     code = ("import sys, menshov; from menshov import corrector as c; "
             "p = c.CorrectorParams(0.0, 1.0, 1.0, 0.8, 10, 1); "
-            "c.kernel_sup(c.build_psi(c.layout(p), 1.0, 10), 4, 8); "
+            "c.kernel_sup(c.build_psi(c.layout(p), 1.0, 10), 4, 8, 10, 1.0); "
             "assert 'scipy' not in sys.modules, 'scipy was imported'")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True)

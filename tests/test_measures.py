@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import menshov.measures as measures
-from menshov import (DomainError, MeasureSpec, MeasureSpecError, build_measure,
-                     normalize)
+from menshov import (DomainError, Measure, MeasureSpec, MeasureSpecError,
+                     build_measure, normalize, spectrum)
 from menshov.measures import MAX_CANTOR_LEVELS, _CDF_CHUNK
 from conftest import FIVE_KINDS, brute_force_atoms
 
@@ -185,6 +185,28 @@ def test_normalize_cdf_rounding_covers_exact_cdf(spec):
                 for g, ti in zip(got, t))
     assert 0.0 < nu.cdf_rounding < 1e-13
     assert worst <= nu.cdf_rounding
+
+
+def identity_cdf(x):
+    return x
+
+
+def test_hand_built_measure_states_its_cdf_rounding():
+    with pytest.raises(TypeError):  # no default that counts no rounding
+        Measure((0.0, 1.0), identity_cdf, 1.0)
+    with pytest.raises(TypeError):  # a keyword, not a sixth position
+        Measure((0.0, 1.0), identity_cdf, 1.0, (), (), 0.0)
+
+
+def test_measure_refuses_a_negative_or_non_finite_cdf_rounding():
+    # a negative bound would make the error bounds below negative
+    for bad in (-1.0, -1e-300, np.nan, np.inf):
+        with pytest.raises(MeasureSpecError, match="cdf_rounding must be"):
+            Measure((0.0, 1.0), identity_cdf, 1.0, cdf_rounding=bad)
+    for d in (0.0, 1e-3):
+        mu = Measure((0.0, 1.0), identity_cdf, 1.0, cdf_rounding=d)
+        assert mu.cdf_rounding == d
+        assert np.all(spectrum(mu, 4).coefficients([1, 2])[1] > 0.0)
 
 
 def test_cantor_cdf_scalar_input_gives_numpy_scalar():

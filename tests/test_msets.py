@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 import menshov.measures as measures
 from menshov import (DomainError, Measure, MeasureSpec, MSetSpec,
-                     build_lambda, build_measure, msets, mset_intervals,
-                     mset_masses, normalize, proposition_scan,
-                     pushforward_arc_mass)
+                     build_lambda, build_measure, msets, mset_masses,
+                     normalize, proposition_scan, pushforward_arc_mass)
 from conftest import FIVE_KINDS
 
 TWO_PI = 2.0 * np.pi
@@ -27,11 +26,11 @@ def capped_groups(cap):
 
 
 def test_mset_intervals_direct_substitution():
-    iv = mset_intervals(MSetSpec((0.0, 1.0), 2, 0.25, 0.5))
+    iv = np.column_stack(msets._interval_ends((0.0, 1.0), [2], 0.25, 0.5))
     assert iv == pytest.approx(np.array([[0.125, 0.375], [0.625, 0.875]]))
-    iv1 = mset_intervals(MSetSpec((0.0, 1.0), 1, 0.1, 0.8))
+    iv1 = np.column_stack(msets._interval_ends((0.0, 1.0), [1], 0.1, 0.8))
     assert iv1 == pytest.approx(np.array([[0.1, 0.9]]))
-    iv2 = mset_intervals(MSetSpec((2.0, 4.0), 4, 0.5, 0.25))
+    iv2 = np.column_stack(msets._interval_ends((2.0, 4.0), [4], 0.5, 0.25))
     assert iv2[0] == pytest.approx([2.25, 2.375])
 
 
@@ -43,7 +42,7 @@ def test_mset_intervals_disjoint_and_total_length():
         n = int(rng.integers(1, 500))
         s = rng.uniform(0, 0.7)
         t = rng.uniform(0.01, 1 - s - 0.001)
-        iv = mset_intervals(MSetSpec((a, b), n, s, t))
+        iv = np.column_stack(msets._interval_ends((a, b), [n], s, t))
         assert np.all(iv[1:, 0] >= iv[:-1, 1])  # disjoint
         assert iv[0, 0] >= a and iv[-1, 1] <= b + 1e-12
         assert np.sum(iv[:, 1] - iv[:, 0]) == pytest.approx(t * (b - a), abs=1e-12)
@@ -92,8 +91,8 @@ def batched_specs():
 def test_mset_masses_bitwise_equal_per_spec_oracle(spec):
     mu = build_measure(spec)
     for interval, sigma, tau in batched_specs():
-        oracle = [np.sum(mu.interval_mass(*mset_intervals(
-            MSetSpec(interval, n, sigma, tau)).T)) for n in BATCHED_NS]
+        oracle = [np.sum(mu.interval_mass(*msets._interval_ends(
+            interval, [n], sigma, tau))) for n in BATCHED_NS]
         with capped_groups(100):
             assert np.array_equal(
                 mset_masses(mu, interval, BATCHED_NS, sigma, tau), oracle)
@@ -129,7 +128,8 @@ def test_interval_ends_bitwise_equal_per_spec_oracle(monkeypatch):
                                   np.concatenate([w[col] for w in want])
                                   .view(np.int64))
             for spec, w in zip(specs, want):
-                got = np.ascontiguousarray(mset_intervals(spec)[:, col])
+                got = msets._interval_ends(spec.interval, [spec.n],
+                                           spec.sigma, spec.tau)[col]
                 assert np.array_equal(got.view(np.int64),
                                       w[col].view(np.int64))
 
@@ -167,7 +167,8 @@ def test_mset_whose_last_end_rounds_past_the_domain_is_measured(lebesgue_2pi):
     # sigma + tau = 1: the last end (24 + 1) * (2 pi / 25) rounds past 2 pi
     spec = MSetSpec((0.0, TWO_PI), 25, 0.5, 0.5)
     assert _intervals_oracle(spec)[1][-1] > TWO_PI
-    assert mset_intervals(spec)[-1, 1] == TWO_PI  # clamped where it is made
+    # clamped where it is made
+    assert msets._interval_ends(spec.interval, [25], 0.5, 0.5)[1][-1] == TWO_PI
     mass, = mset_masses(lebesgue_2pi, (0.0, TWO_PI), [25], 0.5, 0.5)
     assert mass == pytest.approx(np.pi, rel=1e-14)
     with pytest.raises(DomainError):  # no end outside the domain is measured
@@ -187,8 +188,8 @@ def test_mset_masses_with_an_a_n_past_the_cap(cantor40, monkeypatch):
     # group's CDF calls run in many chunks
     monkeypatch.setattr(measures, "_CDF_CHUNK", 4)
     ns = [37, 5000, 99, 64, 1001, 1, 80, 100, 7] * 3
-    oracle = [np.sum(cantor40.interval_mass(*mset_intervals(
-        MSetSpec((0.0, 1.0), n, 0.2, 0.3)).T)) for n in ns]
+    oracle = [np.sum(cantor40.interval_mass(*msets._interval_ends(
+        (0.0, 1.0), [n], 0.2, 0.3))) for n in ns]
     with capped_groups(100):
         masses = mset_masses(cantor40, (0.0, 1.0), ns, 0.2, 0.3)
     assert np.array_equal(masses.view(np.int64),
@@ -202,7 +203,7 @@ def test_decreasing_cdf_raises_in_the_calling_thread():
         threads.append(threading.get_ident())
         return np.minimum(x, 1.98 - x)
 
-    mu = Measure((0.0, 1.0), peak, 1.0)
+    mu = Measure((0.0, 1.0), peak, 1.0, cdf_rounding=0.0)
     with pytest.raises(DomainError, match="negative mass -0.004"):
         mu.interval_mass(0.995, 0.999)
     threads.clear()
